@@ -318,11 +318,11 @@ def cmd_run(args) -> int:
     sigma_n = params.sigma * code.n
     t, rho = args.errors, args.erasures
     out_of_contract = False
-    if t is not None and rho is not None and t + rho / 2 > sigma_n:
+    if t is not None and t + (rho or 0) / 2 > sigma_n:
         if not args.allow_weak:
             log.error(
                 "t + rho/2 = %.1f exceeds sigma*n = %.2f; pass --allow-weak to run anyway",
-                t + rho / 2,
+                t + (rho or 0) / 2,
                 sigma_n,
             )
             return EXIT_USAGE
@@ -434,6 +434,9 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_lt_run(args) -> int:
+    if args.erasures is not None and args.errors is None:
+        log.error("lt-run --erasures needs --errors; without it both are drawn per trial")
+        return EXIT_USAGE
     instance = read_json(args.instance)
     if instance.get("mode") != "lt":
         log.error("lt-run expects an lt instance")

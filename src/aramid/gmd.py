@@ -79,17 +79,12 @@ class ConcatCode:
         received = np.asarray(received, dtype=np.int64)
         if received.shape != (self.n, self.inner.length):
             raise ValueError(f"received must be ({self.n}, {self.inner.length})")
-        q = self.outer.field.q
-        symbols = np.empty((self.n, self.inner.k), dtype=np.int64)
-        reliab = np.empty(self.n, dtype=np.int64)
-        for i in range(self.n):
-            c = self.inner.decode_errors(received[i])
-            if c is None:
-                symbols[i] = self.inner.sys_project(received[i])
-                reliab[i] = _FAILED_ROW
-            else:
-                symbols[i] = self.inner.sys_project(c)
-                reliab[i] = int(np.count_nonzero(c != received[i]))
+        # rejected rows come back as received and keep their raw symbols
+        decoded, ok = self.inner.decode_ee(received)
+        symbols = self.inner.sys_project(decoded)
+        reliab = np.where(
+            ok, np.count_nonzero(decoded != received, axis=1), _FAILED_ROW
+        )
         trace = GmdTrace(reliabilities=reliab)
         # least reliable first; ties broken by index for determinism
         order = np.lexsort((np.arange(self.n), -reliab))

@@ -3,37 +3,19 @@
 A codeword is (v_i * p(a_i))_{i < length} for a polynomial p of degree < k,
 evaluation points a_i pairwise distinct and column multipliers v_i nonzero.
 These codes are MDS: d = length - k + 1. The decoder is syndrome-based
-(Berlekamp-Massey key equation, Chien search, Forney values) and returns None
-whenever it cannot certify a codeword within the radius 2*errors + erasures < d.
+(Berlekamp-Massey key equation, Chien search, Forney values), runs on a whole
+stack of words at once, and rejects every row for which it cannot certify a
+codeword within the radius 2*errors + erasures < d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from . import linalg
 from .gf import PrimeField
-
-ERASED = object()  # marker for erased symbols in sequence form
-
-
-@dataclass
-class ErasureWord:
-    """A received word with an explicit erasure mask (never a field value)."""
-
-    values: np.ndarray  # int64, erased entries arbitrary
-    erased: np.ndarray  # bool
-
-    @classmethod
-    def from_symbols(cls, symbols) -> "ErasureWord":
-        values = np.array(
-            [0 if s is ERASED or s is None else int(s) for s in symbols],
-            dtype=np.int64,
-        )
-        erased = np.array([s is ERASED or s is None for s in symbols], dtype=bool)
-        return cls(values, erased)
 
 
 class GrsCode:
@@ -79,6 +61,8 @@ class GrsCode:
             [pow(int((mults[i] * prod[i]) % q), q - 2, q) for i in range(n)],
             dtype=np.int64,
         )
+        # Forney factor -x_i / u_i = -x_i * v_i * prod_i
+        self._forney = (-x * mults % q) * prod % q
         nsyn = self.dmin - 1
         # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k.
         pw = np.ones(n, dtype=np.int64)
@@ -154,146 +138,136 @@ class GrsCode:
 
     def syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndrome rows for one word (shape (n,)) or a batch (m, n)."""
-        return (np.asarray(words, dtype=np.int64) @ self._parity_t) % self.field.q
+        q = self.field.q
+        return linalg._mul_mod(np.asarray(words, dtype=np.int64) % q, self._parity_t, q)
 
     def is_codeword(self, word) -> bool:
         return not np.any(self.syndromes(word))
 
     # -- decoding -----------------------------------------------------------
 
-    def decode_word(self, word: ErasureWord) -> np.ndarray | None:
-        return self.decode_ee(word.values, word.erased)
-
-    def decode_errors(self, values) -> np.ndarray | None:
+    def decode_errors(self, values) -> tuple[np.ndarray, np.ndarray] | np.ndarray | None:
         """Errors-only bounded-distance decoding (corrects 2a < d)."""
         return self.decode_ee(values, None)
 
     def decode_ee(
-        self,
-        values,
-        erased=None,
-        syndromes: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        """Error-erasure decoding: correct any pattern with 2a + b < d.
+        self, words, erased=None, syndromes: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray] | np.ndarray | None:
+        """Batched error-erasure decoding: correct any row with 2a + b < d.
 
-        Returns the unique such codeword, or None when no codeword can be
-        certified inside the radius. `syndromes` may carry a precomputed
-        syndrome row for the zero-filled word.
+        `words` is a stack (m, length) with an optional bool mask `erased`
+        of the same shape (or one (length,) mask shared by every row), and
+        `syndromes` optional precomputed syndrome rows of the zero-filled
+        words. Returns (decoded, ok): where ok[r] holds, decoded[r] is the
+        unique codeword within 2a + b < d of row r; other rows hold the
+        zero-filled received word. A single word (length,) returns its
+        codeword, or None when none can be certified inside the radius.
         """
         q = self.field.q
-        values = np.asarray(values, dtype=np.int64) % q
-        if values.shape != (self.length,):
+        words = np.asarray(words, dtype=np.int64)
+        if words.ndim not in (1, 2) or words.shape[-1] != self.length:
             raise ValueError(f"word length must be {self.length}")
-        if erased is not None and np.any(erased):
-            erased = np.asarray(erased, dtype=bool)
-            filled = np.where(erased, 0, values)
-            era_pos = np.flatnonzero(erased)
+        values = words.reshape(-1, self.length) % q
+        m = len(values)
+        if erased is None:
+            era = np.zeros(values.shape, dtype=bool)
         else:
-            erased = None
-            filled = values
-            era_pos = None
-        b = 0 if era_pos is None else len(era_pos)
-        d = self.dmin
-        if b >= d:
-            return None
-        if d == 1:
-            return filled.copy()
-        nsyn = d - 1
-        if syndromes is None or b > 0:
-            synd = self.syndromes(filled)
+            era = np.broadcast_to(np.asarray(erased, dtype=bool), values.shape)
+        out = np.where(era, 0, values)
+        b = era.sum(axis=1)
+        if syndromes is None:
+            synd = self.syndromes(out)
         else:
-            synd = np.asarray(syndromes, dtype=np.int64)
-        if b == 0 and not np.any(synd):
-            return filled.copy()
+            synd = np.asarray(syndromes, dtype=np.int64).reshape(m, self.dmin - 1) % q
+        ok = b < self.dmin
+        # clean rows without erasures are already codewords
+        rows = np.flatnonzero(ok & ((b > 0) | synd.any(axis=1)))
+        if len(rows):
+            dec, good = self._solve(out[rows], era[rows], b[rows], synd[rows])
+            out[rows] = dec
+            ok[rows] = good
+        if words.ndim == 1:
+            return out[0] if ok[0] else None
+        return out, ok
 
-        s_list = [int(v) for v in synd]
-        if b > 0:
-            gamma = self._locator_poly(era_pos)
-            xi = _poly_mul_trunc(gamma, s_list, nsyn, q)
-            zeta = xi[b:]
-        else:
-            gamma = [1]
-            zeta = s_list
+    def _solve(self, filled, era, b, synd):
+        """Key equation, Chien search and Forney values for rows with work.
 
-        if any(zeta):
-            lam, deg = _berlekamp_massey(zeta, q)
-            if deg > (nsyn - b) // 2 or len(lam) - 1 != deg:
-                return None
-        else:
-            lam = [1]
-        psi = _poly_mul(lam, gamma, q)
-        roots = self._find_roots(psi)
-        if len(roots) != len(psi) - 1:
-            return None
-
-        omega = _poly_mul_trunc(psi, s_list, nsyn, q)
-        dpsi = [(m * c) % q for m, c in enumerate(psi)][1:]  # formal derivative
-        corrected = filled.copy()
-        for i in roots:
-            inv_pows = [int(v) for v in self._inv_pow[i]]
-            num = 0
-            for m, c in enumerate(omega):
-                num = (num + c * inv_pows[m]) % q
-            den = 0
-            for m, c in enumerate(dpsi):
-                den = (den + c * inv_pows[m]) % q
-            if den == 0:
-                return None
-            ev = (-int(self._locators[i]) * num * pow(den, q - 2, q)) % q
-            e = (ev * pow(int(self._dual_mults[i]), q - 2, q)) % q
-            corrected[i] = (corrected[i] - e) % q
-
-        if np.any(self.syndromes(corrected)):
-            return None
-        changed = corrected != values
-        if erased is not None:
-            changed &= ~erased
-        a = int(np.count_nonzero(changed))
-        if 2 * a + b >= d:
-            return None
-        return corrected
-
-    def _locator_poly(self, positions) -> list[int]:
-        """Product of (1 - x_i X) over the given positions, ascending coeffs."""
+        Every step runs on all rows at once; the certificate (deg Lambda = L
+        within the radius, deg psi roots, nonzero Forney denominators, zero
+        syndrome after correction, 2a + b < d) is checked per row.
+        """
         q = self.field.q
-        poly = [1]
-        for i in positions:
-            xi = int(self._locators[i])
-            poly = [
-                (poly[m] - (xi * poly[m - 1] if m else 0)) % q
-                for m in range(len(poly))
-            ] + [(-xi * poly[-1]) % q]
-        return poly
+        nsyn = self.dmin - 1
+        inv = _inverses(q)
+        m = len(b)
 
-    def _find_roots(self, psi: list[int]) -> list[int]:
-        """Positions i with psi(x_i^{-1}) = 0 via the inverse-power table."""
-        q = self.field.q
-        deg = len(psi) - 1
-        vals = (self._inv_pow[:, : deg + 1] @ np.array(psi, dtype=np.int64)) % q
-        return [int(i) for i in np.flatnonzero(vals == 0)]
+        # erasure locator Gamma = prod (1 - x_i X) over each row's erasures
+        bmax = int(b.max())
+        gamma = np.zeros((m, bmax + 1), dtype=np.int64)
+        gamma[:, 0] = 1
+        if bmax:
+            first = np.argsort(~era, axis=1, kind="stable")[:, :bmax]
+            xs = np.where(np.arange(bmax) < b[:, None], self._locators[first], 0)
+            for j in range(bmax):
+                gamma[:, 1 : j + 2] = (
+                    gamma[:, 1 : j + 2] - xs[:, j : j + 1] * gamma[:, : j + 1]
+                ) % q
+        xi = _mul_trunc(gamma, synd, nsyn, q)  # Gamma * S mod X^(d-1)
 
-    # -- coset decoding ------------------------------------------------------
+        # Berlekamp-Massey on xi[b:], length d-1-b per row; Bs = X^m B
+        length = nsyn - b
+        pos = np.minimum(b[:, None] + np.arange(nsyn), nsyn - 1)
+        zeta = np.take_along_axis(xi, pos, axis=1)
+        width = nsyn + 2
+        lam = np.zeros((m, width), dtype=np.int64)
+        lam[:, 0] = 1
+        bs = np.zeros((m, width), dtype=np.int64)
+        bs[:, 1] = 1
+        el = np.zeros(m, dtype=np.int64)
+        bb = np.ones(m, dtype=np.int64)
+        for k in range(int(length.max())):
+            disc = (lam[:, : k + 1] * zeta[:, k::-1]).sum(axis=1) % q
+            disc[k >= length] = 0  # finished rows stay put
+            coef = disc * inv[bb] % q
+            grow = (disc != 0) & (2 * el <= k)
+            src = np.where(grow[:, None], lam, bs)
+            lam = (lam - coef[:, None] * bs) % q
+            bs = np.zeros_like(bs)
+            bs[:, 1:] = src[:, :-1]
+            el = np.where(grow, k + 1 - el, el)
+            bb = np.where(grow, disc, bb)
+        deg = width - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
+        ok = (deg == el) & (2 * el <= length)
+
+        # errata locator psi = Lambda * Gamma; deg psi = L + b <= d-1 where ok
+        top = int(el[ok].max()) + 1 if ok.any() else 1
+        lam = np.where(ok[:, None], lam[:, :top], 0)
+        lam[:, 0] = 1
+        psi = _mul_trunc(gamma, lam, nsyn + 1, q)
+        inv_pow = self._inv_pow.T
+        roots = linalg._mul_mod(psi, inv_pow, q) == 0
+        ok &= roots.sum(axis=1) == el + b
+
+        # Forney: e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i)
+        omega = _mul_trunc(lam, xi, nsyn, q)  # psi * S = Lambda * xi mod X^(d-1)
+        dpsi = psi[:, 1:] * np.arange(1, nsyn + 1) % q
+        num = linalg._mul_mod(omega, inv_pow[:nsyn], q)
+        den = linalg._mul_mod(dpsi, inv_pow[:nsyn], q)
+        ok &= ~np.any(roots & (den == 0), axis=1)
+        err = self._forney * num % q * inv[den] % q
+        corrected = (filled - np.where(roots, err, 0)) % q
+
+        ok &= ~self.syndromes(corrected).any(axis=1)
+        a = np.count_nonzero((corrected != filled) & ~era, axis=1)
+        ok &= 2 * a + b < self.dmin
+        return np.where(ok[:, None], corrected, filled), ok
 
     def parity_right_inverse(self) -> np.ndarray:
+        """Some R with H R = I, so that R h is a word with syndrome h."""
         if self._right_inv is None:
             self._right_inv = linalg.right_inverse(self._parity, self.field.q)
         return self._right_inv
-
-    def coset_shift(self, h) -> np.ndarray:
-        """Some t with H t = h (H the canonical parity check)."""
-        h = np.asarray(h, dtype=np.int64) % self.field.q
-        if h.shape != (self.dmin - 1,):
-            raise ValueError(f"syndrome length must be {self.dmin - 1}")
-        return (self.parity_right_inverse() @ h) % self.field.q
-
-    def coset_decode(self, h, values) -> np.ndarray | None:
-        """Nearest word v with H v = h, within radius 2a < d of values."""
-        q = self.field.q
-        t = self.coset_shift(h)
-        base = self.decode_errors((np.asarray(values, dtype=np.int64) - t) % q)
-        if base is None:
-            return None
-        return (base + t) % q
 
     # -- oracles --------------------------------------------------------------
 
@@ -312,55 +286,25 @@ class GrsCode:
         return int(weights[weights > 0].min())
 
 
-def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return out
+@functools.lru_cache(maxsize=None)
+def _inverses(q: int) -> np.ndarray:
+    """Table of a^(q-2) mod q for a in [0, q); entry 0 maps to 0."""
+    inv = np.ones(q, dtype=np.int64)
+    base = np.arange(q, dtype=np.int64)
+    e = q - 2
+    while e:
+        if e & 1:
+            inv = inv * base % q
+        base = base * base % q
+        e >>= 1
+    inv.flags.writeable = False  # shared by every caller through the cache
+    return inv
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], n: int, q: int) -> list[int]:
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai and i < n:
-            for j, bj in enumerate(b[: n - i]):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return out
-
-
-def _berlekamp_massey(seq: list[int], q: int) -> tuple[list[int], int]:
-    """Shortest LFSR (connection polynomial, ascending) for seq over GF(q)."""
-    c = [1]
-    b = [1]
-    el = 0
-    m = 1
-    bb = 1
-    for n_i, s_n in enumerate(seq):
-        disc = s_n
-        for i in range(1, el + 1):
-            if i < len(c):
-                disc = (disc + c[i] * seq[n_i - i]) % q
-        if disc == 0:
-            m += 1
-        elif 2 * el <= n_i:
-            t = c[:]
-            coef = (disc * pow(bb, q - 2, q)) % q
-            c = c + [0] * (len(b) + m - len(c)) if len(b) + m > len(c) else c
-            for j, bj in enumerate(b):
-                c[j + m] = (c[j + m] - coef * bj) % q
-            el = n_i + 1 - el
-            b = t
-            bb = disc
-            m = 1
-        else:
-            coef = (disc * pow(bb, q - 2, q)) % q
-            if len(b) + m > len(c):
-                c = c + [0] * (len(b) + m - len(c))
-            for j, bj in enumerate(b):
-                c[j + m] = (c[j + m] - coef * bj) % q
-            m += 1
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c, el
+def _mul_trunc(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Row-wise polynomial products a[r] * b[r] mod X^width (ascending coeffs)."""
+    out = np.zeros((len(a), width), dtype=np.int64)
+    for j in range(min(a.shape[1], width)):
+        w = min(b.shape[1], width - j)
+        out[:, j : j + w] += a[:, j : j + 1] * b[:, :w]
+    return out % q

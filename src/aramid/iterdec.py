@@ -3,8 +3,9 @@
 Rounds alternate sides: even rounds decode every right sub-block with the
 C'' error-erasure decoder, odd rounds decode left sub-blocks with the C'
 errors-only decoder (or a coset decoder of C0 when per-vertex syndromes are
-supplied). Erasures exist at the field level only until round 2 completes.
-A component-decoder failure leaves the sub-block unchanged.
+supplied). Each round is one batched component-decoder call over the
+scheduled vertices. Erasures exist at the field level only until round 2
+completes. A component-decoder failure leaves the sub-block unchanged.
 
 Dirty-vertex scheduling (default on) re-decodes a vertex only when one of its
 incident edges changed since its last decode; the first visit of each side is
@@ -159,21 +160,20 @@ def decode_phi(
         raise ValueError(
             f"phi word must have shape ({n}, {code.phi_width}) with an (n,) mask"
         )
+    # plain left side = coset side of C' with zero syndromes and zero shifts
     if cosets is not None:
-        c0 = cosets.code
-        if c0.length != delta or c0.field != code.field:
+        left_code = cosets.code
+        if left_code.length != delta or left_code.field != code.field:
             raise ValueError("coset code must have the graph degree and field")
         s_mat = np.asarray(cosets.syndromes, dtype=np.int64) % q
-        if s_mat.shape != (n, c0.dmin - 1):
-            raise ValueError(f"coset syndromes must be (n, {c0.dmin - 1})")
+        if s_mat.shape != (n, left_code.dmin - 1):
+            raise ValueError(f"coset syndromes must be (n, {left_code.dmin - 1})")
         # one right-inverse application per vertex, precomputed as a batch
-        shifts = (s_mat @ c0.parity_right_inverse().T) % q
-        left_code = c0
+        shifts = (s_mat @ left_code.parity_right_inverse().T) % q
     else:
-        c0 = None
-        s_mat = None
-        shifts = None
         left_code = cp
+        s_mat = np.zeros((n, cp.dmin - 1), dtype=np.int64)
+        shifts = np.zeros((n, delta), dtype=np.int64)
 
     right_edges = graph.right_edges
     z = np.zeros(n * delta, dtype=np.int64)
@@ -209,12 +209,8 @@ def decode_phi(
         if z_er.any():
             return False
         left = z.reshape(n, delta)
-        if cosets is None:
-            if np.any(cp.syndromes(left)):
-                return False
-        else:
-            if np.any((c0.syndromes(left) - s_mat) % q):
-                return False
+        if np.any((left_code.syndromes(left) - s_mat) % q):
+            return False
         return not np.any(cd.syndromes(z[right_edges]))
 
     for i in range(2, params.nu + 1):
@@ -232,24 +228,13 @@ def decode_phi(
             gather = right_edges[work]
             blocks = z[gather]
             masks = z_er[gather]
-            synd = cd.syndromes(blocks)
-            any_era = masks.any(axis=1)
-            for row in range(len(work)):
-                if not any_era[row] and not synd[row].any():
-                    continue
-                out = cd.decode_ee(
-                    blocks[row],
-                    masks[row] if any_era[row] else None,
-                    syndromes=synd[row],
-                )
-                if out is None:
-                    continue
-                diff = (out != blocks[row]) | masks[row]
-                if diff.any():
-                    eids = gather[row][diff]
-                    z[eids] = out[diff]
-                    z_er[eids] = False
-                    mark_changed(eids, writer_right=True)
+            out, ok = cd.decode_ee(blocks, masks)
+            diff = ((out != blocks) | masks) & ok[:, None]
+            if diff.any():
+                eids = gather[diff]
+                z[eids] = out[diff]
+                z_er[eids] = False
+                mark_changed(eids, writer_right=True)
             if i == 2 and z_er.any():
                 # unresolved erasures get the identity completion (zero fill);
                 # later rounds treat them as plain errors
@@ -261,34 +246,18 @@ def decode_phi(
                 dirty_mask[1][graph.matchings[slot, u]] = True
         else:
             blocks = z.reshape(n, delta)[work]
-            if cosets is None:
-                synd = cp.syndromes(blocks)
-                for row, u in enumerate(work):
-                    if not synd[row].any():
-                        continue
-                    out = cp.decode_ee(blocks[row], None, syndromes=synd[row])
-                    if out is None:
-                        continue
-                    diff = out != blocks[row]
-                    if diff.any():
-                        eids = int(u) * delta + np.flatnonzero(diff)
-                        z[eids] = out[diff]
-                        mark_changed(eids, writer_right=False)
-            else:
-                synd = (c0.syndromes(blocks) - s_mat[work]) % q
-                for row, u in enumerate(work):
-                    if not synd[row].any():
-                        continue
-                    base_word = (blocks[row] - shifts[u]) % q
-                    out = c0.decode_ee(base_word, None, syndromes=synd[row])
-                    if out is None:
-                        continue
-                    out = (out + shifts[u]) % q
-                    diff = out != blocks[row]
-                    if diff.any():
-                        eids = int(u) * delta + np.flatnonzero(diff)
-                        z[eids] = out[diff]
-                        mark_changed(eids, writer_right=False)
+            synd = (left_code.syndromes(blocks) - s_mat[work]) % q
+            out, ok = left_code.decode_ee(
+                (blocks - shifts[work]) % q, None, syndromes=synd
+            )
+            out = (out + shifts[work]) % q
+            diff = (out != blocks) & ok[:, None]
+            if diff.any():
+                # left blocks are disjoint, so one scatter writes the round
+                rows, cols = np.nonzero(diff)
+                eids = work[rows] * delta + cols
+                z[eids] = out[diff]
+                mark_changed(eids, writer_right=False)
 
         if truth is not None and not z_er.any():
             if side == 1:

@@ -319,14 +319,12 @@ class InterleavedGrsMediator:
         return self.code.sys_encode(msgs.T).T.copy()
 
     def decode(self, values, erased=None) -> np.ndarray | None:
-        values = np.asarray(values, dtype=np.int64)
-        out = np.empty((self.km, self.symbol_width), dtype=np.int64)
-        for j in range(self.symbol_width):
-            c = self.code.decode_ee(values[:, j], erased)
-            if c is None:
-                return None
-            out[:, j] = self.code.sys_project(c)
-        return out.reshape(-1)
+        # one stack of width-many streams sharing the erasure mask
+        streams = np.asarray(values, dtype=np.int64).T
+        out, ok = self.code.decode_ee(streams, erased)
+        if not ok.all():
+            return None
+        return self.code.sys_project(out).T.reshape(-1)
 
 
 class TannerMediator:
@@ -568,14 +566,9 @@ class LtCode:
         gather = self.g2.right_edges
         blocks = z2[gather]
         masks = z2_er[gather]
-        w_tilde = np.zeros((n, design.k2), dtype=np.int64)
-        w_er = np.zeros(n, dtype=bool)
-        for v in range(n):
-            out = self.c2.decode_ee(blocks[v], masks[v] if masks[v].any() else None)
-            if out is None:
-                w_er[v] = True
-            else:
-                w_tilde[v] = self.c2.sys_project(out)
+        out, ok = self.c2.decode_ee(blocks, masks)
+        w_tilde = np.where(ok[:, None], self.c2.sys_project(out), 0)
+        w_er = ~ok
 
         # D3: mediator recovers the syndrome list
         s_flat = self.mediator.decode(w_tilde, w_er)

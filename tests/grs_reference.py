@@ -1,0 +1,162 @@
+"""Scalar GRS error-erasure decoder, kept as a test oracle for the batched kernel.
+
+This is the one-word-at-a-time syndrome decoder (Berlekamp-Massey key
+equation, Chien search, Forney values) that `GrsCode.decode_ee` replaced.
+It reads the code's locators, dual multipliers and inverse-power table and
+returns the unique codeword with 2a + b < d, or None.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def decode_ee(code, values, erased=None, syndromes=None):
+    """Error-erasure decoding of one word: correct any pattern with 2a + b < d."""
+    q = code.field.q
+    values = np.asarray(values, dtype=np.int64) % q
+    if values.shape != (code.length,):
+        raise ValueError(f"word length must be {code.length}")
+    if erased is not None and np.any(erased):
+        erased = np.asarray(erased, dtype=bool)
+        filled = np.where(erased, 0, values)
+        era_pos = np.flatnonzero(erased)
+    else:
+        erased = None
+        filled = values
+        era_pos = None
+    b = 0 if era_pos is None else len(era_pos)
+    d = code.dmin
+    if b >= d:
+        return None
+    if d == 1:
+        return filled.copy()
+    nsyn = d - 1
+    if syndromes is None or b > 0:
+        synd = code.syndromes(filled)
+    else:
+        synd = np.asarray(syndromes, dtype=np.int64)
+    if b == 0 and not np.any(synd):
+        return filled.copy()
+
+    s_list = [int(v) for v in synd]
+    if b > 0:
+        gamma = locator_poly(code, era_pos)
+        xi = poly_mul_trunc(gamma, s_list, nsyn, q)
+        zeta = xi[b:]
+    else:
+        gamma = [1]
+        zeta = s_list
+
+    if any(zeta):
+        lam, deg = berlekamp_massey(zeta, q)
+        if deg > (nsyn - b) // 2 or len(lam) - 1 != deg:
+            return None
+    else:
+        lam = [1]
+    psi = poly_mul(lam, gamma, q)
+    roots = find_roots(code, psi)
+    if len(roots) != len(psi) - 1:
+        return None
+
+    omega = poly_mul_trunc(psi, s_list, nsyn, q)
+    dpsi = [(m * c) % q for m, c in enumerate(psi)][1:]  # formal derivative
+    corrected = filled.copy()
+    for i in roots:
+        inv_pows = [int(v) for v in code._inv_pow[i]]
+        num = 0
+        for m, c in enumerate(omega):
+            num = (num + c * inv_pows[m]) % q
+        den = 0
+        for m, c in enumerate(dpsi):
+            den = (den + c * inv_pows[m]) % q
+        if den == 0:
+            return None
+        ev = (-int(code._locators[i]) * num * pow(den, q - 2, q)) % q
+        e = (ev * pow(int(code._dual_mults[i]), q - 2, q)) % q
+        corrected[i] = (corrected[i] - e) % q
+
+    if np.any(code.syndromes(corrected)):
+        return None
+    changed = corrected != values
+    if erased is not None:
+        changed &= ~erased
+    a = int(np.count_nonzero(changed))
+    if 2 * a + b >= d:
+        return None
+    return corrected
+
+
+def locator_poly(code, positions) -> list[int]:
+    """Product of (1 - x_i X) over the given positions, ascending coeffs."""
+    q = code.field.q
+    poly = [1]
+    for i in positions:
+        xi = int(code._locators[i])
+        poly = [
+            (poly[m] - (xi * poly[m - 1] if m else 0)) % q
+            for m in range(len(poly))
+        ] + [(-xi * poly[-1]) % q]
+    return poly
+
+
+def find_roots(code, psi: list[int]) -> list[int]:
+    """Positions i with psi(x_i^{-1}) = 0 via the inverse-power table."""
+    q = code.field.q
+    deg = len(psi) - 1
+    vals = (code._inv_pow[:, : deg + 1] @ np.array(psi, dtype=np.int64)) % q
+    return [int(i) for i in np.flatnonzero(vals == 0)]
+
+
+def poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    return out
+
+
+def poly_mul_trunc(a: list[int], b: list[int], n: int, q: int) -> list[int]:
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai and i < n:
+            for j, bj in enumerate(b[: n - i]):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    return out
+
+
+def berlekamp_massey(seq: list[int], q: int) -> tuple[list[int], int]:
+    """Shortest LFSR (connection polynomial, ascending) for seq over GF(q)."""
+    c = [1]
+    b = [1]
+    el = 0
+    m = 1
+    bb = 1
+    for n_i, s_n in enumerate(seq):
+        disc = s_n
+        for i in range(1, el + 1):
+            if i < len(c):
+                disc = (disc + c[i] * seq[n_i - i]) % q
+        if disc == 0:
+            m += 1
+        elif 2 * el <= n_i:
+            t = c[:]
+            coef = (disc * pow(bb, q - 2, q)) % q
+            c = c + [0] * (len(b) + m - len(c)) if len(b) + m > len(c) else c
+            for j, bj in enumerate(b):
+                c[j + m] = (c[j + m] - coef * bj) % q
+            el = n_i + 1 - el
+            b = t
+            bb = disc
+            m = 1
+        else:
+            coef = (disc * pow(bb, q - 2, q)) % q
+            if len(b) + m > len(c):
+                c = c + [0] * (len(b) + m - len(c))
+            for j, bj in enumerate(b):
+                c[j + m] = (c[j + m] - coef * bj) % q
+            m += 1
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c, el

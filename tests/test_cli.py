@@ -6,6 +6,7 @@ import pytest
 
 from aramid.cli import (
     EXIT_OK,
+    EXIT_USAGE,
     EXIT_VIOLATION,
     build_plain_instance,
     canonical_json,
@@ -170,6 +171,34 @@ def test_run_excessive_errors_needs_allow_weak(small_instance, tmp_path):
     assert rc in (EXIT_OK, EXIT_VIOLATION)  # out-of-contract failures permitted
     rep = json.loads((tmp_path / "hot.json").read_text())
     assert rep["out_of_contract"]
+
+
+def test_run_errors_alone_are_gated(small_instance, tmp_path):
+    """--errors without --erasures still faces the sigma*n gate."""
+    out = tmp_path / "hot"
+    rc = run_cli(
+        "run", "--instance", small_instance, "--seed", "4", "--trials", "5",
+        "--errors", "45", "--out", str(out),
+    )
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "hot.json").exists()
+    rc = run_cli(
+        "run", "--instance", small_instance, "--seed", "4", "--trials", "5",
+        "--errors", "45", "--allow-weak", "--out", str(out),
+    )
+    assert rc in (EXIT_OK, EXIT_VIOLATION)
+    rep = json.loads((tmp_path / "hot.json").read_text())
+    assert rep["out_of_contract"] is True
+
+
+def test_lt_run_erasures_without_errors_is_usage_error(tmp_path, caplog):
+    rc = run_cli(
+        "lt-run", "--instance", str(tmp_path / "lt.json"), "--seed", "1",
+        "--erasures", "4", "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert "--erasures needs --errors" in caplog.text
+    assert not (tmp_path / "rep.csv").exists()
 
 
 def test_verify_bounds_tiny(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aramid.gf import PrimeField
-from aramid.grs import ErasureWord, GrsCode
+from aramid.grs import GrsCode
 
 
 @pytest.fixture(scope="module")
@@ -138,12 +138,13 @@ def test_exhaustive_error_erasure_contract(rs625):
     assert failures == 0
 
 
-def test_erasure_word_symbols():
-    from aramid.grs import ERASED
-
-    w = ErasureWord.from_symbols([1, ERASED, 3, None])
-    assert w.values.tolist() == [1, 0, 3, 0]
-    assert w.erased.tolist() == [False, True, False, True]
+def coset_decode(code, h, y):
+    """Nearest word v with H v = h within 2a < d of y, by the path the
+    iterative decoder takes: shift by a word of syndrome h, decode, unshift."""
+    q = code.field.q
+    t = (code.parity_right_inverse() @ (np.asarray(h, dtype=np.int64) % q)) % q
+    base = code.decode_ee((np.asarray(y, dtype=np.int64) - t) % q)
+    return None if base is None else (base + t) % q
 
 
 def test_coset_decode_zero_syndrome_matches_plain(rs625):
@@ -151,7 +152,7 @@ def test_coset_decode_zero_syndrome_matches_plain(rs625):
     y = c.copy()
     y[3] = (y[3] + 2) % 7
     h = np.zeros(4, dtype=np.int64)
-    assert np.array_equal(rs625.coset_decode(h, y), c)
+    assert np.array_equal(coset_decode(rs625, h, y), c)
 
 
 def test_coset_decode_one_error():
@@ -166,7 +167,7 @@ def test_coset_decode_one_error():
         y = w.copy()
         p = rng.integers(6)
         y[p] = (y[p] + rng.integers(1, 7)) % 7
-        got = code.coset_decode(h, y)
+        got = coset_decode(code, h, y)
         assert got is not None
         assert np.array_equal(code.syndromes(got), h % 7)
         dists = np.count_nonzero(coset != y[None, :], axis=1)
@@ -178,7 +179,7 @@ def test_coset_decode_one_error():
 def test_coset_decode_fixed_point(rs625):
     t = np.array([1, 0, 3, 2, 0, 5])
     h = rs625.syndromes(t)
-    got = rs625.coset_decode(h, t)
+    got = coset_decode(rs625, h, t)
     assert got is not None
     assert np.array_equal(rs625.syndromes(got), h)
     # zero errors: the clean coset word decodes to itself

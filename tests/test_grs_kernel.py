@@ -1,0 +1,167 @@
+"""Differential tests: the batched GRS kernel against the scalar reference.
+
+Bounded-distance decoding has a unique answer (the only codeword with
+2a + b < d, or nothing), so the kernel must agree with the scalar decoder on
+every row, inside the radius and beyond it.
+"""
+
+import grs_reference as ref
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from aramid.gf import PrimeField
+from aramid.grs import GrsCode
+
+# (q, length, k, first evaluation point); 0 forces the locator shift
+BATTERY_CODES = [
+    (37, 36, 18, 1),
+    (131, 60, 30, 1),
+    (131, 70, 40, 1),
+    (131, 130, 80, 1),
+    (131, 60, 52, 1),
+    (7, 6, 2, 1),
+    (7, 6, 2, 0),
+]
+
+
+def corrupt(rng, code, m, a_max):
+    """m random codewords with per-row erasures b in [0, d] and errors a in
+    [0, a_max]; erased entries carry junk values."""
+    q, n, d = code.field.q, code.length, code.dmin
+    words = code.encode(rng.integers(0, q, size=(m, code.k)))
+    erased = np.zeros((m, n), dtype=bool)
+    for r in range(m):
+        b = int(rng.integers(0, d + 1))
+        a = int(rng.integers(0, a_max + 1))
+        pos = rng.permutation(n)
+        erased[r, pos[:b]] = True
+        words[r, pos[:b]] = rng.integers(0, q, size=b)
+        err = pos[b : b + a]
+        words[r, err] = (words[r, err] + rng.integers(1, q, size=len(err))) % q
+    return words, erased
+
+
+def assert_matches_reference(code, words, erased, syndromes=None):
+    out, ok = code.decode_ee(words, erased, syndromes=syndromes)
+    assert out.shape == words.shape and ok.shape == (len(words),)
+    for r in range(len(words)):
+        row_era = None if erased is None else np.broadcast_to(erased, words.shape)[r]
+        want = ref.decode_ee(code, words[r], row_era)
+        if want is None:
+            assert not ok[r], r
+        else:
+            assert ok[r], r
+            assert np.array_equal(out[r], want), r
+    return out, ok
+
+
+@pytest.mark.parametrize("q,n,k,first", BATTERY_CODES)
+def test_kernel_matches_reference_battery(q, n, k, first):
+    code = GrsCode(PrimeField(q), k, range(first, first + n))
+    rng = np.random.default_rng([q, n, k, first])
+    words, erased = corrupt(rng, code, 300, code.dmin // 2 + 2)
+    out, ok = assert_matches_reference(code, words, erased)
+    assert ok.any() and not ok.all()  # both sides of the radius exercised
+    filled = np.where(erased, 0, words % q)
+    again, ok2 = code.decode_ee(words, erased, syndromes=code.syndromes(filled))
+    assert np.array_equal(again, out) and np.array_equal(ok2, ok)
+    # failed rows hand back the zero-filled received word
+    assert np.array_equal(out[~ok], filled[~ok])
+
+
+@pytest.mark.parametrize("q,n,k,first", BATTERY_CODES)
+def test_kernel_shared_erasure_mask(q, n, k, first):
+    code = GrsCode(PrimeField(q), k, range(first, first + n))
+    rng = np.random.default_rng([q, k])
+    words, _ = corrupt(rng, code, 40, (code.dmin - 1) // 4)
+    shared = np.zeros(n, dtype=bool)
+    shared[rng.choice(n, size=(code.dmin - 1) // 2, replace=False)] = True
+    assert_matches_reference(code, words, shared)
+
+
+@st.composite
+def decoding_cases(draw):
+    q = draw(st.sampled_from([7, 11, 13, 17]))
+    n = draw(st.integers(1, q - 1))  # length q leaves no nonzero locator shift
+    k = draw(st.integers(1, n))
+    points = draw(st.permutations(range(q)))[:n]
+    mults = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    code = GrsCode(PrimeField(q), k, points, mults)
+    m = draw(st.integers(0, 6))
+    msgs = np.array(
+        draw(st.lists(st.integers(0, q - 1), min_size=m * k, max_size=m * k)),
+        dtype=np.int64,
+    ).reshape(m, k)
+    words = code.encode(msgs).reshape(m, n)
+    erased = np.zeros((m, n), dtype=bool)
+    for r in range(m):
+        pos = draw(st.permutations(range(n)))
+        b = draw(st.integers(0, n))
+        a = draw(st.integers(0, n - b))
+        erased[r, pos[:b]] = True
+        for p in pos[b : b + a]:
+            words[r, p] = (words[r, p] + draw(st.integers(1, q - 1))) % q
+    return code, words, erased
+
+
+@settings(max_examples=150, deadline=None)
+@given(decoding_cases())
+def test_kernel_matches_reference_property(case):
+    code, words, erased = case
+    assert_matches_reference(code, words, erased)
+    assert_matches_reference(code, words, None)
+
+
+def test_kernel_dmin_one_is_identity():
+    code = GrsCode(PrimeField(7), k=5, eval_points=range(1, 6))  # d = 1
+    words = np.arange(15).reshape(3, 5) % 7
+    out, ok = code.decode_ee(words)
+    assert ok.all() and np.array_equal(out, words)
+    erased = np.zeros((3, 5), dtype=bool)
+    erased[1, 2] = True
+    out, ok = code.decode_ee(words, erased)
+    assert ok.tolist() == [True, False, True]
+
+
+def test_kernel_rejects_erasures_at_distance():
+    code = GrsCode(PrimeField(7), k=2, eval_points=range(1, 7))  # d = 5
+    c = code.encode([[1, 2], [3, 4]])
+    erased = np.zeros((2, 6), dtype=bool)
+    erased[0, :4] = True  # b = 4 < d
+    erased[1, :5] = True  # b = 5 = d
+    out, ok = code.decode_ee(c, erased)
+    assert ok.tolist() == [True, False]
+    assert np.array_equal(out[0], c[0])
+    assert code.decode_ee(c[1], erased[1]) is None
+
+
+def test_kernel_zero_evaluation_point_shifts_locators():
+    code = GrsCode(PrimeField(11), k=4, eval_points=range(0, 10))
+    rng = np.random.default_rng(8)
+    words, erased = corrupt(rng, code, 200, 4)
+    assert_matches_reference(code, words, erased)
+
+
+def test_kernel_clean_stack_and_empty_stack():
+    code = GrsCode(PrimeField(37), k=18, eval_points=range(1, 37))
+    clean = code.encode(np.random.default_rng(9).integers(0, 37, size=(20, 18)))
+    out, ok = code.decode_ee(clean)
+    assert ok.all() and np.array_equal(out, clean)
+    out, ok = code.decode_ee(np.zeros((0, 36), dtype=np.int64))
+    assert out.shape == (0, 36) and ok.shape == (0,)
+
+
+def test_kernel_single_word_contract():
+    code = GrsCode(PrimeField(7), k=2, eval_points=range(1, 7))
+    c = code.encode([2, 3])
+    y = c.copy()
+    y[[0, 1, 2]] = (y[[0, 1, 2]] + 1) % 7  # beyond the radius
+    got = code.decode_ee(y)
+    assert got is None or code.is_codeword(got)
+    y = c.copy()
+    y[4] = (y[4] + 3) % 7
+    assert np.array_equal(code.decode_ee(y), c)
+    with pytest.raises(ValueError):
+        code.decode_ee(np.zeros(5, dtype=np.int64))
