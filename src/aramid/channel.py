@@ -3,8 +3,8 @@
 Error positions are drawn uniformly without replacement among the non-erased
 positions, erased symbols are marked (never encoded as field values), and an
 erroneous symbol is resampled uniformly from Phi minus the true symbol.
-Per-trial generators are derived from (seed, trial index) so parallel and
-serial runs see identical streams.
+Per-trial generators are derived from (seed, trial index), so a trial's
+stream depends on nothing but its seed and index.
 """
 
 from __future__ import annotations
@@ -18,19 +18,16 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def corrupt_phi(
+def _inject(
     rng: np.random.Generator,
     x: np.ndarray,
     t: int,
     rho: int,
     q: int,
-    support: np.ndarray | None = None,
-) -> PhiWord:
-    """Apply t symbol errors and rho erasures to a clean Phi matrix.
-
-    `support` optionally pins the positions used (errors first, then
-    erasures) for adversarial fixtures; otherwise positions are uniform.
-    """
+    support: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resample t rows of x away from their true values and mark rho rows
+    erased; returns (values, erased)."""
     n, width = x.shape
     if t + rho > n:
         raise ValueError(f"t + rho = {t + rho} exceeds n = {n}")
@@ -51,7 +48,23 @@ def corrupt_phi(
             if not np.array_equal(sym, x[p]):
                 values[p] = sym
                 break
-    return PhiWord(values, erased)
+    return values, erased
+
+
+def corrupt_phi(
+    rng: np.random.Generator,
+    x: np.ndarray,
+    t: int,
+    rho: int,
+    q: int,
+    support: np.ndarray | None = None,
+) -> PhiWord:
+    """Apply t symbol errors and rho erasures to a clean Phi matrix.
+
+    `support` optionally pins the positions used (errors first, then
+    erasures) for adversarial fixtures; otherwise positions are uniform.
+    """
+    return PhiWord(*_inject(rng, x, t, rho, q, support))
 
 
 def corrupt_pairs(
@@ -66,22 +79,8 @@ def corrupt_pairs(
     Returns (values, erased1, erased2); both halves of an erased symbol are
     marked together.
     """
-    n, width = x.shape
-    if t + rho > n:
-        raise ValueError(f"t + rho = {t + rho} exceeds n = {n}")
-    support = rng.choice(n, size=t + rho, replace=False)
-    err_pos = support[:t]
-    era_pos = support[t:]
-    values = x.copy()
-    erased = np.zeros(n, dtype=bool)
-    erased[era_pos] = True
-    for p in err_pos:
-        while True:
-            sym = rng.integers(0, q, size=width)
-            if not np.array_equal(sym, x[p]):
-                values[p] = sym
-                break
-    return values, erased.copy(), erased.copy()
+    values, erased = _inject(rng, x, t, rho, q, None)
+    return values, erased, erased.copy()
 
 
 def corrupt_inner_rows(

@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,15 +37,7 @@ from .gf import PrimeField
 from .gmd import ConcatCode
 from .grs import GrsCode
 from .iterdec import beta_bound, decode_params, decode_phi
-from .ltenc import (
-    DesignError,
-    LtCode,
-    LtDesign,
-    build_lt_code,
-    lt_design,
-    mediator_default,
-    tau_bound,
-)
+from .ltenc import DesignError, LtCode, LtDesign, build_lt_code, lt_design
 from .tanner import TannerCode, brute_min_phi_weight, min_dist_bound, rate_bound_phi
 
 log = logging.getLogger("aramid")
@@ -158,21 +149,27 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
 
 
 def load_plain_instance(obj: dict):
+    """Rebuild a plain instance; the stored gamma and sigma are checked
+    against the spectral ratio measured on the stored graph."""
     field = PrimeField(obj["field"]["q"])
     graph = BipartiteRegularGraph.from_json(obj["graph"])
     cp = grs_from_json(field, obj["c_prime"])
     cd = grs_from_json(field, obj["c_double"])
     code = TannerCode(graph, cp, cd)
     derived = obj["derived"]
+    measured = gamma(graph).gamma
+    if not math.isclose(derived["gamma"], measured, rel_tol=1e-9, abs_tol=1e-12):
+        raise ContractError(
+            f"stored gamma {derived['gamma']!r} differs from the measured {measured!r}"
+        )
     params = None
     if not derived.get("weak"):
+        sigma = derived["sigma"]
+        beta = beta_bound(code.theta, code.delta_rel, measured)
+        if not 0 < sigma < beta:
+            raise ContractError(f"stored sigma {sigma!r} is outside (0, beta = {beta!r})")
         params = decode_params(
-            code.theta,
-            code.delta_rel,
-            derived["gamma"],
-            derived["sigma"],
-            code.n,
-            graph.delta,
+            code.theta, code.delta_rel, measured, sigma, code.n, graph.delta
         )
     return code, params, derived
 
@@ -199,19 +196,9 @@ def _phi_trial(code, params, seed, idx, t_fixed, rho_fixed, sigma_n):
     return idx, int(ok), rep.rounds_run, rep.component_calls
 
 
-def run_phi_trials(code, params, seed, trials, t, rho, threads=1):
+def run_phi_trials(code, params, seed, trials, t, rho):
     sigma_n = params.sigma * code.n
-    code.generator()  # precompute before any thread fan-out
-    work = (
-        lambda idx: _phi_trial(code, params, seed, idx, t, rho, sigma_n)
-    )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, range(trials)))
-    else:
-        rows = [work(i) for i in range(trials)]
-    rows.sort(key=lambda r: r[0])
-    return rows
+    return [_phi_trial(code, params, seed, idx, t, rho, sigma_n) for idx in range(trials)]
 
 
 def out_paths(out: str) -> tuple[str, str]:
@@ -257,7 +244,6 @@ def cmd_build(args) -> int:
             "anneal_iters": cfg.get("anneal_iters", 40000),
             "g1": code.g1.to_json(),
             "g2": code.g2.to_json(),
-            "mediator": {"kind": code.mediator.kind, "seed": cfg["seed"] + 2},
             "derived": {
                 "gamma1": code.gamma1,
                 "gamma2": code.gamma2,
@@ -288,22 +274,18 @@ def fraction_tuple(x):
 
 
 def load_lt_instance(obj: dict) -> LtCode:
+    """Rebuild an lt instance; the design fixes its mediator, the GRS bank.
+
+    Files written before the design fixed the mediator may carry a
+    "mediator" record; one naming any other kind is refused.
+    """
+    kind = obj.get("mediator", {"kind": "grs"}).get("kind")
+    if kind != "grs":
+        raise DesignError(f"instance was built with a {kind!r} mediator; rebuild it")
     design = LtDesign.from_json(obj["design"])
     g1 = BipartiteRegularGraph.from_json(obj["g1"])
     g2 = BipartiteRegularGraph.from_json(obj["g2"])
-    field = PrimeField(design.q)
-    g2_gamma = gamma(g2).gamma
-    c2_rel = (design.delta2 - design.k2 + 1) / design.delta2
-    mediator = mediator_default(
-        field,
-        design.n,
-        design.k2,
-        design.n * design.syndrome_width,
-        mu_required=tau_bound(design.sigma_stage, c2_rel, g2_gamma),
-        seed=obj["mediator"]["seed"],
-        anneal_iters=obj.get("anneal_iters", 40000),
-    )
-    return LtCode(design, g1, g2, mediator, field=field)
+    return LtCode(design, g1, g2)
 
 
 def cmd_run(args) -> int:
@@ -327,9 +309,7 @@ def cmd_run(args) -> int:
             )
             return EXIT_USAGE
         out_of_contract = True
-    rows = run_phi_trials(
-        code, params, args.seed, args.trials, t, rho, threads=args.threads
-    )
+    rows = run_phi_trials(code, params, args.seed, args.trials, t, rho)
     csv_path, json_path = out_paths(args.out)
     with open(csv_path, "w") as fh:
         fh.write(rows_to_csv(["trial", "success", "rounds", "calls"], rows))
@@ -444,6 +424,14 @@ def cmd_lt_run(args) -> int:
     code = load_lt_instance(instance)
     d = code.design
     radius = code.radius
+    if args.errors is not None:
+        t, rho = args.errors, args.erasures or 0
+        if 2 * t + rho > radius or t + rho > d.n:
+            log.error(
+                "t = %d, rho = %d leave the contract 2t + rho <= %d, t + rho <= n = %d",
+                t, rho, radius, d.n,
+            )
+            return EXIT_USAGE
     rows = []
     mu_n = float(code.mediator.mu) * d.n
     lemma3_ok = True
@@ -451,10 +439,7 @@ def cmd_lt_run(args) -> int:
         rng = trial_rng(args.seed, idx)
         eta = rng.integers(0, d.q, size=(d.n, d.k1))
         trace = code.encode_trace(eta)
-        if args.errors is not None:
-            t = args.errors
-            rho = args.erasures or 0
-        else:
+        if args.errors is None:
             t = int(rng.integers(0, radius // 2 + 1))
             rho = int(rng.integers(0, radius - 2 * t + 1))
         values, er1, er2 = corrupt_pairs(rng, trace.x, t, rho, d.q)
@@ -558,7 +543,6 @@ def main(argv=None) -> int:
     p.add_argument("--errors", type=int, default=None)
     p.add_argument("--erasures", type=int, default=None)
     p.add_argument("--allow-weak", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_run)
 

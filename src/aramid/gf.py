@@ -33,15 +33,6 @@ class PrimeField:
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value % self.q)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     # Scalar helpers on plain ints; array code reduces mod q directly.
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
@@ -69,83 +60,3 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
-
-
-class FieldElement:
-    """A value in [0, q), always reduced mod q."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.q
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError(
-                    f"mixed fields: GF({self.field.q}) and GF({other.field.q})"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.field, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value + other.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value - other.value)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, other.value - self.value)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * other.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.value)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, pow(self.value, e, self.field.q))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.q, self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.q})"

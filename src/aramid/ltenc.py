@@ -24,7 +24,7 @@ import numpy as np
 from .bigraph import anneal_circulant_bipartite, gamma
 from .gf import MAX_MODULUS, PrimeField, is_prime
 from .grs import GrsCode
-from .iterdec import CosetSide, DecodeParams, DecodeReport, beta_bound, decode_params, decode_phi
+from .iterdec import CosetSide, DecodeReport, beta_bound, decode_params, decode_phi
 from .tanner import PhiWord, TannerCode
 
 ANNEAL_RATIO = 1.5  # achievable multiple of the interlacing floor, with slack
@@ -286,7 +286,7 @@ def lt_design(
     )
 
 
-# -- mediator codes ---------------------------------------------------------------
+# -- the mediator code -------------------------------------------------------------
 
 
 class InterleavedGrsMediator:
@@ -294,8 +294,6 @@ class InterleavedGrsMediator:
     coordinate of the mediator alphabet. A symbol error touches each stream
     in at most one position, so the bank corrects floor((n-km)/2) symbol
     errors (and trades erasures at the usual 2a + b rate)."""
-
-    kind = "grs"
 
     def __init__(self, field: PrimeField, n: int, width: int, km: int):
         if n > field.q:
@@ -308,7 +306,6 @@ class InterleavedGrsMediator:
         self.n = n
         self.symbol_width = width
         self.km = km
-        self.rm = Fraction(km, n)
         self.mu = Fraction((n - km) // 2, n)
 
     def encode(self, s_flat) -> np.ndarray:
@@ -325,122 +322,6 @@ class InterleavedGrsMediator:
         if not ok.all():
             return None
         return self.code.sys_project(out).T.reshape(-1)
-
-
-class TannerMediator:
-    """Self-hosted mediator: a folded graph-code instance over the mediator
-    alphabet, decoded by the iterative decoder."""
-
-    kind = "tanner"
-
-    def __init__(self, code: TannerCode, params: DecodeParams, s_len: int):
-        if code.dim < s_len:
-            raise DesignError("mediator graph code has too little dimension")
-        self.code = code
-        self.params = params
-        self.field = code.field
-        self.n = code.n
-        self.symbol_width = code.phi_width
-        self.s_len = s_len
-        self.rm = Fraction(s_len, self.symbol_width * self.n)
-        self.mu = Fraction(math.floor(params.sigma * self.n), self.n)
-
-    def encode(self, s_flat) -> np.ndarray:
-        s_flat = np.asarray(s_flat, dtype=np.int64) % self.field.q
-        if s_flat.shape != (self.s_len,):
-            raise ValueError(f"message must have {self.s_len} symbols")
-        msg = np.zeros(self.code.dim, dtype=np.int64)
-        msg[: self.s_len] = s_flat
-        z = self.code.encode_generic(msg)
-        return self.code.psi(z)
-
-    def decode(self, values, erased=None) -> np.ndarray | None:
-        if erased is None:
-            erased = np.zeros(self.n, dtype=bool)
-        word = PhiWord(np.asarray(values, dtype=np.int64), np.asarray(erased, dtype=bool))
-        rep = decode_phi(self.code, word, self.params)
-        if not rep.success:
-            return None
-        z = self.code.psi_inverse(rep.result.values)
-        return self.code.msg_from_codeword(z)[: self.s_len]
-
-
-def _scan_tanner_mediator(
-    field: PrimeField,
-    n: int,
-    width: int,
-    s_len: int,
-    mu_required: float,
-    seed: int,
-    anneal_iters: int,
-) -> TannerMediator | None:
-    """Search degrees for a self-hosted mediator whose own decoder hypothesis
-    holds at the annealing target; None when the scale does not allow one."""
-    per_vertex = math.ceil(s_len / n)
-    for delta_m in range(width + 1, min(n - 1, field.q - 1, DELTA1_CAP) + 1):
-        k2m = delta_m - width + per_vertex  # dimension bound >= s_len
-        if k2m < 1 or k2m >= delta_m:
-            continue
-        theta_m = (delta_m - width + 1) / delta_m
-        delta_rel_m = (delta_m - k2m + 1) / delta_m
-        gt = anneal_target(n, delta_m)
-        if math.sqrt(theta_m * delta_rel_m) <= 2 * gt:
-            continue
-        beta = beta_bound(theta_m, delta_rel_m, gt)
-        sigma = 0.9 * beta
-        if math.floor(sigma * n) < 1:
-            continue
-        if math.floor(sigma * n) / n <= mu_required:
-            continue
-        graph = anneal_circulant_bipartite(
-            n, delta_m, seed=seed, gamma_target=gt, iters=anneal_iters
-        )
-        cp = GrsCode(field, k=width, eval_points=range(1, delta_m + 1))
-        cd = GrsCode(field, k=k2m, eval_points=range(1, delta_m + 1))
-        code = TannerCode(graph, cp, cd)
-        gm = gamma(graph).gamma
-        params = decode_params(
-            code.theta, code.delta_rel, gm, 0.9 * beta_bound(code.theta, code.delta_rel, gm),
-            n, delta_m,
-        )
-        if code.dim < s_len:
-            continue
-        return TannerMediator(code, params, s_len)
-    return None
-
-
-def mediator_default(
-    field: PrimeField,
-    n: int,
-    width: int,
-    s_len: int,
-    mu_required: float = 0.0,
-    seed: int = 0,
-    anneal_iters: int = 30000,
-):
-    """Mediator for n symbols of `width` field elements carrying s_len message
-    elements: a self-hosted graph-code instance when its decoder hypothesis is
-    attainable, otherwise the interleaved GRS bank."""
-    if s_len % width:
-        raise DesignError(
-            f"message length {s_len} is not a multiple of the symbol width {width}"
-        )
-    km = s_len // width
-    if km >= n:
-        raise DesignError(
-            f"mediator rate would be {km}/{n} >= 1; retune the syndrome width"
-        )
-    hosted = _scan_tanner_mediator(
-        field, n, width, s_len, mu_required, seed, anneal_iters
-    )
-    if hosted is not None:
-        return hosted
-    grs = InterleavedGrsMediator(field, n, width, km)
-    if float(grs.mu) <= mu_required:
-        raise DesignError(
-            f"no mediator reaches the required correction fraction {mu_required:.4f}"
-        )
-    return grs
 
 
 # -- the assembled construction ----------------------------------------------------
@@ -471,16 +352,9 @@ class LtTrace:
 class LtCode:
     """The assembled two-graph construction with certified stage parameters."""
 
-    def __init__(
-        self,
-        design: LtDesign,
-        g1,
-        g2,
-        mediator,
-        field: PrimeField | None = None,
-    ):
+    def __init__(self, design: LtDesign, g1, g2):
         self.design = design
-        self.field = field or PrimeField(design.q)
+        self.field = PrimeField(design.q)
         if g1.n != g2.n or g1.n != design.n:
             raise DesignError("both graphs must share the vertex count n")
         if g1.delta != design.delta1 or g2.delta != design.delta2:
@@ -494,11 +368,8 @@ class LtCode:
         self.t1 = TannerCode(g1, full1, self.c1)
         self.t2 = TannerCode(g2, full2, self.c2)
         self.h0 = self.c0.parity_check()
-        self.mediator = mediator
-        if mediator.n != design.n or mediator.symbol_width != design.k2:
-            raise DesignError("mediator shape does not match the design")
-        if mediator.rm != design.rm:
-            raise DesignError("mediator rate breaks the exact syndrome identity")
+        # the design's syndrome identity n*(delta1-k0) = km*k2 fixes the bank's shape
+        self.mediator = InterleavedGrsMediator(self.field, design.n, design.k2, design.km)
         self.gamma1 = gamma(g1).gamma
         self.gamma2 = gamma(g2).gamma
         self.params_d4 = decode_params(
@@ -510,10 +381,9 @@ class LtCode:
             design.delta1,
         )
         tb = tau_bound(design.sigma_stage, self.c2.rel_dist, self.gamma2)
-        if tb >= float(mediator.mu):
-            raise DesignError(
-                f"stage-2 bound {tb:.4f} reaches the mediator radius {float(mediator.mu):.4f}"
-            )
+        mu = float(self.mediator.mu)
+        if tb >= mu:
+            raise DesignError(f"stage-2 bound {tb:.4f} reaches the mediator radius {mu:.4f}")
 
     @property
     def n(self) -> int:
@@ -602,17 +472,4 @@ def build_lt_code(design: LtDesign, seed: int, anneal_iters: int = 40000) -> LtC
         gamma_target=design.gamma2_target,
         iters=anneal_iters,
     )
-    field = PrimeField(design.q)
-    g2_gamma = gamma(g2).gamma
-    c2_rel = (design.delta2 - design.k2 + 1) / design.delta2
-    mu_req = tau_bound(design.sigma_stage, c2_rel, g2_gamma)
-    mediator = mediator_default(
-        field,
-        design.n,
-        design.k2,
-        design.n * design.syndrome_width,
-        mu_required=mu_req,
-        seed=seed + 2,
-        anneal_iters=anneal_iters,
-    )
-    return LtCode(design, g1, g2, mediator, field=field)
+    return LtCode(design, g1, g2)

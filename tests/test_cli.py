@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,12 +9,15 @@ from aramid.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    ContractError,
     build_plain_instance,
     canonical_json,
+    load_lt_instance,
     load_plain_instance,
     main,
     write_json,
 )
+from aramid.ltenc import DesignError
 
 SMALL_CFG = {
     "mode": "plain",
@@ -40,11 +44,33 @@ TINY_CFG = {
 }
 
 
+LT_CFG = {
+    "mode": "lt",
+    "n": 130,
+    "R": [1, 2],
+    "eps": 0.3,
+    "kappa": 0.25,
+    "mu": 0.05,
+    "seed": 500,
+    "anneal_iters": 40000,
+}
+
+
 @pytest.fixture(scope="module")
 def small_instance(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "small.json"
     write_json(str(path), build_plain_instance(SMALL_CFG, allow_weak=False))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def lt_instance(tmp_path_factory):
+    """The desk lt instance, built through the CLI."""
+    tmp = tmp_path_factory.mktemp("lt")
+    cfg, inst = tmp / "cfg.json", tmp / "lt.json"
+    write_json(str(cfg), LT_CFG)
+    assert main(["build", "--config", str(cfg), "--out", str(inst)]) == EXIT_OK
+    return str(inst)
 
 
 def run_cli(*argv) -> int:
@@ -125,23 +151,42 @@ def test_run_in_contract(small_instance, tmp_path):
     assert len(csv_lines) == 41
 
 
-def test_run_csv_identical_serial_vs_threads(small_instance, tmp_path):
+def test_run_csv_identical_repeated_runs(small_instance, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert (
-        run_cli(
-            "run", "--instance", small_instance, "--seed", "9",
-            "--trials", "30", "--out", str(a),
+    for out in (a, b):
+        assert (
+            run_cli(
+                "run", "--instance", small_instance, "--seed", "9",
+                "--trials", "30", "--out", str(out),
+            )
+            == EXIT_OK
         )
-        == EXIT_OK
-    )
-    assert (
-        run_cli(
-            "run", "--instance", small_instance, "--seed", "9",
-            "--trials", "30", "--threads", "4", "--out", str(b),
-        )
-        == EXIT_OK
-    )
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_plain_load_refuses_edited_gamma(small_instance, tmp_path):
+    obj = json.loads(open(small_instance).read())
+    obj["derived"]["gamma"] *= 0.9
+    with pytest.raises(ContractError, match="stored gamma"):
+        load_plain_instance(obj)
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    rc = run_cli(
+        "run", "--instance", str(edited), "--seed", "9", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_VIOLATION
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_plain_load_refuses_sigma_beyond_beta(small_instance):
+    obj = json.loads(open(small_instance).read())
+    obj["derived"]["sigma"] = obj["derived"]["beta"] * 1.01
+    with pytest.raises(ContractError, match="stored sigma"):
+        load_plain_instance(obj)
+    obj["derived"]["sigma"] = 0.0
+    with pytest.raises(ContractError, match="stored sigma"):
+        load_plain_instance(obj)
 
 
 def test_run_zero_noise(small_instance, tmp_path):
@@ -230,27 +275,14 @@ def test_verify_bounds_omega_audit(small_instance, tmp_path):
     assert json.loads(out.read_text())["omega_n_audit"] == "pass"
 
 
-def test_lt_build_and_run(tmp_path):
-    cfg = {
-        "mode": "lt",
-        "n": 130,
-        "R": [1, 2],
-        "eps": 0.3,
-        "kappa": 0.25,
-        "mu": 0.05,
-        "seed": 500,
-        "anneal_iters": 40000,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    inst = tmp_path / "lt.json"
-    write_json(str(cfg_path), cfg)
-    assert run_cli("build", "--config", str(cfg_path), "--out", str(inst)) == EXIT_OK
-    obj = json.loads(inst.read_text())
+def test_lt_build_and_run(lt_instance, tmp_path):
+    obj = json.loads(open(lt_instance).read())
     assert obj["derived"]["relaxed"]
     assert obj["derived"]["radius"] == 26
+    assert "mediator" not in obj  # the design fixes the mediator
     out = tmp_path / "ltrep"
     rc = run_cli(
-        "lt-run", "--instance", str(inst), "--seed", "11", "--trials", "15",
+        "lt-run", "--instance", lt_instance, "--seed", "11", "--trials", "15",
         "--out", str(out),
     )
     assert rc == EXIT_OK
@@ -258,6 +290,43 @@ def test_lt_build_and_run(tmp_path):
     assert rep["success_rate"] == 1.0
     assert rep["lemma3_instrumentation"] == "pass"
     assert rep["max_w_dist"] < rep["mediator_mu_n"]
+
+
+def test_lt_run_gates_the_radius(lt_instance, tmp_path):
+    """--errors 14 on the desk lt instance is 2t = 28 > radius 26."""
+    out = tmp_path / "hot"
+    rc = run_cli(
+        "lt-run", "--instance", lt_instance, "--seed", "11", "--trials", "3",
+        "--errors", "14", "--out", str(out),
+    )
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "hot.csv").exists()
+    rc = run_cli(
+        "lt-run", "--instance", lt_instance, "--seed", "11", "--trials", "3",
+        "--errors", "10", "--erasures", "7", "--out", str(out),
+    )
+    assert rc == EXIT_USAGE  # 2t + rho = 27
+    rc = run_cli(
+        "lt-run", "--instance", lt_instance, "--seed", "11", "--trials", "3",
+        "--errors", "10", "--erasures", "6", "--out", str(out),
+    )
+    assert rc == EXIT_OK  # 2t + rho = 26 is the radius itself
+
+
+def test_lt_load_refuses_tanner_mediator(lt_instance, tmp_path):
+    obj = json.loads(open(lt_instance).read())
+    obj["mediator"] = {"kind": "grs", "seed": 502}  # older files carry this record
+    assert load_lt_instance(obj).mediator.mu == Fraction(*obj["derived"]["mediator_mu"])
+    obj["mediator"] = {"kind": "tanner", "seed": 502}
+    with pytest.raises(DesignError, match="tanner"):
+        load_lt_instance(obj)
+    edited = tmp_path / "tanner.json"
+    write_json(str(edited), obj)
+    rc = run_cli(
+        "lt-run", "--instance", str(edited), "--seed", "11", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_VIOLATION
 
 
 def test_gmd_run(small_instance, tmp_path):

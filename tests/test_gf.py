@@ -19,29 +19,9 @@ def test_constructor_rejects_bad_moduli():
     PrimeField(MAX_MODULUS)
 
 
-def test_gf7_basics():
-    f = PrimeField(7)
-    assert f.element(3) + f.element(5) == 1
-    assert f.element(3).inv() == 5  # 3*5 = 15 = 1 mod 7
-    for x in range(7):
-        assert f.element(0) * f.element(x) == 0
-
-
 def test_inverse_of_zero_raises():
-    f = PrimeField(11)
     with pytest.raises(ZeroDivisionError):
-        f.element(0).inv()
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
-
-
-def test_mixed_field_operands_raise():
-    a = PrimeField(7).element(3)
-    b = PrimeField(11).element(3)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * b
+        PrimeField(11).inv(0)
 
 
 def test_inverse_property_random():
@@ -51,25 +31,3 @@ def test_inverse_property_random():
         for _ in range(50):
             a = int(rng.integers(1, q))
             assert f.mul(a, f.inv(a)) == 1
-
-
-def test_field_axioms_random_triples():
-    rng = np.random.default_rng(2)
-    for q in (7, 37, 257):
-        f = PrimeField(q)
-        for _ in range(100):
-            a, b, c = (f.element(int(v)) for v in rng.integers(0, q, size=3))
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + b == b + a and a * b == b * a
-
-
-def test_element_misc():
-    f = PrimeField(7)
-    x = f.element(10)
-    assert x.value == 3
-    assert int(-x) == 4
-    assert x - 5 == 5  # 3 - 5 = -2 = 5 mod 7
-    assert (x ** 3) == f.element(27)
-    assert x / f.element(3) == 1

@@ -12,10 +12,8 @@ from aramid.ltenc import (
     DesignError,
     InterleavedGrsMediator,
     LtDesign,
-    TannerMediator,
     build_lt_code,
     lt_design,
-    mediator_default,
     next_prime,
     tau_bound,
 )
@@ -124,43 +122,42 @@ def test_mediator_zero_radius_round_trip():
     assert np.array_equal(med.decode(med.encode(s)), s)
 
 
-def test_tanner_mediator_self_hosted():
-    """A scale where the self-hosted mediator is feasible."""
-    f = PrimeField(41)
-    med = mediator_default(f, n=40, width=8, s_len=40, mu_required=0.0, seed=53)
-    assert isinstance(med, TannerMediator)
-    assert med.mu >= Fraction(1, 40)
-    rng = np.random.default_rng(54)
-    s = rng.integers(0, 41, size=40)
-    w = med.encode(s)
-    assert np.array_equal(med.decode(w), s)
-    errs = int(med.mu * 40)
-    for trial in range(200):
-        r = trial_rng(530, trial)
-        bad = r.choice(40, size=errs, replace=False)
-        wc = w.copy()
-        for p in bad:
-            wc[p] = (wc[p] + 1 + r.integers(0, 40, size=8)) % 41
-        got = med.decode(wc)
-        assert got is not None and np.array_equal(got, s)
-
-
-def test_mediator_default_falls_back_to_grs(desk_design):
-    d = desk_design
-    f = PrimeField(d.q)
-    med = mediator_default(
-        f, d.n, d.k2, d.n * d.syndrome_width, mu_required=0.05, seed=55
-    )
+def test_desk_lt_mediator_is_design_bank(desk_lt):
+    d = desk_lt.design
+    med = desk_lt.mediator
     assert isinstance(med, InterleavedGrsMediator)
+    assert (med.n, med.symbol_width, med.km) == (d.n, d.k2, d.km)
+    assert med.mu == d.mu_mediator
     assert float(med.mu) > 0.05
 
 
 def test_mediator_identity_errors():
     f = PrimeField(131)
     with pytest.raises(DesignError):
-        mediator_default(f, n=130, width=26, s_len=100 * 26 + 1)
+        InterleavedGrsMediator(f, n=10, width=2, km=12)  # km >= n
     with pytest.raises(DesignError):
-        mediator_default(f, n=10, width=2, s_len=24)  # km = 12 >= n
+        InterleavedGrsMediator(f, n=140, width=2, km=100)  # n > q
+
+
+def test_three_quarter_rate_design_builds_grs_bank():
+    """R=3/4, eps=0.15, n=80: the bank is built at once and holds its radius."""
+    d = lt_design(R=Fraction(3, 4), eps=0.15, kappa=0.25, mu=0.05, n=80)
+    code = build_lt_code(d, seed=500)
+    assert code.mediator.mu == d.mu_mediator
+    radius = code.radius
+    for trial in range(100):
+        rng = trial_rng(700, trial)
+        eta = rng.integers(0, d.q, size=(d.n, d.k1))
+        tr = code.encode_trace(eta)
+        if trial % 4 == 0:
+            t, rho = radius // 2, radius % 2
+        else:
+            t = int(rng.integers(0, radius // 2 + 1))
+            rho = int(rng.integers(0, radius - 2 * t + 1))
+        values, er1, er2 = corrupt_pairs(rng, tr.x, t, rho, d.q)
+        rep = code.decode(values, er1, er2)
+        assert rep.success, f"trial {trial} (t={t}, rho={rho}) stage={rep.stage}"
+        assert np.array_equal(rep.eta, eta)
 
 
 def test_build_lt_code_stage_hypotheses(desk_lt):
