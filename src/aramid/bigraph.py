@@ -54,12 +54,11 @@ class BipartiteRegularGraph:
         self.delta = delta
         self.matchings = m
         self.seed = seed
-        if not self._connected():
+        inv = np.empty_like(m)  # inv[i, v] = the left end of slot i at v
+        inv[np.arange(delta)[:, None], m] = ref
+        if not self._connected(inv):
             raise ValueError("graph is not connected")
         # Hard-wired adjacency: right_edges[v] lists edge ids at v in slot order.
-        inv = np.empty_like(m)
-        for i in range(delta):
-            inv[i, m[i]] = ref
         self.right_edges = (inv.T * delta + np.arange(delta)[None, :]).astype(np.int64)
         self.cross_index = np.empty(n * delta, dtype=np.int64)
         self.cross_index[self.right_edges.reshape(-1)] = np.tile(
@@ -77,40 +76,21 @@ class BipartiteRegularGraph:
         """N(u) for u in V', in slot order."""
         return self.matchings[:, u]
 
-    def left_edges(self, u: int) -> np.ndarray:
-        """Edge ids of E(u) for u in V'."""
-        return u * self.delta + np.arange(self.delta)
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        u, i = divmod(e, self.delta)
-        return u, int(self.matchings[i, u])
-
-    def is_simple(self) -> bool:
-        """No parallel edges: every left vertex has delta distinct neighbors."""
-        for u in range(self.n):
-            if len(set(self.matchings[:, u].tolist())) != self.delta:
-                return False
-        return True
-
-    def _connected(self) -> bool:
-        n = self.n
-        seen_l = np.zeros(n, dtype=bool)
-        seen_r = np.zeros(n, dtype=bool)
-        stack = [(0, 0)]  # (side, vertex); side 0 = V'
+    def _connected(self, inv: np.ndarray) -> bool:
+        """Frontier search from left vertex 0 through the matchings and their
+        inverses. Each vertex joins one frontier, so each edge is read at most
+        twice: O(n*delta) work."""
+        seen_l = np.zeros(self.n, dtype=bool)
+        seen_r = np.zeros(self.n, dtype=bool)
         seen_l[0] = True
-        while stack:
-            side, v = stack.pop()
-            if side == 0:
-                for w in self.matchings[:, v]:
-                    if not seen_r[w]:
-                        seen_r[w] = True
-                        stack.append((1, int(w)))
-            else:
-                for i in range(self.delta):
-                    w = int(np.flatnonzero(self.matchings[i] == v)[0])
-                    if not seen_l[w]:
-                        seen_l[w] = True
-                        stack.append((0, w))
+        left = np.array([0])
+        while left.size:
+            right = np.unique(self.matchings[:, left])
+            right = right[~seen_r[right]]
+            seen_r[right] = True
+            left = np.unique(inv[:, right])
+            left = left[~seen_l[left]]
+            seen_l[left] = True
         return bool(seen_l.all() and seen_r.all())
 
     def biadjacency(self) -> np.ndarray:

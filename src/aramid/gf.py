@@ -33,25 +33,6 @@ class PrimeField:
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
 
-    # Scalar helpers on plain ints; array code reduces mod q directly.
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(%d)" % self.q)
-        return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.q, e, self.q)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and self.q == other.q
 

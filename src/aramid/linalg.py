@@ -1,16 +1,23 @@
-"""Dense linear algebra over GF(q) on numpy int64 arrays.
+"""Dense linear algebra over GF(q).
 
-Elimination is blocked: pivots are located with scalar updates restricted to a
-column panel, then the accumulated row operations are replayed on the
-remaining columns as float64 matmuls. With q <= 65521 and panel width <= 128
-every intermediate sum stays below 2**53, so the float path is exact.
+`rref` holds the matrix as float64 and delays the reduction mod q
+(Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields",
+ACM TOMS 2008). Entries are reduced only where they are read as pivot data:
+the current column panel, the pivot rows and the factor columns. Each panel's
+update of the trailing columns is one unreduced float64 BLAS product. With
+entries in [0, q) at the start, every entry afterwards is an integer of
+absolute value at most min(rows, cols)*(q-1)**2 + q, because each pivot
+subtracts at most (q-1)**2 from it. `rref` refuses a shape and modulus for
+which that bound reaches 2**53, so every float64 value it computes is an
+exact integer. For q <= 65521 the bound admits any matrix with fewer than
+about 2*10**6 rows or columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_BLOCK = 128
+_BLOCK = 48
 
 
 def _rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -40,84 +47,86 @@ def _rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) % q via float64 BLAS; inner dimension must stay small
-    enough that sums fit in 2**53 (true for panels up to 128 and q < 2**16)."""
+    """Exact (a @ b) % q via float64 BLAS for entries in [0, q); the inner
+    dimension k must satisfy k*(q-1)**2 < 2**53 so every sum is exact."""
     prod = a.astype(np.float64) @ b.astype(np.float64)
     return np.rint(prod).astype(np.int64) % q
+
+
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q for float64 integers below 2**53 in absolute value.
+
+    Faster than np.mod on float64 and exact in this range: the rounding
+    error of x/q is below 1/q, so the floor is the true quotient.
+    """
+    return x - q * np.floor(x / q)
 
 
 def rref(
     a: np.ndarray, q: int, block: int = _BLOCK
 ) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(q): (R, pivot column list)."""
-    r = np.array(a, dtype=np.int64) % q
-    rows, cols = r.shape
-    if rows == 0 or cols == 0:
-        return r, []
+    """Reduced row-echelon form over GF(q): (R, pivot column list).
+
+    Columns are taken in panels of `block`. Gauss-Jordan on the panel, over
+    the rows not yet holding a pivot, finds the panel's pivots and, in an
+    augmented identity block, the inverse T of the pivot block. The pivot rows
+    become P = T @ (their old entries), and every other row subtracts
+    F @ P, where F holds its entries in the pivot columns. Rows without a
+    pivot yet are zero mod q left of the panel, so P is too, and the update
+    only touches the columns from the panel on.
+    """
+    rows, cols = np.shape(a)
+    if min(rows, cols) * (q - 1) ** 2 + q >= 2**53:
+        raise ValueError(
+            f"a {rows}x{cols} matrix over GF({q}) is too large for exact "
+            "float64 elimination"
+        )
+    r = (np.asarray(a, dtype=np.int64) % q).astype(np.float64)
     pivots: list[int] = []
     lead = 0
     col_start = 0
     while col_start < cols and lead < rows:
         col_end = min(col_start + block, cols)
-        panel = r[:, col_start:col_end].copy()
+        width = col_end - col_start
+        r[:, col_start:col_end] = _reduce(r[:, col_start:col_end], q)
+        # panel rows from `lead` down, then an identity block that records
+        # each row in terms of the panel's pivot rows as they were chosen
+        g = np.zeros((rows - lead, 2 * width))
+        g[:, :width] = r[lead:, col_start:col_end]
         panel_pivots: list[int] = []
-        local_lead = lead
-        for pcol in range(col_end - col_start):
-            sub = panel[local_lead:, pcol]
-            nz = np.flatnonzero(sub)
+        for pcol in range(width):
+            j = len(panel_pivots)
+            if lead + j == rows:
+                break
+            nz = np.flatnonzero(_reduce(g[j:, pcol], q))
             if nz.size == 0:
                 continue
-            prow = local_lead + int(nz[0])
-            if prow != local_lead:
-                panel[[local_lead, prow]] = panel[[prow, local_lead]]
-                r[[local_lead, prow]] = r[[prow, local_lead]]
-            inv = pow(int(panel[local_lead, pcol]), q - 2, q)
-            panel[local_lead] = (panel[local_lead] * inv) % q
-            factors = panel[:, pcol].copy()
-            factors[local_lead] = 0
-            panel = (panel - np.outer(factors, panel[local_lead])) % q
+            prow = j + int(nz[0])
+            if prow != j:
+                g[[j, prow]] = g[[prow, j]]
+                r[[lead + j, lead + prow]] = r[[lead + prow, lead + j]]
+            g[j, width + j] = 1
+            pivot = _reduce(g[j], q)
+            g[j] = _reduce(pivot * pow(int(pivot[pcol]), q - 2, q), q)
+            factors = _reduce(g[:, pcol], q)
+            factors[j] = 0
+            # the panel columns from pcol on and the identity block's first
+            # j + 1 columns are one contiguous slice
+            g[:, pcol : width + j + 1] -= np.outer(factors, g[j, pcol : width + j + 1])
             panel_pivots.append(col_start + pcol)
-            local_lead += 1
         k = len(panel_pivots)
         if k:
-            rest = np.concatenate(
-                [np.arange(0, col_start), np.arange(col_end, cols)]
-            )
-            if rest.size:
-                # r's panel columns were not eliminated (only row-swapped), so
-                # they still hold the pre-elimination coefficients.
-                f = r[:, panel_pivots]
-                a11 = f[lead : lead + k, :]
-                inv11 = _inv_small(a11, q)
-                piv_rest = _mul_mod(inv11, r[np.ix_(range(lead, lead + k), rest)], q)
-                others = np.concatenate(
-                    [np.arange(0, lead), np.arange(lead + k, rows)]
-                )
-                if others.size:
-                    upd = _mul_mod(f[others, :], piv_rest, q)
-                    r[np.ix_(others, rest)] = (r[np.ix_(others, rest)] - upd) % q
-                r[np.ix_(range(lead, lead + k), rest)] = piv_rest
-            r[:, col_start:col_end] = panel
+            inv = _reduce(g[:k, width : width + k], q)
+            piv_rows = slice(lead, lead + k)
+            f = r[:, panel_pivots]
+            f[piv_rows] = 0
+            p = _reduce(inv @ _reduce(r[piv_rows, col_start:], q), q)
+            r[:, col_start:] -= f @ p
+            r[piv_rows, col_start:] = p
             pivots.extend(panel_pivots)
             lead += k
-        else:
-            r[:, col_start:col_end] = panel
         col_start = col_end
-    return r, pivots
-
-
-def _inv_small(a: np.ndarray, q: int) -> np.ndarray:
-    k = a.shape[0]
-    aug = np.hstack([a % q, np.eye(k, dtype=np.int64)])
-    red, piv = _rref_plain(aug, q)
-    if piv != list(range(k)):
-        raise ValueError("panel pivot block is singular")
-    return red[:, k:]
-
-
-def rank(a: np.ndarray, q: int) -> int:
-    _, pivots = rref(a, q)
-    return len(pivots)
+    return _reduce(r, q).astype(np.int64), pivots
 
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:
@@ -125,28 +134,11 @@ def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.int64)
     _, cols = a.shape
     r, pivots = rref(a, q)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    free = np.setdiff1d(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = (-r[row, fc]) % q
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % q
     return basis
-
-
-def solve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray | None:
-    """One solution x of a x = b over GF(q), or None if inconsistent."""
-    a = np.asarray(a, dtype=np.int64) % q
-    b = np.asarray(b, dtype=np.int64) % q
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    r, pivots = rref(aug, q)
-    cols = a.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        x[pc] = r[row, cols]
-    return x
 
 
 def right_inverse(a: np.ndarray, q: int) -> np.ndarray:
@@ -158,6 +150,5 @@ def right_inverse(a: np.ndarray, q: int) -> np.ndarray:
     if len([p for p in pivots if p < cols]) < rows:
         raise ValueError("matrix does not have full row rank")
     b = np.zeros((cols, rows), dtype=np.int64)
-    for row, pc in enumerate(pivots):
-        b[pc] = r[row, cols:]
+    b[pivots] = r[: len(pivots), cols:]
     return b

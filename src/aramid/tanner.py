@@ -154,23 +154,22 @@ class TannerCode:
             kp = self.c_prime.k
             h2 = self.c_double.parity_check()
             gp = self.c_prime._gen
-            m = np.zeros((n * h2.shape[0], n * kp), dtype=np.int64)
             h_rows = h2.shape[0]
-            for v in range(n):
-                for i in range(delta):
-                    e = self.graph.right_edges[v, i]
-                    u, slot = divmod(int(e), delta)
-                    m[v * h_rows : (v + 1) * h_rows, u * kp : (u + 1) * kp] = (
-                        m[v * h_rows : (v + 1) * h_rows, u * kp : (u + 1) * kp]
-                        + np.outer(h2[:, i], gp[:, slot])
-                    ) % q
+            # edge (v, i) = u*delta + slot adds outer(h2[:, i], gp[:, slot]) to
+            # the block of right vertex v's checks and left vertex u's message;
+            # parallel edges add up, and nullspace reduces mod q
+            u, slot = np.divmod(self.graph.right_edges.reshape(-1), delta)
+            v, i = np.divmod(np.arange(n * delta), delta)
+            rows = (v[:, None] * h_rows + np.arange(h_rows))[:, :, None]
+            cols = (u[:, None] * kp + np.arange(kp))[:, None, :]
+            m = np.zeros((n * h_rows, n * kp), dtype=np.int64)
+            np.add.at(
+                m.reshape(-1),
+                (rows * (n * kp) + cols).reshape(-1),
+                (h2.T[i][:, :, None] * gp.T[slot][:, None, :]).reshape(-1),
+            )
             basis = linalg.nullspace(m, q)
-            if basis.shape[0]:
-                words = (
-                    basis.reshape(-1, n, kp) @ gp % q
-                ).reshape(basis.shape[0], n * delta)
-            else:
-                words = np.zeros((0, n * delta), dtype=np.int64)
+            words = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
             gen, pivots = linalg.rref(words, q)
             self._gen = gen[: len(pivots)]
             self._gen_pivots = pivots

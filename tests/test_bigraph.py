@@ -47,14 +47,14 @@ def test_degrees_and_edge_count():
     x = g.biadjacency()
     assert np.all(x.sum(axis=1) == 5) and np.all(x.sum(axis=0) == 5)
     assert g.num_edges == 75
-    assert g.is_simple()
+    assert g.biadjacency().max() <= 1
 
 
 def test_edge_indexing_round_trip():
     g = random_regular_bipartite(12, 4, seed=2)
     for e in range(g.num_edges):
-        u, v = g.edge_endpoints(e)
-        assert e == u * g.delta + (e % g.delta)
+        u, i = divmod(e, g.delta)
+        v = g.matchings[i, u]
         slot = g.cross_index[e]
         assert g.right_edges[v, slot] == e
     # every edge appears exactly once on the right side
@@ -116,7 +116,7 @@ def test_gamma_target_unreachable_reports_best():
 def test_annealed_circulant_hits_low_gamma():
     g = anneal_circulant_bipartite(100, 36, seed=7, gamma_target=0.22, iters=30000)
     assert gamma(g).gamma <= 0.22
-    assert g.is_simple()
+    assert g.biadjacency().max() <= 1
 
 
 def test_mixing_lemma_all_ones(cycle8):
@@ -218,6 +218,70 @@ def test_rejects_disconnected():
     m = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
     with pytest.raises(ValueError):
         BipartiteRegularGraph(m)
+
+
+def _union_find_connected(matchings):
+    """Reference check: union-find over left vertices 0..n-1, right n..2n-1."""
+    delta, n = matchings.shape
+    parent = list(range(2 * n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(delta):
+        for u in range(n):
+            parent[find(u)] = find(n + int(matchings[i, u]))
+    return len({find(x) for x in range(2 * n)}) == 1
+
+
+def _connected_by_constructor(matchings):
+    try:
+        BipartiteRegularGraph(matchings)
+    except ValueError as exc:
+        assert "not connected" in str(exc)
+        return False
+    return True
+
+
+def test_connectivity_matches_union_find_random():
+    rng = np.random.default_rng(14)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        delta = int(rng.integers(1, min(n, 3) + 1))
+        m = np.array([rng.permutation(n) for _ in range(delta)])
+        want = _union_find_connected(m)
+        assert _connected_by_constructor(m) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_connectivity_rejects_split_graphs():
+    # two connected halves, each a union of permutations within its own
+    # vertex set, relabelled by random permutations of both sides
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        a = int(rng.integers(2, 20))
+        b = int(rng.integers(2, 20))
+        delta = int(rng.integers(2, min(a, b) + 1))
+        halves = [
+            np.array([np.roll(np.arange(size), s) for s in range(delta)])
+            for size in (a, b)
+        ]
+        m = np.hstack([halves[0], halves[1] + a])
+        left, right = rng.permutation(a + b), rng.permutation(a + b)
+        m = right[m][:, np.argsort(left)]
+        assert not _union_find_connected(m)
+        assert not _connected_by_constructor(m)
+        # one swapped edge pair joins the halves
+        joined = m.copy()
+        u1, u2 = left[0], left[a]
+        joined[0, [u1, u2]] = joined[0, [u2, u1]]
+        assert _union_find_connected(joined)
+        assert _connected_by_constructor(joined)
 
 
 def test_rejects_non_permutation():

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aramid import linalg
 
 
-@pytest.mark.parametrize("q", [5, 37, 131])
-@pytest.mark.parametrize("shape", [(8, 8), (20, 35), (35, 20), (150, 170), (170, 150)])
+def _rank(a, q):
+    return len(linalg.rref(a, q)[1])
+
+
+@pytest.mark.parametrize("q", [5, 37, 131, 3, 65521])
+@pytest.mark.parametrize(
+    "shape",
+    [(8, 8), (20, 35), (35, 20), (150, 170), (170, 150), (0, 9), (9, 0), (1, 1)],
+)
 def test_blocked_rref_matches_plain(q, shape):
     rng = np.random.default_rng(hash((q, shape)) % 2**32)
     a = rng.integers(0, q, size=shape, dtype=np.int64)
@@ -13,6 +22,57 @@ def test_blocked_rref_matches_plain(q, shape):
     r2, p2 = linalg.rref(a, q, block=16)
     assert p1 == p2
     assert np.array_equal(r1, r2)
+    assert r2.dtype == np.int64 and r2.shape == shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from([3, 37, 131, 65521]),
+    rows=st.integers(0, 40),
+    cols=st.integers(0, 40),
+    rank=st.integers(0, 40),
+    density=st.sampled_from([1.0, 0.3, 0.05]),
+    block=st.sampled_from([1, 7, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_matches_plain_property(q, rows, cols, rank, density, block, seed):
+    # tall, wide, empty and rank-deficient inputs: a product through a rank
+    # bottleneck, thinned to the given density
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, q, size=(rows, rank)) @ rng.integers(0, q, size=(rank, cols))
+    a = a * (rng.random((rows, cols)) < density) % q
+    r1, p1 = linalg._rref_plain(a, q)
+    r2, p2 = linalg.rref(a, q) if block is None else linalg.rref(a, q, block)
+    assert p1 == p2
+    assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("block", [1, 7, linalg._BLOCK])
+def test_rref_extreme_entries_q65521(block):
+    # every factor and pivot-row entry read by the first panel is q-1, so the
+    # unreduced update reaches block*(q-1)**2 per entry
+    q = 65521
+    k, m = block, 90
+    a = np.full((k + m, k + m), q - 1, dtype=np.int64)
+    a[:k, :k] = np.eye(k, dtype=np.int64)
+    r1, p1 = linalg._rref_plain(a, q)
+    r2, p2 = linalg.rref(a, q, block)
+    assert p1 == p2 and np.array_equal(r1, r2)
+    # dense pivots in every column: (q-1)J - I has full rank over GF(q)
+    b = np.full((120, 130), q - 1, dtype=np.int64) - np.eye(120, 130, dtype=np.int64)
+    r1, p1 = linalg._rref_plain(b, q)
+    r2, p2 = linalg.rref(b, q, block)
+    assert p1 == p2 == list(range(120))
+    assert np.array_equal(r1, r2)
+
+
+def test_rref_refuses_inexact_shapes():
+    # min(rows, cols)*(q-1)**2 + q must stay below 2**53; the check comes
+    # before any allocation, so a broadcast view is enough
+    q = 65521
+    n = 2**53 // (q - 1) ** 2 + 1
+    with pytest.raises(ValueError):
+        linalg.rref(np.broadcast_to(np.int64(0), (n, n)), q)
 
 
 def test_rref_rank_deficient():
@@ -31,25 +91,32 @@ def test_nullspace_annihilates():
     q = 131
     a = rng.integers(0, q, size=(30, 50), dtype=np.int64)
     ns = linalg.nullspace(a, q)
-    assert ns.shape[0] == 50 - linalg.rank(a, q)
+    assert ns.shape[0] == 50 - _rank(a, q)
     assert not np.any((a @ ns.T) % q)
-    assert linalg.rank(ns, q) == ns.shape[0]  # basis is independent
+    assert _rank(ns, q) == ns.shape[0]  # basis is independent
 
 
-def test_solve_consistent_and_inconsistent():
-    q = 7
-    a = np.array([[1, 2, 3], [2, 4, 6]])  # rank 1
-    x = linalg.solve(a, np.array([5, 10]), q)
-    assert x is not None
-    assert np.array_equal((a @ x) % q, np.array([5, 3]))  # 10 % 7 == 3
-    assert linalg.solve(a, np.array([5, 4]), q) is None
+@pytest.mark.parametrize("q", [3, 37, 65521])
+@pytest.mark.parametrize("shape", [(30, 50), (50, 30), (0, 6), (12, 12)])
+def test_nullspace_matches_plain_basis(q, shape):
+    rng = np.random.default_rng(17)
+    rows, cols = shape
+    a = rng.integers(0, q, size=(rows, 5)) @ rng.integers(0, q, size=(5, cols)) % q
+    r, pivots = linalg._rref_plain(a, q)
+    free = [c for c in range(cols) if c not in pivots]
+    want = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        want[i, fc] = 1
+        for row, pc in enumerate(pivots):
+            want[i, pc] = (-r[row, fc]) % q
+    assert np.array_equal(linalg.nullspace(a, q), want)
 
 
 def test_right_inverse():
     rng = np.random.default_rng(13)
     q = 37
     a = rng.integers(0, q, size=(10, 25), dtype=np.int64)
-    assert linalg.rank(a, q) == 10
+    assert _rank(a, q) == 10
     b = linalg.right_inverse(a, q)
     assert np.array_equal((a @ b) % q, np.eye(10, dtype=np.int64))
 

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from aramid.bigraph import circulant_bipartite, gamma
+from aramid import linalg
+from aramid.bigraph import (
+    BipartiteRegularGraph,
+    anneal_circulant_bipartite,
+    circulant_bipartite,
+    gamma,
+)
 from aramid.gf import PrimeField
 from aramid.grs import GrsCode
 from aramid.tanner import (
@@ -191,6 +197,57 @@ def test_theorem1_exhaustive_on_small_instances(k33_code, cycle8_code):
 def test_rate_bound_holds_on_instances(k33_code, cycle8_code):
     for code in (k33_code, cycle8_code):
         assert code.dim / code.num_edges >= code.r + code.R - 1 - 1e-12
+
+
+def _per_edge_generator(code):
+    """Oracle: right-vertex constraints built one edge at a time, eliminated
+    by the single-pivot reference."""
+    q, n, delta = code.field.q, code.n, code.graph.delta
+    kp = code.c_prime.k
+    h2 = code.c_double.parity_check()
+    gp = code.c_prime._gen
+    h = h2.shape[0]
+    m = np.zeros((n * h, n * kp), dtype=np.int64)
+    for v in range(n):
+        for i in range(delta):
+            u, slot = divmod(int(code.graph.right_edges[v, i]), delta)
+            block = np.outer(h2[:, i], gp[:, slot])
+            m[v * h : (v + 1) * h, u * kp : (u + 1) * kp] += block
+    r, pivots = linalg._rref_plain(m, q)
+    free = [c for c in range(n * kp) if c not in pivots]
+    basis = np.zeros((len(free), n * kp), dtype=np.int64)
+    for j, fc in enumerate(free):
+        basis[j, fc] = 1
+        for row, pc in enumerate(pivots):
+            basis[j, pc] = (-r[row, fc]) % q
+    words = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
+    gen, gen_pivots = linalg._rref_plain(words, q)
+    return gen[: len(gen_pivots)]
+
+
+def test_generator_matches_per_edge_assembly_with_parallel_edges():
+    # slots 0 and 1 are the same matching, so every left vertex has a
+    # doubled edge whose two constraint blocks must add up
+    rng = np.random.default_rng(23)
+    n, f = 9, PrimeField(13)
+    p = rng.permutation(n)
+    g = BipartiteRegularGraph(np.array([p, p] + [rng.permutation(n) for _ in range(3)]))
+    assert g.biadjacency().max() >= 2
+    for k1, k2 in ((4, 4), (5, 3), (3, 2)):
+        c1 = GrsCode(f, k=k1, eval_points=range(1, 6))
+        c2 = GrsCode(f, k=k2, eval_points=range(2, 7))
+        code = TannerCode(g, c1, c2)
+        assert np.array_equal(code.generator(), _per_edge_generator(code))
+
+
+def test_desk_generator_rows_are_codewords():
+    graph = anneal_circulant_bipartite(100, 36, seed=11, gamma_target=0.20, iters=40000)
+    comp = GrsCode(PrimeField(37), k=18, eval_points=range(1, 37))
+    code = TannerCode(graph, comp, comp)
+    gen = code.generator()
+    assert code.dim == 21 and gen.shape == (21, 3600)
+    assert np.array_equal(gen[:, code._gen_pivots], np.eye(21, dtype=np.int64))
+    assert all(code.membership(row) for row in gen)
 
 
 def test_phi_word_helpers():
