@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DENSE_EIG_LIMIT = 512  # dense eigensolver up to this many vertices per side
-GAMMA_TOL = 1e-6
-
 
 class GammaTargetError(RuntimeError):
     """Spectral target unreachable; carries the best ratio seen."""
@@ -72,10 +69,6 @@ class BipartiteRegularGraph:
     def num_edges(self) -> int:
         return self.n * self.delta
 
-    def left_neighbors(self, u: int) -> np.ndarray:
-        """N(u) for u in V', in slot order."""
-        return self.matchings[:, u]
-
     def _connected(self, inv: np.ndarray) -> bool:
         """Frontier search from left vertex 0 through the matchings and their
         inverses. Each vertex joins one frontier, so each edge is read at most
@@ -118,16 +111,13 @@ class BipartiteRegularGraph:
 # -- spectral measurement ------------------------------------------------------
 
 
-def gamma(
-    graph: BipartiteRegularGraph,
-    tol: float = GAMMA_TOL,
-    max_iter: int = 20000,
-) -> SpectralProfile:
+def gamma(graph: BipartiteRegularGraph) -> SpectralProfile:
     """Measure lambda2(X^T X) on the complement of the all-ones vector.
 
-    Uses a dense symmetric eigensolver for n <= 512 and deflated power
-    iteration above. Also asserts the top eigenpair structure: X^T X has
-    largest eigenvalue delta^2 with the all-ones eigenvector.
+    One dense symmetric eigensolve of X^T X for every n: O(n^3) time and
+    n^2 floats, cached on the graph. Also asserts the top eigenpair
+    structure: X^T X has largest eigenvalue delta^2 with the all-ones
+    eigenvector.
     """
     if graph._profile is not None:
         return graph._profile
@@ -138,45 +128,17 @@ def gamma(
     residual = np.abs(m @ ones - d2 * ones).max()
     if residual > 1e-9 * max(d2, 1.0):
         raise AssertionError(f"top eigenpair residual {residual} too large")
-    if graph.n <= DENSE_EIG_LIMIT:
-        ev = np.linalg.eigvalsh(m)
-        lam2 = float(ev[-2]) if graph.n > 1 else 0.0
-        lam1 = float(ev[-1])
-        if abs(lam1 - d2) > 1e-6 * d2:
-            raise AssertionError(f"largest eigenvalue {lam1} != delta^2 {d2}")
-    else:
-        lam2 = _deflated_power_iteration(m, d2, graph.n, tol, max_iter)
+    ev = np.linalg.eigvalsh(m)
+    lam2 = float(ev[-2])
+    lam1 = float(ev[-1])
+    if abs(lam1 - d2) > 1e-6 * d2:
+        raise AssertionError(f"largest eigenvalue {lam1} != delta^2 {d2}")
     if lam2 < 1e-12 * d2:  # numerically zero relative to the top eigenvalue
         lam2 = 0.0
     lam2 = max(lam2, 0.0)
     prof = SpectralProfile(lambda2=lam2, gamma=math.sqrt(lam2) / graph.delta)
     graph._profile = prof
     return prof
-
-
-def _deflated_power_iteration(m, top, n, tol, max_iter) -> float:
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    ones = np.ones(n) / math.sqrt(n)
-    v -= (v @ ones) * ones
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        w -= (w @ ones) * ones  # deflate the top eigenvector exactly
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        w /= nw
-        new_lam = float(w @ (m @ w))
-        if abs(new_lam - lam) <= tol * max(abs(new_lam), 1.0):
-            return new_lam
-        lam = new_lam
-        v = w
-    raise RuntimeError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(last residual {abs(new_lam - lam):.3e})"
-    )
 
 
 def ramanujan_bound(delta: int) -> float:
@@ -192,22 +154,19 @@ def random_regular_bipartite(
     seed: int,
     gamma_target: float | None = None,
     max_resamples: int = 200,
-    simple: bool | None = None,
 ) -> BipartiteRegularGraph:
     """Union of delta uniformly random permutations, deterministic given seed.
 
-    Resamples until connected, simple (when requested and n > delta), and,
-    if gamma_target is given, until the measured gamma is within target.
+    Resamples until connected, simple (when n > delta), and, if gamma_target
+    is given, until the measured gamma is within target.
     """
     if not (1 <= delta <= n and n > 1):
         raise ValueError(f"need 1 <= delta <= n and n > 1, got delta={delta} n={n}")
-    if simple is None:
-        simple = n > delta
     rng = np.random.default_rng(seed)
     best = math.inf
     for attempt in range(max_resamples):
         m = np.array([rng.permutation(n) for _ in range(delta)], dtype=np.int64)
-        if simple:
+        if n > delta:
             m = _repair_parallel_edges(m, rng)
             if m is None:
                 continue
@@ -226,11 +185,12 @@ def random_regular_bipartite(
     raise GammaTargetError(gamma_target, best, max_resamples)
 
 
-def _repair_parallel_edges(m: np.ndarray, rng, max_passes: int = 200):
+def _repair_parallel_edges(m: np.ndarray, rng):
     """Swap entries within matchings until every left vertex has distinct
-    neighbors. Each swap preserves the permutation property."""
+    neighbors, for at most 200 passes. Each swap preserves the permutation
+    property."""
     delta, n = m.shape
-    for _ in range(max_passes):
+    for _ in range(200):
         collisions = 0
         for u in range(n):
             seen: dict[int, int] = {}
@@ -325,6 +285,8 @@ def anneal_circulant_bipartite(
 
 # -- spectral lemma checks -------------------------------------------------------
 
+SLACK = 1e-9  # float tolerance on every lemma inequality
+
 
 def _chi_arrays(graph, chi_left, chi_right):
     cl = np.asarray(chi_left, dtype=np.float64)
@@ -340,7 +302,6 @@ def check_mixing_lemma(
     graph: BipartiteRegularGraph,
     chi_left,
     chi_right,
-    slack: float = 1e-9,
 ) -> tuple[float, float, float]:
     """Edge-average bound for [0,1]-valued vertex functions.
 
@@ -348,7 +309,7 @@ def check_mixing_lemma(
       lhs    = (1/(delta n)) sum_{u in V'} sum_{v in N(u)} chi(u) chi(v),
       bound1 = s*t + gamma*sqrt(s(1-s)t(1-t)),
       bound2 = (1-gamma)*s*t + gamma*sqrt(s*t),
-    and asserts lhs <= bound1 <= bound2 (up to slack).
+    and asserts lhs <= bound1 <= bound2 (up to SLACK).
     """
     cl, cr = _chi_arrays(graph, chi_left, chi_right)
     g = gamma(graph).gamma
@@ -361,7 +322,7 @@ def check_mixing_lemma(
     t = float(cr.mean())
     bound1 = s * t + g * math.sqrt(max(s * (1 - s) * t * (1 - t), 0.0))
     bound2 = (1 - g) * s * t + g * math.sqrt(max(s * t, 0.0))
-    if lhs > bound1 + slack or bound1 > bound2 + slack:
+    if lhs > bound1 + SLACK or bound1 > bound2 + SLACK:
         raise AssertionError(
             f"mixing bound violated: lhs={lhs} bound1={bound1} bound2={bound2}"
         )
@@ -372,7 +333,6 @@ def check_degree_sum(
     graph: BipartiteRegularGraph,
     left_set,
     right_set,
-    slack: float = 1e-9,
 ) -> tuple[int, float]:
     """Induced-subgraph degree sum against 2((1-g)st + g sqrt(st)) delta n."""
     sel_l = np.zeros(graph.n, dtype=bool)
@@ -390,7 +350,7 @@ def check_degree_sum(
     s = sel_l.sum() / n
     t = sel_r.sum() / n
     bound = 2 * ((1 - g) * s * t + g * math.sqrt(s * t)) * delta * n
-    if degree_sum > bound + slack:
+    if degree_sum > bound + SLACK:
         raise AssertionError(
             f"degree-sum bound violated: sum={degree_sum} bound={bound}"
         )
@@ -402,7 +362,6 @@ def check_expansion_lemma(
     chi_left,
     chi_right,
     delta_threshold: float,
-    slack: float = 1e-9,
 ) -> tuple[float, float] | None:
     """sqrt(s/t) >= ((d/2) - (1-g)s)/g for conforming chi; None when the
     hypothesis does not apply (chi zero on V'' or a neighborhood sum too
@@ -424,7 +383,7 @@ def check_expansion_lemma(
     t = float(cr.mean())
     sqrt_ratio = math.sqrt(s / t)
     bound = (delta_threshold / 2.0 - (1 - g) * s) / g
-    if sqrt_ratio < bound - slack:
+    if sqrt_ratio < bound - SLACK:
         raise AssertionError(
             f"expansion bound violated: sqrt(s/t)={sqrt_ratio} bound={bound}"
         )

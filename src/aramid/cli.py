@@ -414,9 +414,6 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_lt_run(args) -> int:
-    if args.erasures is not None and args.errors is None:
-        log.error("lt-run --erasures needs --errors; without it both are drawn per trial")
-        return EXIT_USAGE
     instance = read_json(args.instance)
     if instance.get("mode") != "lt":
         log.error("lt-run expects an lt instance")
@@ -570,6 +567,15 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_gmd_run)
 
     args = parser.parse_args(argv)
+    if getattr(args, "trials", 1) < 1:
+        log.error("%s --trials must be at least 1", args.command)
+        return EXIT_USAGE
+    if getattr(args, "erasures", None) is not None and args.errors is None:
+        log.error(
+            "%s --erasures needs --errors; without it both are drawn per trial",
+            args.command,
+        )
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except (ContractError, GammaTargetError, DesignError) as exc:

@@ -26,16 +26,6 @@ class GmdTrace:
     reliabilities: np.ndarray  # per-row inner decoding distance
     attempts: list[tuple[int, str]] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "reliabilities": [
-                None if r == _FAILED_ROW else int(r) for r in self.reliabilities
-            ],
-            "attempts": [
-                {"erasures": int(b), "outcome": out} for b, out in self.attempts
-            ],
-        }
-
 
 _FAILED_ROW = 10**9  # reliability sentinel for rows the inner decoder rejects
 

@@ -57,10 +57,8 @@ class GrsCode:
         prod = np.ones(n, dtype=np.int64)
         for j in range(n):
             prod = (prod * diff[:, j]) % q
-        self._dual_mults = np.array(
-            [pow(int((mults[i] * prod[i]) % q), q - 2, q) for i in range(n)],
-            dtype=np.int64,
-        )
+        inv = _inverses(q)
+        self._dual_mults = inv[mults * prod % q]
         # Forney factor -x_i / u_i = -x_i * v_i * prod_i
         self._forney = (-x * mults % q) * prod % q
         nsyn = self.dmin - 1
@@ -77,7 +75,7 @@ class GrsCode:
         )
         self._parity_t = np.ascontiguousarray(self._parity.T)
         # Inverse-locator power table for Chien search / Forney evaluation.
-        xi = np.array([pow(int(v), q - 2, q) for v in x], dtype=np.int64)
+        xi = inv[x]
         self._inv_pow = np.ones((n, nsyn + 1), dtype=np.int64)
         for m in range(1, nsyn + 1):
             self._inv_pow[:, m] = (self._inv_pow[:, m - 1] * xi) % q
@@ -130,7 +128,7 @@ class GrsCode:
         """Inverse of sys_encode: projection onto the systematic positions."""
         return np.asarray(codeword, dtype=np.int64)[..., : self.k] % self.field.q
 
-    # -- syndromes and membership ------------------------------------------
+    # -- syndromes -------------------------------------------------------
 
     def parity_check(self) -> np.ndarray:
         """Canonical (alternant-form) parity-check matrix, (d-1) x length."""
@@ -141,14 +139,7 @@ class GrsCode:
         q = self.field.q
         return linalg._mul_mod(np.asarray(words, dtype=np.int64) % q, self._parity_t, q)
 
-    def is_codeword(self, word) -> bool:
-        return not np.any(self.syndromes(word))
-
     # -- decoding -----------------------------------------------------------
-
-    def decode_errors(self, values) -> tuple[np.ndarray, np.ndarray] | np.ndarray | None:
-        """Errors-only bounded-distance decoding (corrects 2a < d)."""
-        return self.decode_ee(values, None)
 
     def decode_ee(
         self, words, erased=None, syndromes: np.ndarray | None = None

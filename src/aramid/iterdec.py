@@ -115,23 +115,11 @@ class DecodeReport:
     result: PhiWord | None
     rounds_run: int
     component_calls: int
-    converged_early: bool
-    nu: int
-    omega_bound: float
     error_counts: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def success(self) -> bool:
         return self.result is not None
-
-    def to_json(self) -> dict:
-        return {
-            "status": "ok" if self.success else "failure",
-            "rounds": self.rounds_run,
-            "calls": self.component_calls,
-            "omega_bound": self.omega_bound,
-            "nu": self.nu,
-        }
 
 
 def decode_phi(
@@ -187,14 +175,7 @@ def decode_phi(
     applied = {0: np.zeros(n, dtype=bool), 1: np.zeros(n, dtype=bool)}
     dirty_mask = {0: np.zeros(n, dtype=bool), 1: np.zeros(n, dtype=bool)}
     truth_left = truth.reshape(n, delta) if truth is not None else None
-    report = DecodeReport(
-        result=None,
-        rounds_run=0,
-        component_calls=0,
-        converged_early=False,
-        nu=params.nu,
-        omega_bound=params.omega * n,
-    )
+    report = DecodeReport(result=None, rounds_run=0, component_calls=0)
 
     def mark_changed(eids: np.ndarray, writer_right: bool):
         u = eids // delta
@@ -275,8 +256,6 @@ def decode_phi(
             report.error_counts.append((i, errs))
 
         if i >= 3 and i % 2 == 1 and in_code():
-            if i < params.nu:
-                report.converged_early = True
             break
 
     if in_code():

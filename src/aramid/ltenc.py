@@ -16,7 +16,7 @@ wrong symbols whenever 2t + rho <= (1 - R - eps)*n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +29,8 @@ from .tanner import PhiWord, TannerCode
 
 ANNEAL_RATIO = 1.5  # achievable multiple of the interlacing floor, with slack
 DELTA1_CAP = 160  # desk-scale ceiling on the primary degree
+# the margin keeps sigma/beta bounded away from 1, so nu and omega stay small
+STAGE_MARGIN = 1.25
 
 
 def spectral_floor(n: int, delta: int) -> float:
@@ -36,8 +38,8 @@ def spectral_floor(n: int, delta: int) -> float:
     return math.sqrt(delta * (n - delta) / (n - 1)) / delta
 
 
-def anneal_target(n: int, delta: int, ratio: float = ANNEAL_RATIO) -> float:
-    return ratio * spectral_floor(n, delta)
+def anneal_target(n: int, delta: int) -> float:
+    return ANNEAL_RATIO * spectral_floor(n, delta)
 
 
 def tau_bound(sigma: float, delta2_rel: float, gamma2: float) -> float:
@@ -125,26 +127,7 @@ class LtDesign:
         return Fraction(self.k1, self.delta1 + self.delta2)
 
     def to_json(self) -> dict:
-        return {
-            "R": [self.R.numerator, self.R.denominator],
-            "eps": self.eps,
-            "kappa": self.kappa,
-            "mu": self.mu,
-            "alpha_R": self.alpha_R,
-            "n": self.n,
-            "q": self.q,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "k0": self.k0,
-            "k1": self.k1,
-            "k2": self.k2,
-            "km": self.km,
-            "sigma_stage": self.sigma_stage,
-            "gamma1_target": self.gamma1_target,
-            "gamma2_target": self.gamma2_target,
-            "relaxed": self.relaxed,
-            "paper_delta1": self.paper_delta1,
-        }
+        return {**asdict(self), "R": [self.R.numerator, self.R.denominator]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "LtDesign":
@@ -160,14 +143,12 @@ def _stage_checks(
     d0: int,
     gamma1: float,
     sigma_stage: float,
-    margin: float = 1.25,
 ) -> bool:
-    # the margin keeps sigma/beta bounded away from 1, so nu and omega stay small
     theta0 = d0 / delta1
     delta1_rel = (delta1 - k1 + 1) / delta1
     if math.sqrt(theta0 * delta1_rel) <= 2 * gamma1:
         return False
-    return beta_bound(theta0, delta1_rel, gamma1) > margin * sigma_stage
+    return beta_bound(theta0, delta1_rel, gamma1) > STAGE_MARGIN * sigma_stage
 
 
 def _search_k2(
@@ -207,7 +188,6 @@ def lt_design(
     kappa: float,
     mu: float,
     n: int,
-    delta1_cap: int = DELTA1_CAP,
 ) -> LtDesign:
     """Choose instance parameters for designed rate R and distance slack eps.
 
@@ -253,9 +233,9 @@ def lt_design(
         )
 
     # paper-faithful attempt: theta0 pinned to kappa*eps, kappa and mu honored
-    if paper_delta1 <= min(delta1_cap, n - 2):
+    if paper_delta1 <= min(DELTA1_CAP, n - 2):
         delta1 = ((paper_delta1 + step - 1) // step) * step
-        if delta1 <= min(delta1_cap, n - 2):
+        if delta1 <= min(DELTA1_CAP, n - 2):
             k1 = delta1 * Rf.numerator // Rf.denominator
             d0 = math.ceil(kappa * eps * delta1)
             if d0 >= 2 and _stage_checks(
@@ -269,7 +249,7 @@ def lt_design(
                     return finish(delta1, d0, k2, delta2, km, relaxed=False)
 
     # relaxed search: smallest workable delta1, structural identities intact
-    for delta1 in range(2 * step, min(delta1_cap, n - 2) + 1, step):
+    for delta1 in range(2 * step, min(DELTA1_CAP, n - 2) + 1, step):
         k1 = delta1 * Rf.numerator // Rf.denominator
         if k1 < 2:
             continue
@@ -282,7 +262,7 @@ def lt_design(
                 k2, delta2, km = hit
                 return finish(delta1, d0, k2, delta2, km, relaxed=True)
     raise DesignError(
-        f"no relaxed design for R={Rf}, eps={eps}, n={n} within delta1 <= {delta1_cap}"
+        f"no relaxed design for R={Rf}, eps={eps}, n={n} within delta1 <= {DELTA1_CAP}"
     )
 
 
@@ -367,7 +347,6 @@ class LtCode:
         full2 = GrsCode(self.field, design.delta2, range(1, design.delta2 + 1))
         self.t1 = TannerCode(g1, full1, self.c1)
         self.t2 = TannerCode(g2, full2, self.c2)
-        self.h0 = self.c0.parity_check()
         # the design's syndrome identity n*(delta1-k0) = km*k2 fixes the bank's shape
         self.mediator = InterleavedGrsMediator(self.field, design.n, design.k2, design.km)
         self.gamma1 = gamma(g1).gamma

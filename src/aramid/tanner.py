@@ -19,19 +19,6 @@ from .grs import GrsCode
 
 
 @dataclass
-class EdgeWord:
-    """A word on the edges, entries in GF(q) or erased."""
-
-    values: np.ndarray  # (n*delta,) int64
-    erased: np.ndarray  # (n*delta,) bool
-
-    @classmethod
-    def clean(cls, values) -> "EdgeWord":
-        values = np.asarray(values, dtype=np.int64)
-        return cls(values, np.zeros(len(values), dtype=bool))
-
-
-@dataclass
 class PhiWord:
     """A length-n word over Phi (k'-tuples) with per-symbol erasures."""
 
@@ -42,9 +29,6 @@ class PhiWord:
     def clean(cls, values) -> "PhiWord":
         values = np.asarray(values, dtype=np.int64)
         return cls(values, np.zeros(values.shape[0], dtype=bool))
-
-    def copy(self) -> "PhiWord":
-        return PhiWord(self.values.copy(), self.erased.copy())
 
 
 class TannerCode:

@@ -88,15 +88,24 @@ def test_gamma_matches_dense_oracle_random():
     assert prof.lambda2 == pytest.approx(float(ev[-2]), rel=1e-9)
 
 
-def test_power_iteration_agrees_with_dense():
-    from aramid.bigraph import _deflated_power_iteration
+def _circulant_600():
+    # a circulant's singular values are the DFT magnitudes of its shift set
+    shifts = np.random.default_rng(6).choice(600, size=40, replace=False)
+    ind = np.zeros(600)
+    ind[shifts] = 1.0
+    return circulant_bipartite(600, shifts), np.abs(np.fft.fft(ind))[1:].max() / 40
 
-    g = random_regular_bipartite(40, 5, seed=4)
+
+def _random_600():
+    g = random_regular_bipartite(600, 20, seed=3)
     x = g.biadjacency().astype(float)
-    m = x.T @ x
-    lam_dense = float(np.linalg.eigvalsh(m)[-2])
-    lam_pi = _deflated_power_iteration(m, 25.0, 40, 1e-10, 50000)
-    assert lam_pi == pytest.approx(lam_dense, rel=1e-6)
+    return g, math.sqrt(np.linalg.eigvalsh(x.T @ x)[-2]) / 20
+
+
+@pytest.mark.parametrize("make", [_circulant_600, _random_600], ids=["circulant", "random"])
+def test_gamma_exact_at_paper_scale(make):
+    g, exact = make()
+    assert gamma(g).gamma == pytest.approx(exact, rel=1e-9)
 
 
 def test_random_graph_gamma_concentration():

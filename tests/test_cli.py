@@ -246,6 +246,32 @@ def test_lt_run_erasures_without_errors_is_usage_error(tmp_path, caplog):
     assert not (tmp_path / "rep.csv").exists()
 
 
+def test_run_erasures_without_errors_is_usage_error(small_instance, tmp_path, caplog):
+    """Drawn t with fixed rho could leave sigma*n; the run refuses instead."""
+    rc = run_cli(
+        "run", "--instance", small_instance, "--seed", "3", "--trials", "40",
+        "--erasures", "20", "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert "--erasures needs --errors" in caplog.text
+    assert not (tmp_path / "rep.json").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command, instance",
+    [("run", "small_instance"), ("lt-run", "lt_instance"), ("gmd-run", "small_instance")],
+)
+def test_trials_below_one_is_usage_error(command, instance, trials, request, tmp_path, caplog):
+    rc = run_cli(
+        command, "--instance", request.getfixturevalue(instance), "--seed", "1",
+        "--trials", trials, "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert "--trials must be at least 1" in caplog.text
+    assert not (tmp_path / "rep.csv").exists()
+
+
 def test_verify_bounds_tiny(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     inst = tmp_path / "inst.json"

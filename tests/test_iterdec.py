@@ -98,7 +98,7 @@ def test_clean_input_fixed_point(mid):
     assert rep.success
     assert np.array_equal(rep.result.values, y.values)
     assert rep.component_calls <= 2 * code.n
-    assert rep.converged_early
+    assert rep.rounds_run < params.nu
 
 
 def test_radius_guarantee_trials(mid):
@@ -174,7 +174,7 @@ def test_clustered_support_fixture(mid):
             break
         if u not in ball:
             ball.append(u)
-        for v in g.left_neighbors(u):
+        for v in g.matchings[:, u]:
             for w in np.flatnonzero(g.matchings[0] == v):
                 if len(ball) < t and int(w) not in ball:
                     ball.append(int(w))
@@ -262,16 +262,3 @@ def test_failure_reported_not_silent(mid):
     rep = decode_phi(code, y, params)
     if rep.success:
         code.psi_inverse(rep.result.values)  # must be a codeword image
-
-
-def test_report_json(mid):
-    code, params = mid
-    rng = np.random.default_rng(39)
-    z = random_codeword(code, rng)
-    y = PhiWord.clean(code.psi(z))
-    rep = decode_phi(code, y, params)
-    obj = rep.to_json()
-    assert obj["status"] == "ok"
-    assert obj["nu"] == params.nu
-    assert obj["calls"] == rep.component_calls
-    assert obj["omega_bound"] == pytest.approx(params.omega * code.n)

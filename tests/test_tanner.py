@@ -253,9 +253,7 @@ def test_desk_generator_rows_are_codewords():
 def test_phi_word_helpers():
     w = PhiWord.clean(np.arange(6).reshape(3, 2))
     assert not w.erased.any()
-    w2 = w.copy()
-    w2.values[0, 0] = 9
-    assert w.values[0, 0] == 0
+    assert w.erased.shape == (3,)
 
 
 def test_component_length_mismatch_rejected():
