@@ -6,6 +6,16 @@ These codes are MDS: d = length - k + 1. The decoder is syndrome-based
 (Berlekamp-Massey key equation, Chien search, Forney values), runs on a whole
 stack of words at once, and rejects every row for which it cannot certify a
 codeword within the radius 2*errors + erasures < d.
+
+Berlekamp-Massey runs on the l = d-1-b modified syndromes of a row with b
+erasures, and stops after N terms once N >= min(L + floor(l/2), l) on every
+row, L being the current register length (Massey's stop rule). The result is
+the one the full loop gives: a row within the radius has a locator of length
+L* <= floor(l/2), and if the current register failed at a later term N' its
+Massey bound would give L* >= N'+1-L > floor(l/2), so it is already final. A
+row beyond the radius fails the certificate (zero syndrome after correction,
+2a + b < d) whatever the loop returns, since passing it puts a codeword
+within the radius.
 """
 
 from __future__ import annotations
@@ -108,7 +118,7 @@ class GrsCode:
         msg = np.asarray(msg, dtype=np.int64) % self.field.q
         if msg.shape[-1] != self.k:
             raise ValueError(f"message length must be {self.k}, got {msg.shape[-1]}")
-        return (msg @ self._gen) % self.field.q
+        return linalg._mul_mod(msg, self._gen, self.field.q)
 
     def sys_generator(self) -> np.ndarray:
         """Generator in systematic form: identity on the first k positions."""
@@ -122,7 +132,7 @@ class GrsCode:
         msg = np.asarray(msg, dtype=np.int64) % self.field.q
         if msg.shape[-1] != self.k:
             raise ValueError(f"message length must be {self.k}, got {msg.shape[-1]}")
-        return (msg @ self.sys_generator()) % self.field.q
+        return linalg._mul_mod(msg, self.sys_generator(), self.field.q)
 
     def sys_project(self, codeword) -> np.ndarray:
         """Inverse of sys_encode: projection onto the systematic positions."""
@@ -206,29 +216,12 @@ class GrsCode:
                 ) % q
         xi = _mul_trunc(gamma, synd, nsyn, q)  # Gamma * S mod X^(d-1)
 
-        # Berlekamp-Massey on xi[b:], length d-1-b per row; Bs = X^m B
+        # Berlekamp-Massey on xi[b:], length d-1-b per row
         length = nsyn - b
         pos = np.minimum(b[:, None] + np.arange(nsyn), nsyn - 1)
         zeta = np.take_along_axis(xi, pos, axis=1)
-        width = nsyn + 2
-        lam = np.zeros((m, width), dtype=np.int64)
-        lam[:, 0] = 1
-        bs = np.zeros((m, width), dtype=np.int64)
-        bs[:, 1] = 1
-        el = np.zeros(m, dtype=np.int64)
-        bb = np.ones(m, dtype=np.int64)
-        for k in range(int(length.max())):
-            disc = (lam[:, : k + 1] * zeta[:, k::-1]).sum(axis=1) % q
-            disc[k >= length] = 0  # finished rows stay put
-            coef = disc * inv[bb] % q
-            grow = (disc != 0) & (2 * el <= k)
-            src = np.where(grow[:, None], lam, bs)
-            lam = (lam - coef[:, None] * bs) % q
-            bs = np.zeros_like(bs)
-            bs[:, 1:] = src[:, :-1]
-            el = np.where(grow, k + 1 - el, el)
-            bb = np.where(grow, disc, bb)
-        deg = width - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
+        lam, el = _berlekamp_massey(zeta, length, q)
+        deg = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
         ok = (deg == el) & (2 * el <= length)
 
         # errata locator psi = Lambda * Gamma; deg psi = L + b <= d-1 where ok
@@ -290,6 +283,51 @@ def _inverses(q: int) -> np.ndarray:
         e >>= 1
     inv.flags.writeable = False  # shared by every caller through the cache
     return inv
+
+
+def _berlekamp_massey(
+    zeta: np.ndarray, length: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Berlekamp-Massey on every row at once: row r's sequence is
+    zeta[r, :length[r]]. Returns the connection polynomials (m, width),
+    ascending, and the register lengths L.
+
+    Lambda and X*B are held coefficient-major, and step k touches only the
+    degrees below k + 2, since the higher ones are still zero. X*B is shifted
+    by X on every row at every step, so instead of moving its coefficients
+    its constant term sits at row `steps - k` of `xb`. The loop stops once
+    N >= min(L + length//2, length) on every row after N terms (see the
+    module docstring); a row whose own sequence ends earlier stays put.
+    """
+    m = len(length)
+    inv = _inverses(q)
+    steps = int(length.max())
+    rev = np.ascontiguousarray(zeta[:, :steps][:, ::-1].T)
+    lam = np.zeros((steps + 2, m), dtype=np.int64)
+    lam[0] = 1
+    xb = np.zeros((steps + 2, m), dtype=np.int64)
+    xb[steps + 1] = 1
+    el = np.zeros(m, dtype=np.int64)
+    binv = np.ones(m, dtype=np.int64)  # 1/B's discrepancy
+    half = length // 2
+    limit = int(half.max())
+    k = 0
+    while k < limit:
+        top = steps - k
+        # rev[top - 1 + i] is term k - i
+        disc = np.einsum("ij,ij->j", lam[: k + 1], rev[top - 1 :]) % q
+        disc[k >= length] = 0
+        grow = (disc != 0) & (el <= k // 2)
+        live = lam[: k + 2]
+        upd = live - disc * binv % q * xb[top:]
+        np.copyto(xb[top:], live, where=grow)
+        np.remainder(upd, q, out=live)
+        if grow.any():
+            el[grow] = k + 1 - el[grow]
+            binv[grow] = inv[disc[grow]]
+            limit = int(np.minimum(el + half, length).max())
+        k += 1
+    return lam.T, el
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.ndarray:

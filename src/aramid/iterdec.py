@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .grs import GrsCode
 from .tanner import PhiWord, TannerCode
 
@@ -157,7 +158,7 @@ def decode_phi(
         if s_mat.shape != (n, left_code.dmin - 1):
             raise ValueError(f"coset syndromes must be (n, {left_code.dmin - 1})")
         # one right-inverse application per vertex, precomputed as a batch
-        shifts = (s_mat @ left_code.parity_right_inverse().T) % q
+        shifts = linalg._mul_mod(s_mat, left_code.parity_right_inverse().T, q)
     else:
         left_code = cp
         s_mat = np.zeros((n, cp.dmin - 1), dtype=np.int64)

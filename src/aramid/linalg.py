@@ -47,10 +47,20 @@ def _rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) % q via float64 BLAS for entries in [0, q); the inner
-    dimension k must satisfy k*(q-1)**2 < 2**53 so every sum is exact."""
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return np.rint(prod).astype(np.int64) % q
+    """Exact (a @ b) % q via float64 BLAS for entries in [0, q).
+
+    Every sum is exact while the inner dimension k has k*(q-1)**2 < 2**53;
+    a larger product raises ValueError. A float64 `b` is used as it is, so a
+    caller can convert a fixed operand once.
+    """
+    k = np.shape(b)[0]
+    if k * (q - 1) ** 2 >= 2**53:
+        raise ValueError(
+            f"inner dimension {k} over GF({q}) is too large for exact "
+            "float64 products"
+        )
+    prod = a.astype(np.float64) @ np.asarray(b, dtype=np.float64)
+    return _reduce(prod, q).astype(np.int64)
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:

@@ -54,6 +54,7 @@ class TannerCode:
         self.num_edges = graph.num_edges
         self._gen: np.ndarray | None = None
         self._gen_pivots: list[int] | None = None
+        self._gen_float: np.ndarray | None = None  # encode_generic's BLAS operand
 
     # rate and relative-distance parameters of the component codes
     @property
@@ -157,6 +158,7 @@ class TannerCode:
             gen, pivots = linalg.rref(words, q)
             self._gen = gen[: len(pivots)]
             self._gen_pivots = pivots
+            self._gen_float = self._gen.astype(np.float64)
         return self._gen
 
     @property
@@ -168,7 +170,7 @@ class TannerCode:
         gen = self.generator()
         if msg.shape[-1] != gen.shape[0]:
             raise ValueError(f"message length must be {gen.shape[0]}")
-        return (msg @ gen) % self.field.q
+        return linalg._mul_mod(msg, self._gen_float, self.field.q)
 
     def msg_from_codeword(self, values) -> np.ndarray:
         self.generator()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aramid.gf import PrimeField
-from aramid.grs import GrsCode
+from aramid.grs import GrsCode, _berlekamp_massey
 
 # (q, length, k, first evaluation point); 0 forces the locator shift
 BATTERY_CODES = [
@@ -41,6 +41,22 @@ def corrupt(rng, code, m, a_max):
         err = pos[b : b + a]
         words[r, err] = (words[r, err] + rng.integers(1, q, size=len(err))) % q
     return words, erased
+
+
+def corrupt_exact(rng, code, counts):
+    """One random codeword per (b, a) in counts, with b erased positions
+    (junk values) and a errors on other positions."""
+    q, n = code.field.q, code.length
+    words = code.encode(rng.integers(0, q, size=(len(counts), code.k)))
+    clean = words.copy()
+    erased = np.zeros(words.shape, dtype=bool)
+    for r, (b, a) in enumerate(counts):
+        pos = rng.permutation(n)
+        erased[r, pos[:b]] = True
+        words[r, pos[:b]] = rng.integers(0, q, size=b)
+        err = pos[b : b + a]
+        words[r, err] = (words[r, err] + rng.integers(1, q, size=a)) % q
+    return clean, words, erased
 
 
 def assert_matches_reference(code, words, erased, syndromes=None):
@@ -165,3 +181,80 @@ def test_kernel_single_word_contract():
     assert np.array_equal(code.decode_ee(y), c)
     with pytest.raises(ValueError):
         code.decode_ee(np.zeros(5, dtype=np.int64))
+
+
+# (q, length, k): the radius edge with erasures, on the desk component shapes
+EDGE_CODES = [(37, 36, 18), (131, 70, 35), (131, 60, 30), (131, 130, 104)]
+
+
+@pytest.mark.parametrize("q,n,k", EDGE_CODES)
+def test_kernel_at_the_radius_edge(q, n, k):
+    # a = tau, tau + 1 and tau + 2 errors for tau = floor((d - 1 - b) / 2)
+    code = GrsCode(PrimeField(q), k, range(1, n + 1))
+    d = code.dmin
+    rng = np.random.default_rng([q, n, k, 6])
+    erasures = sorted({0, 1, 2, 3, (d - 1) // 2, d - 3, d - 2, d - 1})
+    counts = [
+        (b, min((d - 1 - b) // 2 + extra, n - b))
+        for b in erasures
+        for extra in (0, 1, 2)
+        for _ in range(8)
+    ]
+    clean, words, erased = corrupt_exact(rng, code, counts)
+    out, ok = assert_matches_reference(code, words, erased)
+    inside = np.array([2 * a + b < d for b, a in counts])
+    assert ok[inside].all()
+    assert np.array_equal(out[inside], clean[inside])
+    assert not ok[~inside].all()
+
+
+@pytest.mark.parametrize("q,n,k", EDGE_CODES)
+def test_kernel_mixes_clean_erased_rows_with_full_error_rows(q, n, k):
+    # rows of one batch with different key-equation lengths d - 1 - b
+    code = GrsCode(PrimeField(q), k, range(1, n + 1))
+    d = code.dmin
+    rng = np.random.default_rng([q, n, k, 7])
+    counts = [(int(rng.integers(1, d)), 0) for _ in range(20)]
+    counts += [(0, (d - 1) // 2)] * 20
+    order = rng.permutation(len(counts))
+    clean, words, erased = corrupt_exact(rng, code, [counts[i] for i in order])
+    out, ok = assert_matches_reference(code, words, erased)
+    assert ok.all() and np.array_equal(out, clean)
+
+
+def lfsr_terms(rng, q, span, count):
+    """count terms of a random LFSR of length `span`: every term from index
+    span on is -sum_i c_i s_(j-i) for a random connection polynomial c."""
+    c = rng.integers(0, q, size=span + 1)
+    s = list(rng.integers(0, q, size=span))
+    while len(s) < count:
+        s.append(-sum(int(c[i]) * s[-i] for i in range(1, span + 1)) % q)
+    return np.array(s[:count], dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [7, 131, 65521])
+def test_berlekamp_massey_stop_rule_on_arbitrary_sequences(q):
+    # random sequences and LFSR outputs of length near floor(l/2), with l of
+    # both parities; junk past a row's own length must be ignored. Wherever
+    # the full loop finds 2L <= l, the stopped loop must give the same
+    # register, alone and in a batch with rows of other lengths.
+    rng = np.random.default_rng(q)
+    width = 33
+    for _ in range(60):
+        m = int(rng.integers(1, 9))
+        length = rng.integers(0, width + 1, size=m)
+        zeta = rng.integers(0, q, size=(m, width))
+        for r in range(m):
+            if rng.random() < 0.6:
+                span = max(int(length[r]) // 2 + int(rng.integers(-2, 2)), 0)
+                zeta[r, : length[r]] = lfsr_terms(rng, q, span, int(length[r]))
+        lam, el = _berlekamp_massey(zeta, length, q)
+        for r in range(m):
+            want, want_el = ref.berlekamp_massey(zeta[r, : length[r]].tolist(), q)
+            if 2 * want_el > length[r]:
+                continue
+            lam1, el1 = _berlekamp_massey(zeta[r : r + 1], length[r : r + 1], q)
+            for got, got_el in ((lam[r], el[r]), (lam1[0], el1[0])):
+                assert got_el == want_el
+                assert np.all(got[len(want) :] == 0)
+                assert got[: len(want)].tolist() == want

@@ -136,3 +136,16 @@ def test_mul_mod_extremes():
     got = linalg._mul_mod(a, b, q)
     want = (a @ b) % q  # int64 exact here
     assert np.array_equal(got, want)
+
+
+def test_mul_mod_exact_at_its_bound_and_refuses_beyond():
+    # k*(q-1)**2 < 2**53 is the largest inner dimension with exact sums;
+    # (q-1)**2 = 1 mod q, so a row of q-1 times a column of q-1 is k mod q
+    q = 65521
+    k = (2**53 - 1) // (q - 1) ** 2
+    a = np.full((1, k), q - 1, dtype=np.int64)
+    assert linalg._mul_mod(a, a.T, q).tolist() == [[k % q]]
+    # the check comes before any conversion, so broadcast views are enough
+    wide = np.broadcast_to(np.int64(q - 1), (1, k + 1))
+    with pytest.raises(ValueError):
+        linalg._mul_mod(wide, wide.T, q)

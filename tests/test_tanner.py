@@ -269,3 +269,29 @@ def test_mixed_field_components_rejected():
     b = GrsCode(PrimeField(5), k=2, eval_points=[1, 2, 3])
     with pytest.raises(ValueError):
         TannerCode(g, a, b)
+
+
+def test_encoders_match_int64_products_at_the_top_of_the_field():
+    # the float64 BLAS encoders against int64 (msg @ G) % q, with messages of
+    # q - 1 entries as well as random ones, at k near 1000 over GF(65521)
+    q = 65521
+    f = PrimeField(q)
+    rng = np.random.default_rng(65521)
+
+    def messages(k):
+        msgs = rng.integers(0, q, size=(6, k))
+        msgs[0] = q - 1
+        return msgs
+
+    grs = GrsCode(f, k=1000, eval_points=range(5, 1205))
+    msgs = messages(1000)
+    assert np.array_equal(grs.encode(msgs), msgs @ grs._gen % q)
+    assert np.array_equal(grs.sys_encode(msgs), msgs @ grs.sys_generator() % q)
+    assert np.array_equal(grs.encode(msgs[1]), msgs[1] @ grs._gen % q)
+
+    comp = GrsCode(f, k=33, eval_points=range(1, 37))
+    code = TannerCode(circulant_bipartite(36, range(36)), comp, comp)
+    gen = code.generator()
+    assert gen.shape[0] > 1000
+    msgs = messages(gen.shape[0])
+    assert np.array_equal(code.encode_generic(msgs), msgs @ gen % q)
