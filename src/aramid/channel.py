@@ -29,6 +29,8 @@ def _inject(
     """Resample t rows of x away from their true values and mark rho rows
     erased; returns (values, erased)."""
     n, width = x.shape
+    if t < 0 or rho < 0:
+        raise ValueError(f"t = {t} and rho = {rho} must be non-negative")
     if t + rho > n:
         raise ValueError(f"t + rho = {t + rho} exceeds n = {n}")
     if support is None:

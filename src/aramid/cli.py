@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import logging
@@ -45,6 +44,10 @@ log = logging.getLogger("aramid")
 
 class ContractError(RuntimeError):
     """A spec-level contract the harness refuses to violate silently."""
+
+
+class UsageError(ValueError):
+    """Arguments or an instance the command cannot run on (exit 2)."""
 
 
 EXIT_OK = 0
@@ -174,47 +177,39 @@ def load_plain_instance(obj: dict):
     return code, params, derived
 
 
-# -- trial runners -----------------------------------------------------------------
+# -- trial driver ------------------------------------------------------------------
 
 
-def _phi_trial(code, params, seed, idx, t_fixed, rho_fixed, sigma_n):
-    rng = trial_rng(seed, idx)
-    msg = rng.integers(0, code.field.q, size=code.dim)
-    z = code.encode_generic(msg)
-    x = code.psi(z)
-    if t_fixed is None:
-        t = int(rng.integers(0, math.floor(sigma_n) + 1))
-    else:
-        t = t_fixed
-    if rho_fixed is None:
-        rho = int(rng.integers(0, max(math.floor(2 * (sigma_n - t)), 0) + 1))
-    else:
-        rho = rho_fixed
-    y = corrupt_phi(rng, x, t, rho, code.field.q)
-    rep = decode_phi(code, y, params)
-    ok = rep.success and np.array_equal(rep.result.values, x)
-    return idx, int(ok), rep.rounds_run, rep.component_calls
+def _run_trials(args, header, trial, fields) -> dict:
+    """Run seeded trials, write their CSV and JSON report, and return the
+    report. `trial(rng, idx)` returns a row whose second entry is 1 on
+    success; `fields(rows)` returns the command's own report fields."""
+    rows = [trial(trial_rng(args.seed, idx), idx) for idx in range(args.trials)]
+    base = args.out.removesuffix(".json").removesuffix(".csv")
+    with open(base + ".csv", "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    report = {
+        "instance": os.path.basename(args.instance),
+        "seed": args.seed,
+        "trials": args.trials,
+        "success_rate": sum(r[1] for r in rows) / len(rows),
+        **fields(rows),
+    }
+    write_json(base + ".json", report)
+    return report
 
 
-def run_phi_trials(code, params, seed, trials, t, rho):
-    sigma_n = params.sigma * code.n
-    return [_phi_trial(code, params, seed, idx, t, rho, sigma_n) for idx in range(trials)]
-
-
-def out_paths(out: str) -> tuple[str, str]:
-    base = out
-    for suffix in (".json", ".csv"):
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
-    return base + ".csv", base + ".json"
-
-
-def rows_to_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _load_decodable(args):
+    """Load a plain instance with decode params; lt and weak ones are refused."""
+    instance = read_json(args.instance)
+    if instance.get("mode") != "plain":
+        raise UsageError(f"{args.command} expects a plain instance")
+    code, params, derived = load_plain_instance(instance)
+    if params is None:
+        raise UsageError("weak instance (no decode params); rebuild without --allow-weak")
+    return code, params, derived
 
 
 # -- subcommands ----------------------------------------------------------------------
@@ -289,45 +284,42 @@ def load_lt_instance(obj: dict) -> LtCode:
 
 
 def cmd_run(args) -> int:
-    instance = read_json(args.instance)
-    if instance.get("mode") != "plain":
-        log.error("run expects a plain instance; use lt-run / gmd-run otherwise")
-        return EXIT_USAGE
-    code, params, derived = load_plain_instance(instance)
-    if params is None:
-        log.error("instance is weak (no valid decode params); rebuild without --allow-weak")
-        return EXIT_USAGE
+    code, params, derived = _load_decodable(args)
     sigma_n = params.sigma * code.n
-    t, rho = args.errors, args.erasures
-    out_of_contract = False
-    if t is not None and t + (rho or 0) / 2 > sigma_n:
-        if not args.allow_weak:
-            log.error(
-                "t + rho/2 = %.1f exceeds sigma*n = %.2f; pass --allow-weak to run anyway",
-                t + (rho or 0) / 2,
-                sigma_n,
-            )
-            return EXIT_USAGE
-        out_of_contract = True
-    rows = run_phi_trials(code, params, args.seed, args.trials, t, rho)
-    csv_path, json_path = out_paths(args.out)
-    with open(csv_path, "w") as fh:
-        fh.write(rows_to_csv(["trial", "success", "rounds", "calls"], rows))
-    successes = sum(r[1] for r in rows)
-    report = {
-        "instance": os.path.basename(args.instance),
-        "seed": args.seed,
-        "trials": args.trials,
-        "errors": t,
-        "erasures": rho,
-        "out_of_contract": out_of_contract,
-        "success_rate": successes / len(rows),
-        "max_rounds": max(r[2] for r in rows),
-        "max_calls": max(r[3] for r in rows),
-        "nu": params.nu,
-        "omega_n_bound": params.omega * code.n,
-    }
-    write_json(json_path, report)
+    t_fixed, rho_fixed = args.errors, args.erasures
+    out_of_contract = t_fixed is not None and t_fixed + (rho_fixed or 0) / 2 > sigma_n
+    if out_of_contract and not args.allow_weak:
+        raise UsageError(
+            f"t + rho/2 = {t_fixed + (rho_fixed or 0) / 2:.1f} exceeds "
+            f"sigma*n = {sigma_n:.2f}; pass --allow-weak to run anyway"
+        )
+
+    def trial(rng, idx):
+        msg = rng.integers(0, code.field.q, size=code.dim)
+        z = code.encode_generic(msg)
+        x = code.psi(z)
+        t, rho = t_fixed, rho_fixed
+        if t is None:
+            t = int(rng.integers(0, math.floor(sigma_n) + 1))
+        if rho is None:
+            rho = int(rng.integers(0, max(math.floor(2 * (sigma_n - t)), 0) + 1))
+        y = corrupt_phi(rng, x, t, rho, code.field.q)
+        rep = decode_phi(code, y, params)
+        ok = rep.success and np.array_equal(rep.result.values, x)
+        return idx, int(ok), rep.rounds_run, rep.component_calls
+
+    def fields(rows):
+        return {
+            "errors": t_fixed,
+            "erasures": rho_fixed,
+            "out_of_contract": out_of_contract,
+            "max_rounds": max(r[2] for r in rows),
+            "max_calls": max(r[3] for r in rows),
+            "nu": params.nu,
+            "omega_n_bound": params.omega * code.n,
+        }
+
+    report = _run_trials(args, ["trial", "success", "rounds", "calls"], trial, fields)
     log.info("success rate %.4f over %d trials", report["success_rate"], args.trials)
     if not out_of_contract and report["success_rate"] < 1.0:
         log.error("in-contract trials failed; decoder contract violated")
@@ -416,27 +408,24 @@ def cmd_verify_bounds(args) -> int:
 def cmd_lt_run(args) -> int:
     instance = read_json(args.instance)
     if instance.get("mode") != "lt":
-        log.error("lt-run expects an lt instance")
-        return EXIT_USAGE
+        raise UsageError("lt-run expects an lt instance")
     code = load_lt_instance(instance)
     d = code.design
     radius = code.radius
-    if args.errors is not None:
-        t, rho = args.errors, args.erasures or 0
-        if 2 * t + rho > radius or t + rho > d.n:
-            log.error(
-                "t = %d, rho = %d leave the contract 2t + rho <= %d, t + rho <= n = %d",
-                t, rho, radius, d.n,
+    t_fixed, rho_fixed = args.errors, args.erasures or 0
+    if t_fixed is not None:
+        if 2 * t_fixed + rho_fixed > radius or t_fixed + rho_fixed > d.n:
+            raise UsageError(
+                f"t = {t_fixed}, rho = {rho_fixed} leave the contract "
+                f"2t + rho <= {radius}, t + rho <= n = {d.n}"
             )
-            return EXIT_USAGE
-    rows = []
     mu_n = float(code.mediator.mu) * d.n
-    lemma3_ok = True
-    for idx in range(args.trials):
-        rng = trial_rng(args.seed, idx)
+
+    def trial(rng, idx):
         eta = rng.integers(0, d.q, size=(d.n, d.k1))
         trace = code.encode_trace(eta)
-        if args.errors is None:
+        t, rho = t_fixed, rho_fixed
+        if t is None:
             t = int(rng.integers(0, radius // 2 + 1))
             rho = int(rng.integers(0, radius - 2 * t + 1))
         values, er1, er2 = corrupt_pairs(rng, trace.x, t, rho, d.q)
@@ -447,72 +436,56 @@ def cmd_lt_run(args) -> int:
                 np.any(rep.w_tilde != trace.w, axis=1) | rep.w_tilde_erased
             )
         )
-        if w_dist >= mu_n:
-            lemma3_ok = False
         rounds = rep.d4.rounds_run if rep.d4 else 0
         calls = rep.d4.component_calls if rep.d4 else 0
-        rows.append((idx, int(ok), rounds, calls, w_dist))
-    csv_path, json_path = out_paths(args.out)
-    with open(csv_path, "w") as fh:
-        fh.write(rows_to_csv(["trial", "success", "rounds", "calls", "w_dist"], rows))
-    report = {
-        "instance": os.path.basename(args.instance),
-        "seed": args.seed,
-        "trials": args.trials,
-        "radius_2t_plus_rho": radius,
-        "success_rate": sum(r[1] for r in rows) / len(rows),
-        "max_w_dist": max(r[4] for r in rows),
-        "mediator_mu_n": mu_n,
-        "lemma3_instrumentation": "pass" if lemma3_ok else "FAIL",
-    }
-    write_json(json_path, report)
-    if report["success_rate"] < 1.0 or not lemma3_ok:
+        return idx, int(ok), rounds, calls, w_dist
+
+    def fields(rows):
+        return {
+            "radius_2t_plus_rho": radius,
+            "max_w_dist": max(r[4] for r in rows),
+            "mediator_mu_n": mu_n,
+            "lemma3_instrumentation": (
+                "pass" if all(r[4] < mu_n for r in rows) else "FAIL"
+            ),
+        }
+
+    report = _run_trials(
+        args, ["trial", "success", "rounds", "calls", "w_dist"], trial, fields
+    )
+    if report["success_rate"] < 1.0 or report["lemma3_instrumentation"] != "pass":
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def cmd_gmd_run(args) -> int:
-    instance = read_json(args.instance)
-    if instance.get("mode") != "plain":
-        log.error("gmd-run expects a plain instance for the outer code")
-        return EXIT_USAGE
-    code, params, derived = load_plain_instance(instance)
-    if params is None:
-        log.error("instance is weak; gmd-run needs valid decode params")
-        return EXIT_USAGE
-    inner_len = args.inner_length or code.graph.delta
-    inner = GrsCode(code.field, code.phi_width, range(1, inner_len + 1))
+    code, params, derived = _load_decodable(args)
+    inner = GrsCode(code.field, code.phi_width, range(1, code.graph.delta + 1))
     concat = ConcatCode(code, inner, params)
     budget = int(math.ceil(concat.guaranteed_radius())) - 1
-    ladder_bound = concat.ladder_length
-    rows = []
-    for idx in range(args.trials):
-        rng = trial_rng(args.seed, idx)
+
+    def trial(rng, idx):
         msg = rng.integers(0, code.field.q, size=code.dim)
         mat = concat.encode(msg)
         rec = corrupt_inner_rows(rng, mat, budget, inner.dmin, code.field.q)
         got, trace = concat.decode(rec)
         ok = got is not None and np.array_equal(got, msg)
-        rows.append((idx, int(ok), len(trace.attempts)))
-    csv_path, json_path = out_paths(args.out)
-    with open(csv_path, "w") as fh:
-        fh.write(rows_to_csv(["trial", "success", "outer_calls"], rows))
-    report = {
-        "instance": os.path.basename(args.instance),
-        "seed": args.seed,
-        "trials": args.trials,
-        "inner": [inner.length, inner.k, inner.dmin],
-        "weighted_budget": budget,
-        "success_rate": sum(r[1] for r in rows) / len(rows),
-        "max_outer_calls": max(r[2] for r in rows),
-        "ladder_bound": ladder_bound,
-        "zyablov_point": {
-            "rate": inner.rate * rate_bound_phi(code.r, code.R),
-            "distance": inner.rel_dist * derived["theorem1_bound"],
-        },
-    }
-    write_json(json_path, report)
-    if report["success_rate"] < 1.0 or report["max_outer_calls"] > ladder_bound:
+        return idx, int(ok), len(trace.attempts)
+
+    def fields(rows):
+        return {
+            "inner": [inner.length, inner.k, inner.dmin],
+            "weighted_budget": budget,
+            "max_outer_calls": max(r[2] for r in rows),
+            "ladder_bound": concat.ladder_length,
+            "zyablov_point": {
+                "rate": inner.rate * rate_bound_phi(code.r, code.R),
+                "distance": inner.rel_dist * derived["theorem1_bound"],
+            },
+        }
+
+    report = _run_trials(args, ["trial", "success", "outer_calls"], trial, fields)
+    if report["success_rate"] < 1.0 or report["max_outer_calls"] > concat.ladder_length:
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -533,14 +506,17 @@ def main(argv=None) -> int:
     p.add_argument("--allow-weak", action="store_true")
     p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("run", help="seeded error-erasure trials on an instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--errors", type=int, default=None)
-    p.add_argument("--erasures", type=int, default=None)
+    trials = argparse.ArgumentParser(add_help=False)  # shared by the run commands
+    trials.add_argument("--instance", required=True)
+    trials.add_argument("--seed", type=int, required=True)
+    trials.add_argument("--trials", type=int, default=100)
+    trials.add_argument("--out", required=True)
+    counts = argparse.ArgumentParser(add_help=False)  # fixed t and rho; drawn if unset
+    counts.add_argument("--errors", type=int, default=None)
+    counts.add_argument("--erasures", type=int, default=None)
+
+    p = sub.add_parser("run", parents=[trials, counts], help="seeded error-erasure trials")
     p.add_argument("--allow-weak", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("verify-bounds", help="run the bound oracles on an instance")
@@ -549,35 +525,28 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify_bounds)
 
-    p = sub.add_parser("lt-run", help="end-to-end trials of the staged construction")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--errors", type=int, default=None)
-    p.add_argument("--erasures", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("lt-run", parents=[trials, counts], help="end-to-end lt trials")
     p.set_defaults(fn=cmd_lt_run)
 
-    p = sub.add_parser("gmd-run", help="concatenated GMD trials on an instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--inner-length", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("gmd-run", parents=[trials], help="concatenated GMD trials")
     p.set_defaults(fn=cmd_gmd_run)
 
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        log.error("%s --trials must be at least 1", args.command)
-        return EXIT_USAGE
-    if getattr(args, "erasures", None) is not None and args.errors is None:
-        log.error(
-            "%s --erasures needs --errors; without it both are drawn per trial",
-            args.command,
-        )
-        return EXIT_USAGE
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise UsageError(f"{args.command} --trials must be at least 1")
+        if getattr(args, "erasures", None) is not None and args.errors is None:
+            raise UsageError(
+                f"{args.command} --erasures needs --errors; "
+                "without it both are drawn per trial"
+            )
+        for name in ("errors", "erasures"):
+            if (getattr(args, name, None) or 0) < 0:
+                raise UsageError(f"{args.command} --{name} must not be negative")
         return args.fn(args)
+    except UsageError as exc:
+        log.error("%s", exc)
+        return EXIT_USAGE
     except (ContractError, GammaTargetError, DesignError) as exc:
         log.error("%s", exc)
         return EXIT_VIOLATION

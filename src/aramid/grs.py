@@ -281,6 +281,7 @@ def _inverses(q: int) -> np.ndarray:
             inv = inv * base % q
         base = base * base % q
         e >>= 1
+    inv[0] = 0  # for q = 2 the exponent q - 2 = 0 leaves entry 0 at 1
     inv.flags.writeable = False  # shared by every caller through the cache
     return inv
 

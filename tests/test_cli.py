@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -60,6 +61,14 @@ LT_CFG = {
 def small_instance(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "small.json"
     write_json(str(path), build_plain_instance(SMALL_CFG, allow_weak=False))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def weak_instance(tmp_path_factory):
+    """K33 (gamma = 0) kept with --allow-weak: it has no decode params."""
+    path = tmp_path_factory.mktemp("weak") / "weak.json"
+    write_json(str(path), build_plain_instance(TINY_CFG, allow_weak=True))
     return str(path)
 
 
@@ -270,6 +279,82 @@ def test_trials_below_one_is_usage_error(command, instance, trials, request, tmp
     assert rc == EXIT_USAGE
     assert "--trials must be at least 1" in caplog.text
     assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        ["--errors", "-1"],
+        ["--errors", "-1", "--erasures", "9"],
+        ["--errors", "2", "--erasures", "-1"],
+    ],
+)
+@pytest.mark.parametrize(
+    "command, instance", [("run", "small_instance"), ("lt-run", "lt_instance")]
+)
+def test_negative_counts_are_usage_errors(
+    command, instance, counts, request, tmp_path, caplog
+):
+    rc = run_cli(
+        command, "--instance", request.getfixturevalue(instance), "--seed", "1",
+        "--trials", "3", *counts, "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert "must not be negative" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, instance",
+    [
+        ("run", "lt_instance"),
+        ("gmd-run", "lt_instance"),
+        ("lt-run", "small_instance"),
+        ("run", "weak_instance"),
+        ("gmd-run", "weak_instance"),
+    ],
+)
+def test_wrong_mode_or_weak_instance_is_usage_error(
+    command, instance, request, tmp_path
+):
+    rc = run_cli(
+        command, "--instance", request.getfixturevalue(instance), "--seed", "1",
+        "--trials", "3", "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, instance, digest",
+    [
+        (
+            ["run", "--seed", "7", "--trials", "40"], "small_instance",
+            "b74e9b9438f818569f285fcba1f84c0bb887d4d41881e4d03a833de7ea28cd39",
+        ),
+        (
+            ["run", "--seed", "5", "--trials", "30", "--errors", "3"], "small_instance",
+            "6d12cf646f691eec33bd7ee88fc2fdb9ab7818fcd3b950e71ae24874b712ff00",
+        ),
+        (
+            ["lt-run", "--seed", "11", "--trials", "15"], "lt_instance",
+            "6d5a587048f459d059a045cf7db5b46eb5eac76751c25fc15614a18375bc9073",
+        ),
+        (
+            ["gmd-run", "--seed", "13", "--trials", "25"], "small_instance",
+            "63c4b5cc55f518f3d7096c5aa353819bff9d2e9dac0870786331e367b70a8eb5",
+        ),
+    ],
+)
+def test_seeded_csv_golden_digest(argv, instance, digest, request, tmp_path):
+    """Seeded trial CSVs hold only integers, so a changed digest means changed
+    seeded behaviour, not rounding."""
+    rc = run_cli(
+        *argv, "--instance", request.getfixturevalue(instance),
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_OK
+    assert hashlib.sha256((tmp_path / "rep.csv").read_bytes()).hexdigest() == digest
 
 
 def test_verify_bounds_tiny(tmp_path):

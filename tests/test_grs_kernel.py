@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aramid.gf import PrimeField
-from aramid.grs import GrsCode, _berlekamp_massey
+from aramid.grs import GrsCode, _berlekamp_massey, _inverses
 
 # (q, length, k, first evaluation point); 0 forces the locator shift
 BATTERY_CODES = [
@@ -258,3 +258,11 @@ def test_berlekamp_massey_stop_rule_on_arbitrary_sequences(q):
                 assert got_el == want_el
                 assert np.all(got[len(want) :] == 0)
                 assert got[: len(want)].tolist() == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 37])
+def test_inverse_table(q):
+    inv = _inverses(q)
+    assert inv[0] == 0
+    a = np.arange(1, q)
+    assert np.all(a * inv[1:] % q == 1)
