@@ -2,22 +2,39 @@
 
 `rref` holds the matrix as float64 and delays the reduction mod q
 (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields",
-ACM TOMS 2008). Entries are reduced only where they are read as pivot data:
-the current column panel, the pivot rows and the factor columns. Each panel's
-update of the trailing columns is one unreduced float64 BLAS product. With
-entries in [0, q) at the start, every entry afterwards is an integer of
-absolute value at most min(rows, cols)*(q-1)**2 + q, because each pivot
-subtracts at most (q-1)**2 from it. `rref` refuses a shape and modulus for
-which that bound reaches 2**53, so every float64 value it computes is an
-exact integer. For q <= 65521 the bound admits any matrix with fewer than
-about 2*10**6 rows or columns.
+ACM TOMS 2008). It has three parts:
+
+1. An echelon pass over panels of `_BLOCK` columns. A panel's pivots are
+   found over the rows that hold no pivot yet. Its pivot rows move up and
+   are solved for the panel's pivot columns, and only the rows below them
+   are updated, on the trailing columns, by one float64 BLAS product.
+2. The panel is factored by splitting it recursively (Toledo, "Locality of
+   reference in LU decomposition with partial pivoting", SIAM J. Matrix
+   Anal. Appl. 1997). The left half's pivots give the right half's Schur
+   complement in one BLAS product, and the inverse of the panel's pivot
+   block follows from the 2x2 block inverse. Panels of at most `_LEAF`
+   columns run a per-pivot Gauss-Jordan loop.
+3. One back-substitution over the non-pivot columns. The pivot columns of
+   an RREF are unit vectors, so only rank * (cols - rank) entries are
+   solved for.
+
+Every product multiplies operands reduced into [0, q) over an inner
+dimension that counts pivots, and every value left unreduced is an entry in
+[0, q) minus or plus such products, with at most one (q-1)**2 per pivot in
+all. So every float64 value is an integer of absolute value at most
+min(rows, cols)*(q-1)**2 + q. `rref` refuses a shape and modulus for which
+that bound reaches 2**53, so every float64 value it computes is an exact
+integer. For q <= 65521 the bound admits any matrix with fewer than about
+2*10**6 rows or columns. Which rows become pivots does not change the
+result: the RREF and its pivot columns depend only on the matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_BLOCK = 48
+_BLOCK = 192
+_LEAF = 8
 
 
 def _rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
@@ -72,19 +89,90 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x - q * np.floor(x / q)
 
 
+def _panel_leaf(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_panel` on a few columns: Gauss-Jordan with an augmented identity
+    block that gains a column as each pivot row is chosen."""
+    w, m = gt.shape
+    # transposed, so that each update runs along rows of length m
+    at = np.zeros((2 * w, m))
+    at[:w] = gt
+    order = np.arange(m)
+    pcols: list[int] = []
+    for pcol in range(w):
+        j = len(pcols)
+        if j == m:
+            break
+        col = _reduce(at[pcol], q)
+        nz = np.flatnonzero(col[j:])
+        if nz.size == 0:
+            continue
+        prow = j + int(nz[0])
+        if prow != j:
+            at[:, [j, prow]] = at[:, [prow, j]]
+            order[[j, prow]] = order[[prow, j]]
+            col[[j, prow]] = col[[prow, j]]
+        at[w + j, j] = 1
+        # column pcol is not read again, so the update starts after it; the
+        # rest of the panel and the identity block's first j + 1 columns are
+        # one contiguous slice
+        seg = slice(pcol + 1, w + j + 1)
+        row = _reduce(_reduce(at[seg, j], q) * pow(int(col[j]), q - 2, q), q)
+        at[seg] -= row[:, None] * col
+        at[seg, j] = row
+        pcols.append(pcol)
+    k = len(pcols)
+    return order[:k], np.array(pcols, dtype=np.intp), _reduce(at[w : w + k, :k].T, q)
+
+
+def _panel(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivots of a reduced panel g, passed as its transpose gt:
+    (pivot rows, pivot columns, T).
+
+    The pivot columns are those of the RREF of g. Pivot row i holds a nonzero
+    entry in pivot column i once the rows before it are eliminated, and T is
+    the inverse of g's pivot block g[rows][:, cols]. The left half is factored
+    first. The right half minus its projection on the left half's pivot
+    columns, a Schur complement that is zero on the left half's pivot rows,
+    is factored next, and T follows from the 2x2 block inverse.
+    """
+    w = gt.shape[0]
+    if w <= _LEAF:
+        return _panel_leaf(gt, q)
+    h = w // 2
+    p1, c1, t1 = _panel(gt[:h], q)
+    x1 = _reduce(t1 @ gt[h:, p1].T, q)
+    p2, c2, t2 = _panel(_reduce(gt[h:] - x1.T @ gt[c1], q), q)
+    # B = [[B11, B12], [B21, B22]] with B11^-1 = t1 and the Schur complement
+    # B22 - B21 t1 B12 inverted by t2: B^-1 = [[t1 + y t2 z, -y t2],
+    # [-t2 z, t2]], where y = t1 B12 = x1[:, c2] and z = B21 t1
+    y = x1[:, c2]
+    t2z = _reduce(t2 @ _reduce(gt[c1[:, None], p2].T @ t1, q), q)
+    k1 = len(c1)
+    t = np.empty((k1 + len(c2),) * 2)
+    t[:k1, :k1] = _reduce(t1 + y @ t2z, q)
+    t[:k1, k1:] = _reduce(-(y @ t2), q)
+    t[k1:, :k1] = _reduce(-t2z, q)
+    t[k1:, k1:] = t2
+    return np.concatenate([p1, p2]), np.concatenate([c1, h + c2]), t
+
+
 def rref(
     a: np.ndarray, q: int, block: int = _BLOCK
 ) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(q): (R, pivot column list).
 
-    Columns are taken in panels of `block`. Gauss-Jordan on the panel, over
-    the rows not yet holding a pivot, finds the panel's pivots and, in an
-    augmented identity block, the inverse T of the pivot block. The pivot rows
-    become P = T @ (their old entries), and every other row subtracts
-    F @ P, where F holds its entries in the pivot columns. Rows without a
-    pivot yet are zero mod q left of the panel, so P is too, and the update
-    only touches the columns from the panel on.
+    An echelon pass takes the columns in panels of `block` >= 1. `_panel`
+    finds a panel's pivots over the rows not yet holding a pivot, and T, the
+    inverse of its pivot block. The pivot rows move up and become
+    X = T @ (their entries from the panel on). The rows below subtract F @ X
+    on the trailing columns, where F holds their entries in the pivot
+    columns, and are set to zero in the panel. In the resulting echelon form
+    U each panel's pivot rows hold an identity block in its pivot columns,
+    so R's non-pivot columns follow by one back-substitution, panel by panel
+    from the last.
     """
+    if block < 1:
+        raise ValueError(f"block must be at least 1, got {block}")
     rows, cols = np.shape(a)
     if min(rows, cols) * (q - 1) ** 2 + q >= 2**53:
         raise ValueError(
@@ -93,50 +181,40 @@ def rref(
         )
     r = (np.asarray(a, dtype=np.int64) % q).astype(np.float64)
     pivots: list[int] = []
+    panels: list[tuple[int, int]] = []  # each panel's pivot rows in U
     lead = 0
-    col_start = 0
-    while col_start < cols and lead < rows:
-        col_end = min(col_start + block, cols)
-        width = col_end - col_start
-        r[:, col_start:col_end] = _reduce(r[:, col_start:col_end], q)
-        # panel rows from `lead` down, then an identity block that records
-        # each row in terms of the panel's pivot rows as they were chosen
-        g = np.zeros((rows - lead, 2 * width))
-        g[:, :width] = r[lead:, col_start:col_end]
-        panel_pivots: list[int] = []
-        for pcol in range(width):
-            j = len(panel_pivots)
-            if lead + j == rows:
-                break
-            nz = np.flatnonzero(_reduce(g[j:, pcol], q))
-            if nz.size == 0:
-                continue
-            prow = j + int(nz[0])
-            if prow != j:
-                g[[j, prow]] = g[[prow, j]]
-                r[[lead + j, lead + prow]] = r[[lead + prow, lead + j]]
-            g[j, width + j] = 1
-            pivot = _reduce(g[j], q)
-            g[j] = _reduce(pivot * pow(int(pivot[pcol]), q - 2, q), q)
-            factors = _reduce(g[:, pcol], q)
-            factors[j] = 0
-            # the panel columns from pcol on and the identity block's first
-            # j + 1 columns are one contiguous slice
-            g[:, pcol : width + j + 1] -= np.outer(factors, g[j, pcol : width + j + 1])
-            panel_pivots.append(col_start + pcol)
-        k = len(panel_pivots)
+    for c0 in range(0, cols, block):
+        if lead == rows:
+            break
+        c1 = min(c0 + block, cols)
+        gt = _reduce(np.ascontiguousarray(r[lead:, c0:c1].T), q)
+        prows, pcols, t = _panel(gt, q)
+        k = len(pcols)
         if k:
-            inv = _reduce(g[:k, width : width + k], q)
-            piv_rows = slice(lead, lead + k)
-            f = r[:, panel_pivots]
-            f[piv_rows] = 0
-            p = _reduce(inv @ _reduce(r[piv_rows, col_start:], q), q)
-            r[:, col_start:] -= f @ p
-            r[piv_rows, col_start:] = p
-            pivots.extend(panel_pivots)
+            x = _reduce(t @ _reduce(r[lead + prows, c0:], q), q)
+            # the rows the pivot rows displace from lead .. lead+k-1 take
+            # their places, so that the rows below are contiguous
+            order = np.arange(rows - lead)
+            moved = prows[prows >= k]
+            order[moved] = np.setdiff1d(np.arange(k), prows)
+            order[:k] = prows
+            r[lead + moved, c0:] = r[lead + order[moved], c0:]
+            r[lead : lead + k, c0:] = x
+            f = gt[pcols[:, None], order[k:]].T
+            r[lead + k :, c1:] -= f @ x[:, c1 - c0 :]
+            pivots.extend((c0 + pcols).tolist())
+            panels.append((lead, lead + k))
             lead += k
-        col_start = col_end
-    return _reduce(r, q).astype(np.int64), pivots
+        r[lead:, c0:c1] = 0
+    free = np.setdiff1d(np.arange(cols), pivots)
+    solved = np.empty((lead, len(free)))
+    for s, e in reversed(panels):
+        solved[s:e] = _reduce(r[s:e, free] - r[s:e, pivots[e:]] @ solved[e:], q)
+    del r  # free the float64 matrix before the output is allocated
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out[np.arange(lead), pivots] = 1
+    out[:lead, free] = solved
+    return out, pivots
 
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:

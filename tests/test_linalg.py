@@ -47,7 +47,7 @@ def test_rref_matches_plain_property(q, rows, cols, rank, density, block, seed):
     assert np.array_equal(r1, r2)
 
 
-@pytest.mark.parametrize("block", [1, 7, linalg._BLOCK])
+@pytest.mark.parametrize("block", [1, 7, linalg._LEAF + 1, linalg._BLOCK])
 def test_rref_extreme_entries_q65521(block):
     # every factor and pivot-row entry read by the first panel is q-1, so the
     # unreduced update reaches block*(q-1)**2 per entry
@@ -64,6 +64,56 @@ def test_rref_extreme_entries_q65521(block):
     r2, p2 = linalg.rref(b, q, block)
     assert p1 == p2 == list(range(120))
     assert np.array_equal(r1, r2)
+    # two identity blocks in a sea of q-1: the first panel's halves pivot on
+    # them, so the left half's T is I and the Schur-complement product and
+    # the T combination both read a block of q-1 from the pivot rows
+    h = block // 2
+    c = np.full((block + m, block + m), q - 1, dtype=np.int64)
+    c[:h, :h] = np.eye(h, dtype=np.int64)
+    c[h:block, h:block] = np.eye(block - h, dtype=np.int64)
+    r1, p1 = linalg._rref_plain(c, q)
+    r2, p2 = linalg.rref(c, q, block)
+    assert p1 == p2 and np.array_equal(r1, r2)
+    # already in echelon form with an identity block per panel and q-1 to its
+    # right: every entry the back-substitution reads from U is q-1
+    panels = max(2, -(-40 // block))
+    n = panels * block
+    d = np.triu(np.full((n, n + 5), q - 1, dtype=np.int64))
+    for s in range(0, n, block):
+        d[s : s + block, s : s + block] = np.eye(block, dtype=np.int64)
+    r1, p1 = linalg._rref_plain(d, q)
+    r2, p2 = linalg.rref(d, q, block)
+    assert p1 == p2 == list(range(n))
+    assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("q", [2, 65521])
+@pytest.mark.parametrize("block", [1, linalg._LEAF, linalg._LEAF + 1, 1000])
+@pytest.mark.parametrize("shape", [(300, 40), (40, 300)])
+def test_rref_panels_without_pivots(q, block, shape):
+    # rank 12 with zero columns: the whole second panel, the left half of the
+    # fourth and the right half of the fifth; one column repeats an earlier
+    # one, and on the wide shape every panel after the rank runs out of
+    # pivots has none
+    rows, cols = shape
+    rng = np.random.default_rng(block * 7 + cols)
+    a = rng.integers(0, q, size=(rows, 12)) @ rng.integers(0, q, size=(12, cols)) % q
+    h = max(block // 2, 1)
+    for start, stop in ((block, 2 * block), (3 * block, 3 * block + h), (5 * block - h, 5 * block)):
+        a[:, start:stop] = 0
+    a[:, [0, 5, 6]] = 0
+    a[:, 9] = a[:, 8]
+    r1, p1 = linalg._rref_plain(a, q)
+    r2, p2 = linalg.rref(a, q, block)
+    assert p1 == p2
+    assert np.array_equal(r1, r2)
+
+
+def test_rref_refuses_block_below_one():
+    # a panel of width 0 would never advance
+    for block in (0, -1):
+        with pytest.raises(ValueError):
+            linalg.rref(np.eye(3, dtype=np.int64), 7, block=block)
 
 
 def test_rref_refuses_inexact_shapes():
@@ -126,6 +176,29 @@ def test_right_inverse_requires_full_row_rank():
     a = np.array([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         linalg.right_inverse(a, q)
+
+
+@pytest.mark.parametrize("q", [37, 65521])
+def test_nullspace_and_right_inverse_rank_deficient_200(q):
+    rng = np.random.default_rng(q)
+    left = rng.integers(0, q, size=(200, 150))
+    right = rng.integers(0, q, size=(150, 200))
+    a = left @ right % q
+    r, pivots = linalg._rref_plain(a, q)
+    assert len(pivots) == 150
+    free = [c for c in range(200) if c not in pivots]
+    ns = linalg.nullspace(a, q)
+    want = np.zeros((50, 200), dtype=np.int64)
+    want[np.arange(50), free] = 1
+    want[:, pivots] = -r[:150, free].T % q
+    assert np.array_equal(ns, want)
+    assert not np.any(a @ ns.T % q)
+    with pytest.raises(ValueError):
+        linalg.right_inverse(a, q)
+    # the full-row-rank factor has a right inverse
+    assert _rank(right, q) == 150
+    b = linalg.right_inverse(right, q)
+    assert np.array_equal(right @ b % q, np.eye(150, dtype=np.int64))
 
 
 def test_mul_mod_extremes():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -240,14 +241,30 @@ def test_generator_matches_per_edge_assembly_with_parallel_edges():
         assert np.array_equal(code.generator(), _per_edge_generator(code))
 
 
-def test_desk_generator_rows_are_codewords():
+@pytest.fixture(scope="module")
+def desk_code():
+    """The desk plain config: n=100, delta=36, q=37, k'=k''=18, seed 11."""
     graph = anneal_circulant_bipartite(100, 36, seed=11, gamma_target=0.20, iters=40000)
     comp = GrsCode(PrimeField(37), k=18, eval_points=range(1, 37))
-    code = TannerCode(graph, comp, comp)
+    return TannerCode(graph, comp, comp)
+
+
+def test_desk_generator_rows_are_codewords(desk_code):
+    code = desk_code
     gen = code.generator()
     assert code.dim == 21 and gen.shape == (21, 3600)
     assert np.array_equal(gen[:, code._gen_pivots], np.eye(21, dtype=np.int64))
     assert all(code.membership(row) for row in gen)
+
+
+def test_desk_generator_golden_digest(desk_code):
+    # an 1800x1800 nullspace over many elimination panels, the largest
+    # elimination the tests pin
+    gen = desk_code.generator()
+    assert gen.dtype == np.int64 and gen.flags["C_CONTIGUOUS"]
+    digest = hashlib.sha256(gen.tobytes()).hexdigest()
+    assert digest == "cef537209b93ff1fe6fe1700ca253d8d18a9982912f41e8526b29683b1aefdf8"
+    assert desk_code._gen_pivots == list(range(18)) + [36, 38, 41]
 
 
 def test_phi_word_helpers():
