@@ -64,9 +64,10 @@ def test_rref_extreme_entries_q65521(block):
     r2, p2 = linalg.rref(b, q, block)
     assert p1 == p2 == list(range(120))
     assert np.array_equal(r1, r2)
-    # two identity blocks in a sea of q-1: the first panel's halves pivot on
-    # them, so the left half's T is I and the Schur-complement product and
-    # the T combination both read a block of q-1 from the pivot rows
+    # two identity blocks in a sea of q-1: where the first panel is split,
+    # its halves pivot on them, so the left half's T is I and the
+    # Schur-complement product and the T combination both read a block of
+    # q-1 from the pivot rows
     h = block // 2
     c = np.full((block + m, block + m), q - 1, dtype=np.int64)
     c[:h, :h] = np.eye(h, dtype=np.int64)
