@@ -10,6 +10,7 @@ of the biadjacency matrix divided by delta, measured numerically.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ class GammaTargetError(RuntimeError):
         )
         self.target = target
         self.best = best
+
+
+class DisconnectedGraphError(RuntimeError):
+    """A searched graph came out disconnected, so no code can rest on it."""
 
 
 @dataclass
@@ -219,12 +224,14 @@ def circulant_bipartite(
     return BipartiteRegularGraph(m, seed=seed)
 
 
-def _circulant_connected(n: int, shifts) -> bool:
+def _circulant_gcd(n: int, shifts) -> int:
+    """gcd of n and the shift differences: the circulant graph is connected
+    exactly when this is 1."""
     g = n
     s0 = shifts[0]
     for s in shifts[1:]:
         g = math.gcd(g, (s - s0) % n)
-    return g == 1
+    return g
 
 
 def anneal_circulant_bipartite(
@@ -237,50 +244,84 @@ def anneal_circulant_bipartite(
     """Search shift sets whose circulant graph has small measured gamma.
 
     The singular values of a circulant biadjacency are the DFT magnitudes of
-    the shift-set indicator, so the annealing cost is one FFT per move.
-    Deterministic given seed; raises GammaTargetError when the target is
-    out of reach.
+    the shift-set indicator, so the annealing cost is one FFT per move. A
+    move swaps a random shift in the set with a random one outside it; it is
+    kept when it does not raise the cost, or with Metropolis probability
+    exp(-increase / temperature) under a geometric cooling from 1 to 0.01
+    over `iters` moves (Kirkpatrick-Gelatt-Vecchi 1983). The search stops
+    early once the best cost is below gamma_target * delta.
+
+    Each move costs one FFT plus a few scalar steps. The shifts in and out
+    of the set are kept as two sorted lists, which change only when a move
+    is kept: one `del` and one `bisect.insort` each. A move draws
+    `a = rng.integers(len(ones))` and takes `ones[a]` (likewise for
+    `zeros`). On a 1-D array, numpy's `Generator.choice(arr)` consumes the
+    stream exactly as `integers(len(arr))` does and returns the element at
+    that index, and the lists equal the `np.flatnonzero` scans of the
+    indicator. So the draws, costs and decisions are those of a search that
+    rescans the indicator and calls `choice` on every move; the differential
+    test in `tests/test_anneal.py` checks this against that loop. The
+    indicator is held as complex128, the type `np.fft.fft` converts a real
+    input to anyway, so the FFT and `np.abs` write into fixed buffers and
+    give the same bits.
+
+    Deterministic given seed. Raises ValueError on a bad shape or a
+    negative `iters`, DisconnectedGraphError when the best shift set found
+    gives a disconnected graph, and GammaTargetError when the target is out
+    of reach; both errors report the number of moves made.
     """
     if not (1 <= delta <= n and n > 1):
         raise ValueError(f"need 1 <= delta <= n and n > 1, got delta={delta} n={n}")
+    if iters < 0:
+        raise ValueError(f"iters must not be negative, got {iters}")
     rng = np.random.default_rng(seed)
-    ind = np.zeros(n)
+    ind = np.zeros(n, dtype=np.complex128)
     ind[rng.choice(n, size=delta, replace=False)] = 1.0
+    ones = np.flatnonzero(ind).tolist()
+    zeros = np.flatnonzero(ind == 0).tolist()
+    spec = np.empty(n, dtype=np.complex128)
+    mag = np.empty(n)
 
     def cost(v) -> float:
-        f = np.abs(np.fft.fft(v))
-        return float(f[1:].max())
+        return float(np.abs(np.fft.fft(v, out=spec), out=mag)[1:].max())
 
     cur = cost(ind)
     best, best_ind = cur, ind.copy()
     target_lam = None if gamma_target is None else gamma_target * delta
     t0, t1 = 1.0, 0.01
-    for it in range(iters):
+    moves = 0
+    for it in range(iters if zeros else 0):  # delta == n leaves nothing to swap
         if target_lam is not None and best < target_lam:
             break
         temp = t0 * (t1 / t0) ** (it / iters)
-        ones = np.flatnonzero(ind == 1)
-        zeros = np.flatnonzero(ind == 0)
-        if zeros.size == 0:
-            break
-        i = int(rng.choice(ones))
-        j = int(rng.choice(zeros))
+        a = rng.integers(len(ones))
+        b = rng.integers(len(zeros))
+        i, j = ones[a], zeros[b]
         ind[i], ind[j] = 0.0, 1.0
         c = cost(ind)
+        moves += 1
         if c <= cur or rng.random() < math.exp(-(c - cur) / temp):
             cur = c
+            del ones[a], zeros[b]
+            insort(ones, j)
+            insort(zeros, i)
             if c < best:
                 best, best_ind = c, ind.copy()
         else:
             ind[i], ind[j] = 1.0, 0.0
     shifts = np.flatnonzero(best_ind).tolist()
-    if not _circulant_connected(n, shifts):
-        raise GammaTargetError(gamma_target or 0.0, best / delta, iters)
-    g = circulant_bipartite(n, shifts, seed=seed)
-    prof = gamma(g)
+    g = _circulant_gcd(n, shifts)
+    if g != 1:
+        raise DisconnectedGraphError(
+            f"the best {delta} shifts mod {n} found after {moves} moves give a "
+            f"disconnected circulant graph: n and every shift difference share "
+            f"the factor {g}"
+        )
+    graph = circulant_bipartite(n, shifts, seed=seed)
+    prof = gamma(graph)
     if gamma_target is not None and prof.gamma > gamma_target:
-        raise GammaTargetError(gamma_target, prof.gamma, iters)
-    return g
+        raise GammaTargetError(gamma_target, prof.gamma, moves)
+    return graph
 
 
 # -- spectral lemma checks -------------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .bigraph import (
     BipartiteRegularGraph,
+    DisconnectedGraphError,
     GammaTargetError,
     anneal_circulant_bipartite,
     check_degree_sum,
@@ -219,6 +220,8 @@ def cmd_build(args) -> int:
     cfg = read_json(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    if cfg.get("anneal_iters", 0) < 0:
+        raise UsageError("build anneal_iters must not be negative")
     mode = cfg.get("mode", "plain")
     if mode == "plain":
         instance = build_plain_instance(cfg, args.allow_weak)
@@ -547,7 +550,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         log.error("%s", exc)
         return EXIT_USAGE
-    except (ContractError, GammaTargetError, DesignError) as exc:
+    except (ContractError, DisconnectedGraphError, GammaTargetError, DesignError) as exc:
         log.error("%s", exc)
         return EXIT_VIOLATION
 

@@ -115,6 +115,32 @@ def test_build_unreachable_gamma_target_reports_best(tmp_path, caplog):
     rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
     assert rc == EXIT_VIOLATION
     assert "best measured gamma" in caplog.text
+    assert "after 500 attempts" in caplog.text
+
+
+@pytest.mark.parametrize("target", [5.0, None])
+def test_build_disconnected_circulant_exits_1(tmp_path, caplog, target):
+    # one shift per vertex is never connected, whether or not a target is met
+    cfg = dict(SMALL_CFG, delta=1, gamma_target=target, anneal_iters=20)
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), cfg)
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
+    assert rc == EXIT_VIOLATION
+    assert "disconnected circulant graph" in caplog.text
+    assert "gamma target" not in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [SMALL_CFG, LT_CFG], ids=["plain", "lt"])
+def test_build_negative_anneal_iters_is_usage_error(tmp_path, caplog, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), dict(cfg, anneal_iters=-1))
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert "anneal_iters must not be negative" in caplog.text
+    assert not out.exists()
 
 
 def test_build_refuses_weak_instance(tmp_path):
