@@ -260,10 +260,8 @@ def anneal_circulant_bipartite(
     that index, and the lists equal the `np.flatnonzero` scans of the
     indicator. So the draws, costs and decisions are those of a search that
     rescans the indicator and calls `choice` on every move; the differential
-    test in `tests/test_anneal.py` checks this against that loop. The
-    indicator is held as complex128, the type `np.fft.fft` converts a real
-    input to anyway, so the FFT and `np.abs` write into fixed buffers and
-    give the same bits.
+    test in `tests/test_anneal.py` checks this against that loop. The cost
+    is the FFT magnitude spectrum, written by `np.abs` into a fixed buffer.
 
     Deterministic given seed. Raises ValueError on a bad shape or a
     negative `iters`, DisconnectedGraphError when the best shift set found
@@ -275,15 +273,14 @@ def anneal_circulant_bipartite(
     if iters < 0:
         raise ValueError(f"iters must not be negative, got {iters}")
     rng = np.random.default_rng(seed)
-    ind = np.zeros(n, dtype=np.complex128)
+    ind = np.zeros(n)
     ind[rng.choice(n, size=delta, replace=False)] = 1.0
     ones = np.flatnonzero(ind).tolist()
     zeros = np.flatnonzero(ind == 0).tolist()
-    spec = np.empty(n, dtype=np.complex128)
     mag = np.empty(n)
 
     def cost(v) -> float:
-        return float(np.abs(np.fft.fft(v, out=spec), out=mag)[1:].max())
+        return float(np.abs(np.fft.fft(v), out=mag)[1:].max())
 
     cur = cost(ind)
     best, best_ind = cur, ind.copy()
