@@ -24,7 +24,8 @@ def _shifts(graph):
 
 # sha256 of the sorted shifts as little-endian int64, taken from the search
 # that rescanned the indicator and called Generator.choice on every move
-# (numpy 2.4.6). The gamma targets of the lt rows are the desk lt design's
+# (numpy 2.4.6; not checked on numpy 1.x, whose older pocketfft may round the
+# costs differently). The gamma targets of the lt rows are the desk lt design's
 # (n = 130, R = 1/2, eps = 0.3, kappa = 1/4, mu = 0.05) targets for g1 and g2.
 GOLDEN = [
     pytest.param(100, 36, 11, 0.20, 40000,
