@@ -95,18 +95,22 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
     seed = cfg["seed"]
     kind = cfg.get("graph", "circulant")
     target = cfg.get("gamma_target")
+    if kind not in ("circulant", "random"):
+        raise UsageError(f"build graph must be 'circulant' or 'random', got {kind!r}")
+    if not (1 <= delta <= n and n > 1):
+        raise UsageError(
+            f"build needs 1 <= delta <= n and n > 1, got delta={delta} n={n}"
+        )
     if kind == "circulant":
         graph = anneal_circulant_bipartite(
             n, delta, seed=seed, gamma_target=target,
             iters=cfg.get("anneal_iters", 30000),
         )
-    elif kind == "random":
+    else:
         graph = random_regular_bipartite(
             n, delta, seed=seed, gamma_target=target,
             max_resamples=cfg.get("max_resamples", 200),
         )
-    else:
-        raise ValueError(f"unknown graph kind {kind!r}")
     field = PrimeField(q)
     cp = GrsCode(field, cfg["k_prime"], range(1, delta + 1))
     cd = GrsCode(field, cfg["k_double"], range(1, delta + 1))

@@ -256,9 +256,8 @@ def decode_phi(
                 )
             report.error_counts.append((i, errs))
 
+        # nu is odd, so the last round is checked here too
         if i >= 3 and i % 2 == 1 and in_code():
+            report.result = PhiWord.clean(cp.sys_project(z.reshape(n, delta)))
             break
-
-    if in_code():
-        report.result = PhiWord.clean(cp.sys_project(z.reshape(n, delta)))
     return report

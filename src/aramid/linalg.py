@@ -1,29 +1,37 @@
 """Dense linear algebra over GF(q).
 
-`rref` holds the matrix as float64 and delays the reduction mod q
+`rref` and `nullspace` share one elimination, `_echelon`. It works in place
+on one float64 array with entries in [0, q) and delays the reduction mod q
 (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields",
 ACM TOMS 2008). It has three parts:
 
 1. An echelon pass over panels of `_BLOCK` columns. A panel's pivots are
    found over the rows that hold no pivot yet. Its pivot rows move up and
    are solved for the panel's pivot columns, and only the rows below them
-   are updated, on the trailing columns, by one float64 BLAS product.
+   are updated, on the trailing columns, by float64 BLAS products of
+   `_BAND` rows each.
 2. The panel is factored by splitting it recursively (Toledo, "Locality of
    reference in LU decomposition with partial pivoting", SIAM J. Matrix
    Anal. Appl. 1997). The left half's pivots give the right half's Schur
    complement in one BLAS product, and the inverse of the panel's pivot
    block follows from the 2x2 block inverse. Panels of at most `_LEAF`
    columns run a per-pivot Gauss-Jordan loop.
-3. One back-substitution over the non-pivot columns. The pivot columns of
-   an RREF are unit vectors, so only rank * (cols - rank) entries are
-   solved for.
+3. One back-substitution gives R[:rank, free], the non-pivot columns of the
+   RREF R (its pivot columns are unit vectors). `nullspace` builds its basis
+   from that block and never holds R itself.
+
+An input is reduced mod q in int64 and converted one band of `_BAND` rows at
+a time, so beyond the float64 array and the output an elimination holds
+O((block + _BAND) * cols) values. `TannerCode.generator` assembles its
+matrix straight into such an array.
 
 Every product multiplies operands reduced into [0, q) over an inner
 dimension that counts pivots, and every value left unreduced is an entry in
 [0, q) minus or plus such products, with at most one (q-1)**2 per pivot in
 all. So every float64 value is an integer of absolute value at most
-min(rows, cols)*(q-1)**2 + q. `rref` refuses a shape and modulus for which
-that bound reaches 2**53, so every float64 value it computes is an exact
+min(rows, cols)*(q-1)**2 + q. `_echelon` refuses a shape and modulus for
+which that bound reaches 2**53 (before any allocation, when called through
+`rref` or `nullspace`), so every float64 value it computes is an exact
 integer. For q <= 65521 the bound admits any matrix with fewer than about
 2*10**6 rows or columns. Which rows become pivots does not change the
 result: the RREF and its pivot columns depend only on the matrix.
@@ -35,32 +43,7 @@ import numpy as np
 
 _BLOCK = 192
 _LEAF = 8
-
-
-def _rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """Reference single-pivot Gauss-Jordan; used as an oracle in tests."""
-    r = np.array(a, dtype=np.int64) % q
-    rows, cols = r.shape
-    pivots: list[int] = []
-    lead = 0
-    for col in range(cols):
-        if lead >= rows:
-            break
-        sub = r[lead:, col]
-        nz = np.flatnonzero(sub)
-        if nz.size == 0:
-            continue
-        piv = lead + int(nz[0])
-        if piv != lead:
-            r[[lead, piv]] = r[[piv, lead]]
-        inv = pow(int(r[lead, col]), q - 2, q)
-        r[lead] = (r[lead] * inv) % q
-        factors = r[:, col].copy()
-        factors[lead] = 0
-        r = (r - np.outer(factors, r[lead])) % q
-        pivots.append(col)
-        lead += 1
-    return r, pivots
+_BAND = 256  # rows per int64 load and per trailing-update product
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -156,30 +139,37 @@ def _panel(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([p1, p2]), np.concatenate([c1, h + c2]), t
 
 
-def rref(
-    a: np.ndarray, q: int, block: int = _BLOCK
-) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(q): (R, pivot column list).
+def _check_exact(shape: tuple[int, int], q: int) -> None:
+    if min(shape) * (q - 1) ** 2 + q >= 2**53:
+        raise ValueError(
+            f"a {shape[0]}x{shape[1]} matrix over GF({q}) is too large for "
+            "exact float64 elimination"
+        )
 
-    An echelon pass takes the columns in panels of `block` >= 1. `_panel`
-    finds a panel's pivots over the rows not yet holding a pivot, and T, the
-    inverse of its pivot block. The pivot rows move up and become
-    X = T @ (their entries from the panel on). The rows below subtract F @ X
-    on the trailing columns, where F holds their entries in the pivot
-    columns, and are set to zero in the panel. In the resulting echelon form
-    U each panel's pivot rows hold an identity block in its pivot columns,
-    so R's non-pivot columns follow by one back-substitution, panel by panel
-    from the last.
+
+def _load(a, q: int) -> np.ndarray:
+    """a mod q as a new float64 array, reduced in int64 before conversion so
+    that negative entries and entries above 2**53 stay exact."""
+    a = np.asarray(a)
+    _check_exact(a.shape, q)  # before the buffer is allocated
+    r = np.empty(a.shape)
+    for s in range(0, a.shape[0], _BAND):
+        r[s : s + _BAND] = np.asarray(a[s : s + _BAND], dtype=np.int64) % q
+    return r
+
+
+def _echelon(
+    r: np.ndarray, q: int, block: int = _BLOCK
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Eliminate r, a float64 array with entries in [0, q), in place, in panels
+    of `block` >= 1 columns: (pivot column list, free columns, R[:rank, free])
+    of its RREF R. r is left holding the echelon form, in which each panel's
+    pivot rows hold an identity block in its pivot columns.
     """
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
-    rows, cols = np.shape(a)
-    if min(rows, cols) * (q - 1) ** 2 + q >= 2**53:
-        raise ValueError(
-            f"a {rows}x{cols} matrix over GF({q}) is too large for exact "
-            "float64 elimination"
-        )
-    r = (np.asarray(a, dtype=np.int64) % q).astype(np.float64)
+    _check_exact(r.shape, q)
+    rows, cols = r.shape
     pivots: list[int] = []
     panels: list[tuple[int, int]] = []  # each panel's pivot rows in U
     lead = 0
@@ -201,7 +191,9 @@ def rref(
             r[lead + moved, c0:] = r[lead + order[moved], c0:]
             r[lead : lead + k, c0:] = x
             f = gt[pcols[:, None], order[k:]].T
-            r[lead + k :, c1:] -= f @ x[:, c1 - c0 :]
+            for s in range(0, len(f), _BAND):
+                below = lead + k + s
+                r[below : below + _BAND, c1:] -= f[s : s + _BAND] @ x[:, c1 - c0 :]
             pivots.extend((c0 + pcols).tolist())
             panels.append((lead, lead + k))
             lead += k
@@ -210,22 +202,33 @@ def rref(
     solved = np.empty((lead, len(free)))
     for s, e in reversed(panels):
         solved[s:e] = _reduce(r[s:e, free] - r[s:e, pivots[e:]] @ solved[e:], q)
-    del r  # free the float64 matrix before the output is allocated
-    out = np.zeros((rows, cols), dtype=np.int64)
-    out[np.arange(lead), pivots] = 1
-    out[:lead, free] = solved
+    return pivots, free, solved
+
+
+def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[np.ndarray, list[int]]:
+    """Reduced row-echelon form over GF(q): (R, pivot column list).
+
+    `block` >= 1 is the panel width of `_echelon`; a is not modified.
+    """
+    pivots, free, solved = _echelon(_load(a, q), q, block)
+    out = np.zeros(np.shape(a), dtype=np.int64)
+    out[np.arange(len(pivots)), pivots] = 1
+    out[: len(pivots), free] = solved
     return out, pivots
 
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     """Basis of {x : a x = 0} over GF(q), one basis vector per row."""
-    a = np.asarray(a, dtype=np.int64)
-    _, cols = a.shape
-    r, pivots = rref(a, q)
-    free = np.setdiff1d(np.arange(cols), pivots)
-    basis = np.zeros((len(free), cols), dtype=np.int64)
+    return _null_basis(_load(a, q), q)
+
+
+def _null_basis(r: np.ndarray, q: int) -> np.ndarray:
+    """`nullspace` of a float64 array with entries in [0, q), which it
+    eliminates in place: x_free = I and x_pivots = -R[:rank, free]^T."""
+    pivots, free, solved = _echelon(r, q)
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-r[: len(pivots), free].T) % q
+    basis[:, pivots] = _reduce(-solved.T, q)
     return basis
 
 

@@ -131,7 +131,9 @@ class TannerCode:
 
         The nullspace of the stacked vertex parity checks is computed in the
         left-block parametrization z = (a_u G')_u, which shrinks the
-        elimination to the right-side constraints only.
+        elimination to the right-side constraints only. Their
+        (n*(delta - k'')) x (n*k') matrix is assembled straight into the one
+        float64 array that `linalg._null_basis` eliminates in place.
         """
         if self._gen is None:
             q = self.field.q
@@ -139,21 +141,16 @@ class TannerCode:
             kp = self.c_prime.k
             h2 = self.c_double.parity_check()
             gp = self.c_prime._gen
-            h_rows = h2.shape[0]
-            # edge (v, i) = u*delta + slot adds outer(h2[:, i], gp[:, slot]) to
-            # the block of right vertex v's checks and left vertex u's message;
-            # parallel edges add up, and nullspace reduces mod q
-            u, slot = np.divmod(self.graph.right_edges.reshape(-1), delta)
-            v, i = np.divmod(np.arange(n * delta), delta)
-            rows = (v[:, None] * h_rows + np.arange(h_rows))[:, :, None]
-            cols = (u[:, None] * kp + np.arange(kp))[:, None, :]
-            m = np.zeros((n * h_rows, n * kp), dtype=np.int64)
-            np.add.at(
-                m.reshape(-1),
-                (rows * (n * kp) + cols).reshape(-1),
-                (h2.T[i][:, :, None] * gp.T[slot][:, None, :]).reshape(-1),
-            )
-            basis = linalg.nullspace(m, q)
+            m = np.zeros((n * h2.shape[0], n * kp))
+            blocks = m.reshape(n, h2.shape[0], n, kp)
+            # matching i adds outer(h2[:, i], gp[:, i]) to block (v, u) of each of
+            # its edges u -> v = matchings[i, u]; its v are distinct, so each +=
+            # writes distinct blocks, and parallel edges add up across slots
+            for i, right in enumerate(self.graph.matchings):
+                blocks[right, :, np.arange(n)] += np.outer(h2[:, i], gp[:, i])
+            for s in range(0, len(m), linalg._BAND):
+                m[s : s + linalg._BAND] = linalg._reduce(m[s : s + linalg._BAND], q)
+            basis = linalg._null_basis(m, q)
             words = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
             gen, pivots = linalg.rref(words, q)
             self._gen = gen[: len(pivots)]

@@ -1,0 +1,42 @@
+"""Single-pivot Gauss-Jordan over GF(q), kept as a test oracle for `linalg`."""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
+    """(R, pivot column list): the RREF of a over GF(q), one pivot at a time."""
+    r = np.array(a, dtype=np.int64) % q
+    rows, cols = r.shape
+    pivots: list[int] = []
+    lead = 0
+    for col in range(cols):
+        if lead >= rows:
+            break
+        sub = r[lead:, col]
+        nz = np.flatnonzero(sub)
+        if nz.size == 0:
+            continue
+        piv = lead + int(nz[0])
+        if piv != lead:
+            r[[lead, piv]] = r[[piv, lead]]
+        inv = pow(int(r[lead, col]), q - 2, q)
+        r[lead] = (r[lead] * inv) % q
+        factors = r[:, col].copy()
+        factors[lead] = 0
+        r = (r - np.outer(factors, r[lead])) % q
+        pivots.append(col)
+        lead += 1
+    return r, pivots
+
+
+def nullspace_plain(a: np.ndarray, q: int) -> np.ndarray:
+    """Basis of {x : a x = 0} over GF(q) read off `rref_plain`: x_free = I and
+    x_pivots = -R[:rank, free]^T, one basis vector per row."""
+    r, pivots = rref_plain(a, q)
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -r[: len(pivots), free].T % q
+    return basis

@@ -143,6 +143,26 @@ def test_build_negative_anneal_iters_is_usage_error(tmp_path, caplog, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"delta": 49}, "1 <= delta <= n"),
+        ({"graph": "bogus"}, "'circulant' or 'random', got 'bogus'"),
+    ],
+    ids=["delta-above-n", "unknown-graph"],
+)
+def test_build_unbuildable_plain_config_is_usage_error(
+    tmp_path, caplog, change, message
+):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), dict(SMALL_CFG, **change))
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_build_refuses_weak_instance(tmp_path):
     cfg = dict(TINY_CFG)  # K33 has gamma = 0: 2*gamma > 0 fails
     cfg_path = tmp_path / "cfg.json"

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linalg_reference as ref
+
 from aramid import linalg
 
 
@@ -18,7 +20,7 @@ def _rank(a, q):
 def test_blocked_rref_matches_plain(q, shape):
     rng = np.random.default_rng(hash((q, shape)) % 2**32)
     a = rng.integers(0, q, size=shape, dtype=np.int64)
-    r1, p1 = linalg._rref_plain(a, q)
+    r1, p1 = ref.rref_plain(a, q)
     r2, p2 = linalg.rref(a, q, block=16)
     assert p1 == p2
     assert np.array_equal(r1, r2)
@@ -41,7 +43,7 @@ def test_rref_matches_plain_property(q, rows, cols, rank, density, block, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, q, size=(rows, rank)) @ rng.integers(0, q, size=(rank, cols))
     a = a * (rng.random((rows, cols)) < density) % q
-    r1, p1 = linalg._rref_plain(a, q)
+    r1, p1 = ref.rref_plain(a, q)
     r2, p2 = linalg.rref(a, q) if block is None else linalg.rref(a, q, block)
     assert p1 == p2
     assert np.array_equal(r1, r2)
@@ -55,12 +57,12 @@ def test_rref_extreme_entries_q65521(block):
     k, m = block, 90
     a = np.full((k + m, k + m), q - 1, dtype=np.int64)
     a[:k, :k] = np.eye(k, dtype=np.int64)
-    r1, p1 = linalg._rref_plain(a, q)
+    r1, p1 = ref.rref_plain(a, q)
     r2, p2 = linalg.rref(a, q, block)
     assert p1 == p2 and np.array_equal(r1, r2)
     # dense pivots in every column: (q-1)J - I has full rank over GF(q)
     b = np.full((120, 130), q - 1, dtype=np.int64) - np.eye(120, 130, dtype=np.int64)
-    r1, p1 = linalg._rref_plain(b, q)
+    r1, p1 = ref.rref_plain(b, q)
     r2, p2 = linalg.rref(b, q, block)
     assert p1 == p2 == list(range(120))
     assert np.array_equal(r1, r2)
@@ -72,7 +74,7 @@ def test_rref_extreme_entries_q65521(block):
     c = np.full((block + m, block + m), q - 1, dtype=np.int64)
     c[:h, :h] = np.eye(h, dtype=np.int64)
     c[h:block, h:block] = np.eye(block - h, dtype=np.int64)
-    r1, p1 = linalg._rref_plain(c, q)
+    r1, p1 = ref.rref_plain(c, q)
     r2, p2 = linalg.rref(c, q, block)
     assert p1 == p2 and np.array_equal(r1, r2)
     # already in echelon form with an identity block per panel and q-1 to its
@@ -82,7 +84,7 @@ def test_rref_extreme_entries_q65521(block):
     d = np.triu(np.full((n, n + 5), q - 1, dtype=np.int64))
     for s in range(0, n, block):
         d[s : s + block, s : s + block] = np.eye(block, dtype=np.int64)
-    r1, p1 = linalg._rref_plain(d, q)
+    r1, p1 = ref.rref_plain(d, q)
     r2, p2 = linalg.rref(d, q, block)
     assert p1 == p2 == list(range(n))
     assert np.array_equal(r1, r2)
@@ -104,7 +106,7 @@ def test_rref_panels_without_pivots(q, block, shape):
         a[:, start:stop] = 0
     a[:, [0, 5, 6]] = 0
     a[:, 9] = a[:, 8]
-    r1, p1 = linalg._rref_plain(a, q)
+    r1, p1 = ref.rref_plain(a, q)
     r2, p2 = linalg.rref(a, q, block)
     assert p1 == p2
     assert np.array_equal(r1, r2)
@@ -131,7 +133,7 @@ def test_rref_rank_deficient():
     q = 37
     b = rng.integers(0, q, size=(6, 40), dtype=np.int64)
     a = np.vstack([b, (2 * b) % q, (b[:3] + b[1:4]) % q])
-    r1, p1 = linalg._rref_plain(a, q)
+    r1, p1 = ref.rref_plain(a, q)
     r2, p2 = linalg.rref(a, q, block=8)
     assert p1 == p2 and len(p1) == 6
     assert np.array_equal(r1, r2)
@@ -153,7 +155,7 @@ def test_nullspace_matches_plain_basis(q, shape):
     rng = np.random.default_rng(17)
     rows, cols = shape
     a = rng.integers(0, q, size=(rows, 5)) @ rng.integers(0, q, size=(5, cols)) % q
-    r, pivots = linalg._rref_plain(a, q)
+    r, pivots = ref.rref_plain(a, q)
     free = [c for c in range(cols) if c not in pivots]
     want = np.zeros((len(free), cols), dtype=np.int64)
     for i, fc in enumerate(free):
@@ -161,6 +163,40 @@ def test_nullspace_matches_plain_basis(q, shape):
         for row, pc in enumerate(pivots):
             want[i, pc] = (-r[row, fc]) % q
     assert np.array_equal(linalg.nullspace(a, q), want)
+
+
+@pytest.mark.parametrize("q", [2, 37, 65521])
+def test_rref_and_nullspace_reduce_int64_entries_exactly(q):
+    # a rank-8 matrix over GF(q) plus multiples of q that push every entry
+    # to 2**53 or beyond in absolute value, with either sign; converting to
+    # float64 before reducing mod q would change entries and so the rank
+    rng = np.random.default_rng(q)
+    base = rng.integers(0, q, size=(40, 8)) @ rng.integers(0, q, size=(8, 60)) % q
+    mult = rng.integers(2**53 // q + 1, (2**63 - 1) // q - 1, size=base.shape)
+    a = base + q * mult * rng.choice([-1, 1], size=base.shape)
+    a[0, :3] = [2**63 - 1, -(2**63), -1]
+    assert np.all(np.abs(a[1:]) >= 2**53)
+    assert np.any(a.astype(np.float64) % q != a % q)
+    r1, p1 = ref.rref_plain(a, q)
+    r2, p2 = linalg.rref(a, q, block=16)
+    assert p1 == p2 and np.array_equal(r1, r2)
+    assert np.array_equal(linalg.nullspace(a, q), ref.nullspace_plain(a, q))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_rref_and_nullspace_leave_their_input_unchanged(dtype):
+    # unreduced and negative int64 entries, and a float64 array already in
+    # [0, q) that an elimination could otherwise take as its own buffer
+    q = 37
+    rng = np.random.default_rng(5)
+    low = -500 if dtype is np.int64 else 0
+    high = 500 if dtype is np.int64 else q
+    a = rng.integers(low, high, size=(300, 280)).astype(dtype)
+    keep = a.copy()
+    linalg.rref(a, q)
+    linalg.rref(a, q, block=7)
+    linalg.nullspace(a, q)
+    assert a.dtype == dtype and np.array_equal(a, keep)
 
 
 def test_right_inverse():
@@ -185,7 +221,7 @@ def test_nullspace_and_right_inverse_rank_deficient_200(q):
     left = rng.integers(0, q, size=(200, 150))
     right = rng.integers(0, q, size=(150, 200))
     a = left @ right % q
-    r, pivots = linalg._rref_plain(a, q)
+    r, pivots = ref.rref_plain(a, q)
     assert len(pivots) == 150
     free = [c for c in range(200) if c not in pivots]
     ns = linalg.nullspace(a, q)

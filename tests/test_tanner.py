@@ -1,8 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import linalg_reference as ref
 
 from aramid import linalg
 from aramid.bigraph import (
@@ -214,7 +217,7 @@ def _per_edge_generator(code):
             u, slot = divmod(int(code.graph.right_edges[v, i]), delta)
             block = np.outer(h2[:, i], gp[:, slot])
             m[v * h : (v + 1) * h, u * kp : (u + 1) * kp] += block
-    r, pivots = linalg._rref_plain(m, q)
+    r, pivots = ref.rref_plain(m, q)
     free = [c for c in range(n * kp) if c not in pivots]
     basis = np.zeros((len(free), n * kp), dtype=np.int64)
     for j, fc in enumerate(free):
@@ -222,7 +225,7 @@ def _per_edge_generator(code):
         for row, pc in enumerate(pivots):
             basis[j, pc] = (-r[row, fc]) % q
     words = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
-    gen, gen_pivots = linalg._rref_plain(words, q)
+    gen, gen_pivots = ref.rref_plain(words, q)
     return gen[: len(gen_pivots)]
 
 
@@ -265,6 +268,23 @@ def test_desk_generator_golden_digest(desk_code):
     digest = hashlib.sha256(gen.tobytes()).hexdigest()
     assert digest == "cef537209b93ff1fe6fe1700ca253d8d18a9982912f41e8526b29683b1aefdf8"
     assert desk_code._gen_pivots == list(range(18)) + [36, 38, 41]
+
+
+def test_desk_generator_holds_one_dense_copy(desk_code):
+    # the elimination runs in place on one float64 copy of the
+    # (n*(delta - k'')) x (n*k') constraint matrix, with O(band * cols)
+    # temporaries beside it; a second dense copy of any dtype reads above 2x
+    code = TannerCode(desk_code.graph, desk_code.c_prime, desk_code.c_double)
+    h = code.c_double.length - code.c_double.k
+    matrix_bytes = 8 * (code.n * h) * (code.n * code.c_prime.k)
+    tracemalloc.start()
+    try:
+        gen = code.generator()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the matrix"
+    assert np.array_equal(gen, desk_code.generator())
 
 
 def test_phi_word_helpers():
