@@ -163,7 +163,7 @@ def _echelon(
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Eliminate r, a float64 array with entries in [0, q), in place, in panels
     of `block` >= 1 columns: (pivot column list, free columns, R[:rank, free])
-    of its RREF R. r is left holding the echelon form, in which each panel's
+    of its RREF R. r is left holding the echelon form U, in which each panel's
     pivot rows hold an identity block in its pivot columns.
     """
     if block < 1:
