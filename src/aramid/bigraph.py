@@ -38,6 +38,13 @@ class SpectralProfile:
     gamma: float  # sqrt(lambda2) / delta
 
 
+def validate_degree(n: int, delta: int) -> None:
+    """Raise ValueError unless a delta-regular bipartite graph on n + n
+    vertices is admitted: 1 <= delta <= n and n > 1."""
+    if not (1 <= delta <= n and n > 1):
+        raise ValueError(f"need 1 <= delta <= n and n > 1, got delta={delta} n={n}")
+
+
 class BipartiteRegularGraph:
     """A delta-regular bipartite graph on n + n vertices."""
 
@@ -46,8 +53,7 @@ class BipartiteRegularGraph:
         if m.ndim != 2:
             raise ValueError("matchings must be a (delta, n) array")
         delta, n = m.shape
-        if n < 2 or delta < 1 or delta > n:
-            raise ValueError(f"need 1 <= delta <= n and n > 1, got delta={delta} n={n}")
+        validate_degree(n, delta)
         ref = np.arange(n)
         for i in range(delta):
             if not np.array_equal(np.sort(m[i]), ref):
@@ -165,8 +171,7 @@ def random_regular_bipartite(
     Resamples until connected, simple (when n > delta), and, if gamma_target
     is given, until the measured gamma is within target.
     """
-    if not (1 <= delta <= n and n > 1):
-        raise ValueError(f"need 1 <= delta <= n and n > 1, got delta={delta} n={n}")
+    validate_degree(n, delta)
     rng = np.random.default_rng(seed)
     best = math.inf
     for attempt in range(max_resamples):
@@ -268,8 +273,7 @@ def anneal_circulant_bipartite(
     gives a disconnected graph, and GammaTargetError when the target is out
     of reach; both errors report the number of moves made.
     """
-    if not (1 <= delta <= n and n > 1):
-        raise ValueError(f"need 1 <= delta <= n and n > 1, got delta={delta} n={n}")
+    validate_degree(n, delta)
     if iters < 0:
         raise ValueError(f"iters must not be negative, got {iters}")
     rng = np.random.default_rng(seed)

@@ -31,6 +31,7 @@ from .bigraph import (
     gamma,
     ramanujan_bound,
     random_regular_bipartite,
+    validate_degree,
 )
 from .channel import corrupt_inner_rows, corrupt_pairs, corrupt_phi, trial_rng
 from .gf import PrimeField
@@ -97,10 +98,10 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
     target = cfg.get("gamma_target")
     if kind not in ("circulant", "random"):
         raise UsageError(f"build graph must be 'circulant' or 'random', got {kind!r}")
-    if not (1 <= delta <= n and n > 1):
-        raise UsageError(
-            f"build needs 1 <= delta <= n and n > 1, got delta={delta} n={n}"
-        )
+    try:
+        validate_degree(n, delta)
+    except ValueError as exc:
+        raise UsageError(f"build {exc}") from None
     if kind == "circulant":
         graph = anneal_circulant_bipartite(
             n, delta, seed=seed, gamma_target=target,

@@ -1,9 +1,9 @@
 """Dense linear algebra over GF(q).
 
-`rref` and `nullspace` share one elimination, `_echelon`. It works in place
-on one float64 array with entries in [0, q) and delays the reduction mod q
-(Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime fields",
-ACM TOMS 2008). It has three parts:
+`rref`, and `nullspace` through it, run one elimination, `_echelon`. It
+works in place on one float64 array with entries in [0, q) and delays the
+reduction mod q (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size
+prime fields", ACM TOMS 2008). It has three parts:
 
 1. An echelon pass over panels of `_BLOCK` columns. A panel's pivots are
    found over the rows that hold no pivot yet. Its pivot rows move up and
@@ -17,24 +17,26 @@ ACM TOMS 2008). It has three parts:
    block follows from the 2x2 block inverse. Panels of at most `_LEAF`
    columns run a per-pivot Gauss-Jordan loop.
 3. One back-substitution gives R[:rank, free], the non-pivot columns of the
-   RREF R (its pivot columns are unit vectors). `nullspace` builds its basis
-   from that block and never holds R itself.
+   RREF R (its pivot columns are unit vectors). `rref` then writes R as
+   int64 over the float64 array, which holds nothing it reads again.
 
 An input is reduced mod q in int64 and converted one band of `_BAND` rows at
-a time, so beyond the float64 array and the output an elimination holds
-O((block + _BAND) * cols) values. `TannerCode.generator` assembles its
-matrix straight into such an array.
+a time, so beside the input an elimination holds one float64 array of its
+shape, which becomes R, and O((block + _BAND) * cols) other values. An input
+of a narrow integer dtype thus adds little: `TannerCode.generator` passes
+its matrix as the smallest unsigned dtype that holds q - 1, an eighth of the
+float64 array when q <= 256.
 
 Every product multiplies operands reduced into [0, q) over an inner
 dimension that counts pivots, and every value left unreduced is an entry in
 [0, q) minus or plus such products, with at most one (q-1)**2 per pivot in
 all. So every float64 value is an integer of absolute value at most
-min(rows, cols)*(q-1)**2 + q. `_echelon` refuses a shape and modulus for
-which that bound reaches 2**53 (before any allocation, when called through
-`rref` or `nullspace`), so every float64 value it computes is an exact
-integer. For q <= 65521 the bound admits any matrix with fewer than about
-2*10**6 rows or columns. Which rows become pivots does not change the
-result: the RREF and its pivot columns depend only on the matrix.
+min(rows, cols)*(q-1)**2 + q. `rref` refuses a shape and modulus for which
+that bound reaches 2**53, before any allocation, so every float64 value it
+computes is an exact integer. For q <= 65521 the bound admits any matrix
+with fewer than about 2*10**6 rows or columns. Which rows become pivots
+does not change the result: the RREF and its pivot columns depend only on
+the matrix.
 """
 
 from __future__ import annotations
@@ -139,19 +141,15 @@ def _panel(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([p1, p2]), np.concatenate([c1, h + c2]), t
 
 
-def _check_exact(shape: tuple[int, int], q: int) -> None:
-    if min(shape) * (q - 1) ** 2 + q >= 2**53:
-        raise ValueError(
-            f"a {shape[0]}x{shape[1]} matrix over GF({q}) is too large for "
-            "exact float64 elimination"
-        )
-
-
 def _load(a, q: int) -> np.ndarray:
     """a mod q as a new float64 array, reduced in int64 before conversion so
     that negative entries and entries above 2**53 stay exact."""
     a = np.asarray(a)
-    _check_exact(a.shape, q)  # before the buffer is allocated
+    if min(a.shape) * (q - 1) ** 2 + q >= 2**53:
+        raise ValueError(
+            f"a {a.shape[0]}x{a.shape[1]} matrix over GF({q}) is too large for "
+            "exact float64 elimination"
+        )
     r = np.empty(a.shape)
     for s in range(0, a.shape[0], _BAND):
         r[s : s + _BAND] = np.asarray(a[s : s + _BAND], dtype=np.int64) % q
@@ -162,13 +160,10 @@ def _echelon(
     r: np.ndarray, q: int, block: int = _BLOCK
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Eliminate r, a float64 array with entries in [0, q), in place, in panels
-    of `block` >= 1 columns: (pivot column list, free columns, R[:rank, free])
-    of its RREF R. r is left holding the echelon form U, in which each panel's
+    of `block` columns: (pivot column list, free columns, R[:rank, free]) of
+    its RREF R. r is left holding the echelon form U, in which each panel's
     pivot rows hold an identity block in its pivot columns.
     """
-    if block < 1:
-        raise ValueError(f"block must be at least 1, got {block}")
-    _check_exact(r.shape, q)
     rows, cols = r.shape
     pivots: list[int] = []
     panels: list[tuple[int, int]] = []  # each panel's pivot rows in U
@@ -208,27 +203,29 @@ def _echelon(
 def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(q): (R, pivot column list).
 
-    `block` >= 1 is the panel width of `_echelon`; a is not modified.
+    `block` >= 1 is the panel width of `_echelon`; a is not modified. R is
+    written over the float64 working array, which `_echelon` leaves holding
+    nothing that is read again, so R takes no memory of its own.
     """
-    pivots, free, solved = _echelon(_load(a, q), q, block)
-    out = np.zeros(np.shape(a), dtype=np.int64)
+    if block < 1:
+        raise ValueError(f"block must be at least 1, got {block}")
+    r = _load(a, q)
+    pivots, free, solved = _echelon(r, q, block)
+    out = r.view(np.int64)
+    out.fill(0)
     out[np.arange(len(pivots)), pivots] = 1
     out[: len(pivots), free] = solved
     return out, pivots
 
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:
-    """Basis of {x : a x = 0} over GF(q), one basis vector per row."""
-    return _null_basis(_load(a, q), q)
-
-
-def _null_basis(r: np.ndarray, q: int) -> np.ndarray:
-    """`nullspace` of a float64 array with entries in [0, q), which it
-    eliminates in place: x_free = I and x_pivots = -R[:rank, free]^T."""
-    pivots, free, solved = _echelon(r, q)
+    """Basis of {x : a x = 0} over GF(q), one basis vector per row:
+    x_free = I and x_pivots = -R[:rank, free]^T."""
+    r, pivots = rref(a, q)
+    free = np.setdiff1d(np.arange(r.shape[1]), pivots)
     basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = _reduce(-solved.T, q)
+    basis[:, pivots] = -r[: len(pivots), free].T % q
     return basis
 
 

@@ -132,8 +132,10 @@ class TannerCode:
         The nullspace of the stacked vertex parity checks is computed in the
         left-block parametrization z = (a_u G')_u, which shrinks the
         elimination to the right-side constraints only. Their
-        (n*(delta - k'')) x (n*k') matrix is assembled straight into the one
-        float64 array that `linalg._null_basis` eliminates in place.
+        (n*(delta - k'')) x (n*k') matrix is held in the smallest unsigned
+        dtype that holds q - 1, so beside the one float64 array that
+        `linalg.rref` eliminates it takes an eighth of that array or less
+        for q <= 256.
         """
         if self._gen is None:
             q = self.field.q
@@ -141,16 +143,16 @@ class TannerCode:
             kp = self.c_prime.k
             h2 = self.c_double.parity_check()
             gp = self.c_prime._gen
-            m = np.zeros((n * h2.shape[0], n * kp))
+            m = np.zeros((n * h2.shape[0], n * kp), dtype=np.min_scalar_type(q - 1))
             blocks = m.reshape(n, h2.shape[0], n, kp)
             # matching i adds outer(h2[:, i], gp[:, i]) to block (v, u) of each of
-            # its edges u -> v = matchings[i, u]; its v are distinct, so each +=
-            # writes distinct blocks, and parallel edges add up across slots
+            # its edges u -> v = matchings[i, u]; its v are distinct, so each
+            # assignment writes distinct blocks, and parallel edges add up
+            # across slots, reduced mod q in int64 before they are stored
             for i, right in enumerate(self.graph.matchings):
-                blocks[right, :, np.arange(n)] += np.outer(h2[:, i], gp[:, i])
-            for s in range(0, len(m), linalg._BAND):
-                m[s : s + linalg._BAND] = linalg._reduce(m[s : s + linalg._BAND], q)
-            basis = linalg._null_basis(m, q)
+                edges = (right, slice(None), np.arange(n))
+                blocks[edges] = (blocks[edges] + np.outer(h2[:, i], gp[:, i])) % q
+            basis = linalg.nullspace(m, q)
             words = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
             gen, pivots = linalg.rref(words, q)
             self._gen = gen[: len(pivots)]

@@ -272,8 +272,9 @@ def test_desk_generator_golden_digest(desk_code):
 
 def test_desk_generator_holds_one_dense_copy(desk_code):
     # the elimination runs in place on one float64 copy of the
-    # (n*(delta - k'')) x (n*k') constraint matrix, with O(band * cols)
-    # temporaries beside it; a second dense copy of any dtype reads above 2x
+    # (n*(delta - k'')) x (n*k') constraint matrix, beside the matrix itself
+    # in uint8 (q = 37) and O(band * cols) temporaries; a second int64 or
+    # float64 copy reads above 2x
     code = TannerCode(desk_code.graph, desk_code.c_prime, desk_code.c_double)
     h = code.c_double.length - code.c_double.k
     matrix_bytes = 8 * (code.n * h) * (code.n * code.c_prime.k)
