@@ -100,7 +100,8 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
         raise UsageError(f"build graph must be 'circulant' or 'random', got {kind!r}")
     try:
         validate_degree(n, delta)
-    except ValueError as exc:
+        field = PrimeField(q)
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"build {exc}") from None
     if kind == "circulant":
         graph = anneal_circulant_bipartite(
@@ -112,9 +113,8 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
             n, delta, seed=seed, gamma_target=target,
             max_resamples=cfg.get("max_resamples", 200),
         )
-    field = PrimeField(q)
-    cp = GrsCode(field, cfg["k_prime"], range(1, delta + 1))
-    cd = GrsCode(field, cfg["k_double"], range(1, delta + 1))
+    cp = _component_code(field, cfg, "k_prime")
+    cd = _component_code(field, cfg, "k_double")
     code = TannerCode(graph, cp, cd)
     prof = gamma(graph)
     theta, delta_rel = code.theta, code.delta_rel
@@ -157,6 +157,23 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
     }
 
 
+def _component_code(field: PrimeField, cfg: dict, key: str) -> GrsCode:
+    """The [delta, cfg[key]] GRS component on the points 1..delta; a
+    dimension the code cannot have is a usage error."""
+    try:
+        return GrsCode(field, cfg[key], range(1, cfg["delta"] + 1))
+    except ValueError as exc:
+        raise UsageError(f"build {key}: {exc}") from None
+
+
+def _check_stored(derived: dict, key: str, measured: float) -> None:
+    """Refuse a stored spectral ratio that the measured one does not match."""
+    if not math.isclose(derived[key], measured, rel_tol=1e-9, abs_tol=1e-12):
+        raise ContractError(
+            f"stored {key} {derived[key]!r} differs from the measured {measured!r}"
+        )
+
+
 def load_plain_instance(obj: dict):
     """Rebuild a plain instance; the stored gamma and sigma are checked
     against the spectral ratio measured on the stored graph."""
@@ -167,10 +184,7 @@ def load_plain_instance(obj: dict):
     code = TannerCode(graph, cp, cd)
     derived = obj["derived"]
     measured = gamma(graph).gamma
-    if not math.isclose(derived["gamma"], measured, rel_tol=1e-9, abs_tol=1e-12):
-        raise ContractError(
-            f"stored gamma {derived['gamma']!r} differs from the measured {measured!r}"
-        )
+    _check_stored(derived, "gamma", measured)
     params = None
     if not derived.get("weak"):
         sigma = derived["sigma"]
@@ -207,12 +221,20 @@ def _run_trials(args, header, trial, fields) -> dict:
     return report
 
 
+def _read_instance(args, mode: str) -> dict:
+    """Read `--instance`; a file of another mode is a usage error."""
+    instance = read_json(args.instance)
+    if instance.get("mode") != mode:
+        raise UsageError(
+            f"{args.command} expects an instance of mode {mode!r}, "
+            f"got {instance.get('mode')!r}"
+        )
+    return instance
+
+
 def _load_decodable(args):
     """Load a plain instance with decode params; lt and weak ones are refused."""
-    instance = read_json(args.instance)
-    if instance.get("mode") != "plain":
-        raise UsageError(f"{args.command} expects a plain instance")
-    code, params, derived = load_plain_instance(instance)
+    code, params, derived = load_plain_instance(_read_instance(args, "plain"))
     if params is None:
         raise UsageError("weak instance (no decode params); rebuild without --allow-weak")
     return code, params, derived
@@ -279,8 +301,10 @@ def fraction_tuple(x):
 def load_lt_instance(obj: dict) -> LtCode:
     """Rebuild an lt instance; the design fixes its mediator, the GRS bank.
 
-    Files written before the design fixed the mediator may carry a
-    "mediator" record; one naming any other kind is refused.
+    The stored gamma1 and gamma2 are checked against the spectral ratios
+    measured on the stored graphs. Files written before the design fixed the
+    mediator may carry a "mediator" record; one naming any other kind is
+    refused.
     """
     kind = obj.get("mediator", {"kind": "grs"}).get("kind")
     if kind != "grs":
@@ -288,7 +312,10 @@ def load_lt_instance(obj: dict) -> LtCode:
     design = LtDesign.from_json(obj["design"])
     g1 = BipartiteRegularGraph.from_json(obj["g1"])
     g2 = BipartiteRegularGraph.from_json(obj["g2"])
-    return LtCode(design, g1, g2)
+    code = LtCode(design, g1, g2)
+    _check_stored(obj["derived"], "gamma1", code.gamma1)
+    _check_stored(obj["derived"], "gamma2", code.gamma2)
+    return code
 
 
 def cmd_run(args) -> int:
@@ -363,12 +390,13 @@ def _sweep_degree_sum(graph) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    instance = read_json(args.instance)
-    code, params, derived = load_plain_instance(instance)
+    code, params, derived = load_plain_instance(_read_instance(args, "plain"))
     graph = code.graph
     results = {}
 
-    prof = gamma(graph)  # asserts the top eigenpair structure to 1e-9
+    # asserts the DFT at frequency 0 (circulant) or X^T X's top eigenpair
+    # (any other graph) to 1e-9
+    prof = gamma(graph)
     results["lemma_a1_eigenstructure"] = "pass"
 
     if graph.num_edges <= BRUTE_EDGE_LIMIT:
@@ -414,10 +442,7 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_lt_run(args) -> int:
-    instance = read_json(args.instance)
-    if instance.get("mode") != "lt":
-        raise UsageError("lt-run expects an lt instance")
-    code = load_lt_instance(instance)
+    code = load_lt_instance(_read_instance(args, "lt"))
     d = code.design
     radius = code.radius
     t_fixed, rho_fixed = args.errors, args.erasures or 0

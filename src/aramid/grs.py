@@ -62,41 +62,19 @@ class GrsCode:
                 raise ValueError("cannot find nonzero locators (length == q)")
         self._locators = (pts + shift) % q
         x = self._locators
-        diff = (x[:, None] - x[None, :]) % q
-        np.fill_diagonal(diff, 1)
-        prod = np.ones(n, dtype=np.int64)
-        for j in range(n):
-            prod = (prod * diff[:, j]) % q
+        prod = _prod_others(x, q)  # prod_{j != i} (x_i - x_j)
         inv = _inverses(q)
         self._dual_mults = inv[mults * prod % q]
         # Forney factor -x_i / u_i = -x_i * v_i * prod_i
         self._forney = (-x * mults % q) * prod % q
         nsyn = self.dmin - 1
         # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k.
-        pw = np.ones(n, dtype=np.int64)
-        rows = []
-        for _ in range(nsyn):
-            rows.append((pw * self._dual_mults) % q)
-            pw = (pw * x) % q
-        self._parity = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.zeros((0, n), dtype=np.int64)
-        )
+        self._parity = _powers(x, nsyn, q) * self._dual_mults % q
         self._parity_t = np.ascontiguousarray(self._parity.T)
         # Inverse-locator power table for Chien search / Forney evaluation.
-        xi = inv[x]
-        self._inv_pow = np.ones((n, nsyn + 1), dtype=np.int64)
-        for m in range(1, nsyn + 1):
-            self._inv_pow[:, m] = (self._inv_pow[:, m - 1] * xi) % q
-
+        self._inv_pow = np.ascontiguousarray(_powers(inv[x], nsyn + 1, q).T)
         # Monomial generator G[j, i] = v_i * a_i^j.
-        g = np.empty((k, n), dtype=np.int64)
-        pw = np.ones(n, dtype=np.int64)
-        for j in range(k):
-            g[j] = (mults * pw) % q
-            pw = (pw * pts) % q
-        self._gen = g
+        self._gen = _powers(pts, k, q) * mults % q
         self._sys_gen = None
         self._right_inv = None
 
@@ -268,6 +246,39 @@ class GrsCode:
         words = self.all_codewords(limit)
         weights = np.count_nonzero(words, axis=1)
         return int(weights[weights > 0].min())
+
+
+def _powers(base: np.ndarray, count: int, q: int) -> np.ndarray:
+    """Rows base**j mod q for j < count, by doubling: rows [m, 2m) are rows
+    [0, m) times base**m, so ceil(log2(count)) array products."""
+    out = np.empty((count, len(base)), dtype=np.int64)
+    if count:
+        out[0] = 1
+    m = 1
+    while m < count:
+        top = min(2 * m, count)
+        step = out[m - 1] * base % q  # base**m
+        np.multiply(out[: top - m], step, out=out[m:top])
+        out[m:top] %= q
+        m = top
+    return out
+
+
+def _prod_others(x: np.ndarray, q: int) -> np.ndarray:
+    """prod_{j != i} (x_i - x_j) mod q for every i, as one product tree over
+    the difference matrix: each halving multiplies the last half of the live
+    rows into the first half, so ceil(log2(n)) array products."""
+    d = x[None, :] - x[:, None]  # d[j, i] = x_i - x_j
+    d %= q
+    np.fill_diagonal(d, 1)
+    rows = len(x)
+    while rows > 1:
+        h = rows // 2
+        # rows [rows - h, rows) fold into [0, h); with rows odd, row h stays
+        d[:h] *= d[rows - h : rows]
+        d[:h] %= q
+        rows -= h
+    return d[0].copy()  # not a view, so the n x n matrix is freed here
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,14 +1,66 @@
-"""Scalar GRS error-erasure decoder, kept as a test oracle for the batched kernel.
+"""Scalar GRS oracles: the error-erasure decoder and the table construction.
 
-This is the one-word-at-a-time syndrome decoder (Berlekamp-Massey key
+`decode_ee` is the one-word-at-a-time syndrome decoder (Berlekamp-Massey key
 equation, Chien search, Forney values) that `GrsCode.decode_ee` replaced.
 It reads the code's locators, dual multipliers and inverse-power table and
 returns the unique codeword with 2a + b < d, or None.
+
+`tables` is the loop construction of a code's int64 tables that
+`GrsCode.__init__` replaced: one pass per shift, position, row and degree.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+TABLES = ("_locators", "_dual_mults", "_forney", "_parity", "_parity_t", "_inv_pow", "_gen")
+
+
+def tables(q: int, k: int, eval_points, col_mults) -> dict:
+    """The tables named in TABLES for the code [len(eval_points), k] over
+    GF(q) with the given points and nonzero multipliers."""
+    pts = np.asarray(eval_points, dtype=np.int64) % q
+    mults = np.asarray(col_mults, dtype=np.int64) % q
+    n = len(pts)
+    shift = 0
+    while np.any((pts + shift) % q == 0):
+        shift += 1
+    x = (pts + shift) % q
+    diff = (x[:, None] - x[None, :]) % q
+    np.fill_diagonal(diff, 1)
+    prod = np.ones(n, dtype=np.int64)
+    for j in range(n):
+        prod = (prod * diff[:, j]) % q
+
+    def inv(values):
+        return np.array([pow(int(a), q - 2, q) for a in values], dtype=np.int64)
+
+    dual = inv(mults * prod % q)
+    nsyn = n - k
+    pw = np.ones(n, dtype=np.int64)
+    rows = []
+    for _ in range(nsyn):
+        rows.append((pw * dual) % q)
+        pw = (pw * x) % q
+    parity = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
+    xi = inv(x)
+    inv_pow = np.ones((n, nsyn + 1), dtype=np.int64)
+    for m in range(1, nsyn + 1):
+        inv_pow[:, m] = (inv_pow[:, m - 1] * xi) % q
+    gen = np.empty((k, n), dtype=np.int64)
+    pw = np.ones(n, dtype=np.int64)
+    for j in range(k):
+        gen[j] = (mults * pw) % q
+        pw = (pw * pts) % q
+    return {
+        "_locators": x,
+        "_dual_mults": dual,
+        "_forney": (-x * mults % q) * prod % q,
+        "_parity": parity,
+        "_parity_t": np.ascontiguousarray(parity.T),
+        "_inv_pow": inv_pow,
+        "_gen": gen,
+    }
 
 
 def decode_ee(code, values, erased=None, syndromes=None):

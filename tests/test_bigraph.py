@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from aramid.bigraph import (
     BipartiteRegularGraph,
     GammaTargetError,
+    _circulant_shifts,
     anneal_circulant_bipartite,
     check_degree_sum,
     check_expansion_lemma,
@@ -106,6 +108,70 @@ def _random_600():
 def test_gamma_exact_at_paper_scale(make):
     g, exact = make()
     assert gamma(g).gamma == pytest.approx(exact, rel=1e-9)
+
+
+def _svd_gamma(g):
+    """Test-side reference: the second singular value of X over delta."""
+    sv = np.linalg.svd(g.biadjacency().astype(float), compute_uv=False)
+    return sv[1] / g.delta if g.n > 1 else 0.0
+
+
+def _circulant_cases():
+    rng = np.random.default_rng(21)
+    for _ in range(12):
+        n = int(rng.integers(3, 90))
+        delta = int(rng.integers(2, n))
+        yield list(rng.choice(n, size=delta, replace=False)), n
+    yield [0, 1], 2  # n = 2: K_{2,2}
+    yield list(range(17)), 17  # delta = n: K_{17,17}
+    yield [0, 0, 1], 3  # a parallel edge: shift 0 twice
+
+
+@pytest.mark.parametrize("shifts, n", list(_circulant_cases()))
+def test_gamma_fft_path_matches_dense(shifts, n):
+    m = np.array([(np.arange(n) + s) % n for s in shifts])
+    g = BipartiteRegularGraph(m)
+    assert _circulant_shifts(g) is not None
+    want = _svd_gamma(g)
+    got = gamma(g).gamma
+    if want < 1e-12:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-12)
+    if n < 3:
+        return  # on two vertices a swap is a rotation, so no relabelling leaves the shift form
+    # swapping two right labels keeps the spectrum, and for n >= 3 no row
+    # is a shift any more, so gamma takes the dense path
+    perm = np.arange(n)
+    perm[:2] = [1, 0]
+    relabelled = BipartiteRegularGraph(perm[m])
+    assert _circulant_shifts(relabelled) is None
+    dense = gamma(relabelled)
+    assert dense.gamma == pytest.approx(got, rel=1e-12, abs=1e-12)
+    assert dense.lambda2 == pytest.approx(gamma(g).lambda2, rel=1e-12, abs=1e-12)
+
+
+def test_gamma_fft_path_memory_is_linear():
+    # the dense path would hold X and X^T X: 2 n^2 floats, 1 GB here
+    n, delta = 8000, 40
+    shifts = np.random.default_rng(8).choice(n, size=delta, replace=False)
+    g = circulant_bipartite(n, shifts)
+    tracemalloc.start()
+    try:
+        prof = gamma(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * g.matchings.nbytes
+    assert 0 < prof.gamma < 1
+
+
+def test_rejects_non_permutation_names_first_bad_matching():
+    m = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [0, 0, 1, 2], [3, 3, 3, 3]])
+    with pytest.raises(ValueError, match="matching 2 is not a permutation"):
+        BipartiteRegularGraph(m)
+    with pytest.raises(ValueError, match="matching 0 is not a permutation"):
+        BipartiteRegularGraph(np.array([[0, 1, 4]]))
 
 
 def test_random_graph_gamma_concentration():

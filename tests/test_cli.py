@@ -148,8 +148,11 @@ def test_build_negative_anneal_iters_is_usage_error(tmp_path, caplog, cfg):
     [
         ({"delta": 49}, "1 <= delta <= n"),
         ({"graph": "bogus"}, "'circulant' or 'random', got 'bogus'"),
+        ({"q": 36}, "modulus 36 is not prime"),
+        ({"k_prime": 40}, "k_prime: dimension must satisfy 0 < k <= 24, got 40"),
+        ({"k_double": 0}, "k_double: dimension must satisfy 0 < k <= 24, got 0"),
     ],
-    ids=["delta-above-n", "unknown-graph"],
+    ids=["delta-above-n", "unknown-graph", "q-not-prime", "k-prime-above-delta", "k-double-zero"],
 )
 def test_build_unbuildable_plain_config_is_usage_error(
     tmp_path, caplog, change, message
@@ -468,6 +471,33 @@ def test_lt_run_gates_the_radius(lt_instance, tmp_path):
         "--errors", "10", "--erasures", "6", "--out", str(out),
     )
     assert rc == EXIT_OK  # 2t + rho = 26 is the radius itself
+
+
+@pytest.mark.parametrize("key", ["gamma1", "gamma2"])
+def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
+    obj = json.loads(open(lt_instance).read())
+    stored = obj["derived"][key]
+    obj["derived"][key] = stored * (1 + 1e-12)  # last-digit drift still loads
+    load_lt_instance(obj)
+    obj["derived"][key] = stored * (1 + 1e-6)
+    with pytest.raises(ContractError, match=f"stored {key}"):
+        load_lt_instance(obj)
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    rc = run_cli(
+        "lt-run", "--instance", str(edited), "--seed", "11", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_VIOLATION
+    assert not (tmp_path / "rep.csv").exists()
+
+
+def test_verify_bounds_on_lt_instance_is_usage_error(lt_instance, tmp_path, caplog):
+    out = tmp_path / "bounds.json"
+    rc = run_cli("verify-bounds", "--instance", lt_instance, "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert "verify-bounds expects an instance of mode 'plain', got 'lt'" in caplog.text
+    assert not out.exists()
 
 
 def test_lt_load_refuses_tanner_mediator(lt_instance, tmp_path):

@@ -266,3 +266,57 @@ def test_inverse_table(q):
     assert inv[0] == 0
     a = np.arange(1, q)
     assert np.all(a * inv[1:] % q == 1)
+
+
+class _BareField:
+    """Stands in for GF(2), which PrimeField does not admit; the table
+    construction reads only q."""
+
+    def __init__(self, q):
+        self.q = q
+
+
+def _table_cases(q):
+    """(k, points, multipliers) triples over GF(q): every length below q up
+    to 61, a point at 0 in every code, q - 1 beside it where the length
+    allows (so the locator shift skips more than one value), random
+    multipliers, and k = 1, about n/2 and n."""
+    rng = np.random.default_rng(q)
+    for n in sorted({1, min(q - 1, 7), min(q - 1, 61)}):
+        rest = rng.choice(np.arange(1, q - 1), size=max(n - 2, 0), replace=False)
+        pts = np.concatenate([[0], [q - 1] if n >= 2 else [], rest]).astype(np.int64)
+        mults = rng.integers(1, q, size=n)
+        for k in sorted({1, max(n // 2, 1), n}):
+            yield k, pts, mults
+
+
+@pytest.mark.parametrize("q", [2, 3, 37, 131, 65521])
+def test_tables_match_loop_construction(q):
+    field = PrimeField(q) if q > 2 else _BareField(q)
+    cases = list(_table_cases(q))
+    assert any(np.any(m != 1) for _, _, m in cases) or q == 2
+    for k, pts, mults in cases:
+        code = GrsCode(field, k, pts, mults)
+        want = ref.tables(q, k, pts, mults)
+        for name in ref.TABLES:
+            got = getattr(code, name)
+            assert got.dtype == np.int64, name
+            assert got.shape == want[name].shape, name
+            assert np.array_equal(got, want[name]), (name, k, len(pts))
+
+
+def test_tables_match_loop_construction_long_code():
+    # an odd length, so every halving of the product tree carries a row
+    q, n = 65521, 333
+    rng = np.random.default_rng(2)
+    pts = rng.choice(q, size=n, replace=False)
+    mults = rng.integers(1, q, size=n)
+    code = GrsCode(PrimeField(q), 111, pts, mults)
+    want = ref.tables(q, 111, pts, mults)
+    for name in ref.TABLES:
+        assert np.array_equal(getattr(code, name), want[name]), name
+
+
+def test_full_length_code_has_no_locator_shift():
+    with pytest.raises(ValueError, match="nonzero locators"):
+        GrsCode(PrimeField(7), 3, range(7))
