@@ -113,7 +113,7 @@ def test_gamma_exact_at_paper_scale(make):
 def _svd_gamma(g):
     """Test-side reference: the second singular value of X over delta."""
     sv = np.linalg.svd(g.biadjacency().astype(float), compute_uv=False)
-    return sv[1] / g.delta if g.n > 1 else 0.0
+    return sv[1] / g.delta
 
 
 def _circulant_cases():
@@ -139,7 +139,7 @@ def test_gamma_fft_path_matches_dense(shifts, n):
     else:
         assert got == pytest.approx(want, rel=1e-12)
     if n < 3:
-        return  # on two vertices a swap is a rotation, so no relabelling leaves the shift form
+        return  # on two vertices every relabelling is a rotation
     # swapping two right labels keeps the spectrum, and for n >= 3 no row
     # is a shift any more, so gamma takes the dense path
     perm = np.arange(n)

@@ -293,9 +293,7 @@ def _table_cases(q):
 @pytest.mark.parametrize("q", [2, 3, 37, 131, 65521])
 def test_tables_match_loop_construction(q):
     field = PrimeField(q) if q > 2 else _BareField(q)
-    cases = list(_table_cases(q))
-    assert any(np.any(m != 1) for _, _, m in cases) or q == 2
-    for k, pts, mults in cases:
+    for k, pts, mults in _table_cases(q):
         code = GrsCode(field, k, pts, mults)
         want = ref.tables(q, k, pts, mults)
         for name in ref.TABLES:
