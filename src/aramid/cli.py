@@ -243,18 +243,36 @@ def _load_decodable(args):
 # -- subcommands ----------------------------------------------------------------------
 
 
+# the keys each build mode reads without a default
+_BUILD_KEYS = {
+    "plain": ("n", "delta", "q", "k_prime", "k_double", "seed"),
+    "lt": ("n", "R", "eps", "kappa", "mu", "seed"),
+}
+
+
 def cmd_build(args) -> int:
     cfg = read_json(args.config)
+    if not isinstance(cfg, dict):
+        raise UsageError(f"build config must be a JSON object, got {type(cfg).__name__}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if cfg.get("anneal_iters", 0) < 0:
         raise UsageError("build anneal_iters must not be negative")
     mode = cfg.get("mode", "plain")
+    if mode not in _BUILD_KEYS:
+        raise UsageError(f"build unknown mode {mode!r}")
+    missing = [key for key in _BUILD_KEYS[mode] if key not in cfg]
+    if missing:
+        raise UsageError(f"build {mode} config lacks {', '.join(map(repr, missing))}")
     if mode == "plain":
         instance = build_plain_instance(cfg, args.allow_weak)
-    elif mode == "lt":
+    else:
+        try:
+            rate = fraction_tuple(cfg["R"])
+        except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"build R {cfg['R']!r}: {exc}") from None
         design = lt_design(
-            R=fraction_tuple(cfg["R"]),
+            R=rate,
             eps=cfg["eps"],
             kappa=cfg["kappa"],
             mu=cfg["mu"],
@@ -284,9 +302,6 @@ def cmd_build(args) -> int:
                 "relaxed": design.relaxed,
             },
         }
-    else:
-        log.error("unknown mode %r", mode)
-        return EXIT_USAGE
     write_json(args.out, instance)
     log.info("wrote %s", args.out)
     return EXIT_OK

@@ -68,13 +68,19 @@ class GrsCode:
         # Forney factor -x_i / u_i = -x_i * v_i * prod_i
         self._forney = (-x * mults % q) * prod % q
         nsyn = self.dmin - 1
-        # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k.
-        self._parity = _powers(x, nsyn, q) * self._dual_mults % q
+        # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k. This
+        # and the generator are scaled in place, so that no k x n temporary
+        # outlives _powers' own table.
+        self._parity = _powers(x, nsyn, q)
+        self._parity *= self._dual_mults
+        self._parity %= q
         self._parity_t = np.ascontiguousarray(self._parity.T)
         # Inverse-locator power table for Chien search / Forney evaluation.
         self._inv_pow = np.ascontiguousarray(_powers(inv[x], nsyn + 1, q).T)
         # Monomial generator G[j, i] = v_i * a_i^j.
-        self._gen = _powers(pts, k, q) * mults % q
+        self._gen = _powers(pts, k, q)
+        self._gen *= mults
+        self._gen %= q
         self._sys_gen = None
         self._right_inv = None
 

@@ -1,15 +1,15 @@
 """Dense linear algebra over GF(q).
 
 `rref`, and `nullspace` through it, run one elimination, `_echelon`. It
-works in place on one float64 array with entries in [0, q) and delays the
-reduction mod q (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size
-prime fields", ACM TOMS 2008). It has three parts:
+works in place on one floating-point array with entries in [0, q) and
+delays the reduction mod q (Dumas-Giorgi-Pernet, "Dense linear algebra over
+word-size prime fields", ACM TOMS 2008). It has three parts:
 
 1. An echelon pass over panels of `_BLOCK` columns. A panel's pivots are
    found over the rows that hold no pivot yet. Its pivot rows move up and
    are solved for the panel's pivot columns, and only the rows below them
-   are updated, on the trailing columns, by float64 BLAS products of
-   `_BAND` rows each.
+   are updated, on the trailing columns, by BLAS products of `_BAND` rows
+   each.
 2. The panel is factored by splitting it recursively (Toledo, "Locality of
    reference in LU decomposition with partial pivoting", SIAM J. Matrix
    Anal. Appl. 1997). The left half's pivots give the right half's Schur
@@ -17,26 +17,33 @@ prime fields", ACM TOMS 2008). It has three parts:
    block follows from the 2x2 block inverse. Panels of at most `_LEAF`
    columns run a per-pivot Gauss-Jordan loop.
 3. One back-substitution gives R[:rank, free], the non-pivot columns of the
-   RREF R (its pivot columns are unit vectors). `rref` then writes R as
-   int64 over the float64 array, which holds nothing it reads again.
-
-An input is reduced mod q in int64 and converted one band of `_BAND` rows at
-a time, so beside the input an elimination holds one float64 array of its
-shape, which becomes R, and O((block + _BAND) * cols) other values. An input
-of a narrow integer dtype thus adds little: `TannerCode.generator` passes
-its matrix as the smallest unsigned dtype that holds q - 1, an eighth of the
-float64 array when q <= 256.
+   RREF R (its pivot columns are unit vectors). `rref` then drops the
+   working array and writes R into a new int64 array.
 
 Every product multiplies operands reduced into [0, q) over an inner
 dimension that counts pivots, and every value left unreduced is an entry in
 [0, q) minus or plus such products, with at most one (q-1)**2 per pivot in
-all. So every float64 value is an integer of absolute value at most
-min(rows, cols)*(q-1)**2 + q. `rref` refuses a shape and modulus for which
-that bound reaches 2**53, before any allocation, so every float64 value it
-computes is an exact integer. For q <= 65521 the bound admits any matrix
-with fewer than about 2*10**6 rows or columns. Which rows become pivots
-does not change the result: the RREF and its pivot columns depend only on
-the matrix.
+all. So every value is an integer of absolute value at most
+B = min(rows, cols)*(q-1)**2 + q, and so is every partial sum of a product,
+in whatever order BLAS adds its terms, since they are nonnegative. A
+floating-point type with a p-bit significand holds every integer below 2**p
+exactly, and `_reduce` is exact on them, so the elimination is exact in it
+while B < 2**p. The working array is float32 (p = 24) when B < 2**24, so
+that BLAS runs single-precision products (the single-precision path of
+Dumas-Giorgi-Pernet), and float64 (p = 53) otherwise; `rref` refuses
+B >= 2**53 before any allocation. Every temporary takes the working array's
+dtype. So float32 serves any matrix over GF(37) with fewer than about
+12900 rows or columns, and over GF(257) with at most 255; for q <= 65521
+float64 serves any matrix with fewer than about 2*10**6 rows or columns.
+Which rows become pivots does not change the result: the RREF and its pivot
+columns depend only on the matrix.
+
+An input is reduced mod q in int64 and converted one band of `_BAND` rows at
+a time, so beside the input an elimination holds the working array and
+O((block + _BAND) * cols) other values, and then R with R[:rank, free] in
+the working dtype. An input of a narrow integer dtype thus adds little:
+`TannerCode.generator` passes its matrix as the smallest unsigned dtype that
+holds q - 1, a quarter of a float32 array when q <= 256.
 """
 
 from __future__ import annotations
@@ -66,10 +73,13 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
-    """x mod q for float64 integers below 2**53 in absolute value.
+    """x mod q for integers of a float dtype with a p-bit significand, below
+    2**p in absolute value (2**24 for float32, 2**53 for float64).
 
-    Faster than np.mod on float64 and exact in this range: the rounding
-    error of x/q is below 1/q, so the floor is the true quotient.
+    Faster than np.mod and exact in this range: the rounding error of x/q is
+    below 2**p/q * 2**-p = 1/q, so the floor is the true quotient, and q
+    times it lies within q of x. q is a Python int, so the result keeps x's
+    dtype under both value-based casting and NEP 50.
     """
     return x - q * np.floor(x / q)
 
@@ -79,7 +89,7 @@ def _panel_leaf(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     block that gains a column as each pivot row is chosen."""
     w, m = gt.shape
     # transposed, so that each update runs along rows of length m
-    at = np.zeros((2 * w, m))
+    at = np.zeros((2 * w, m), dtype=gt.dtype)
     at[:w] = gt
     order = np.arange(m)
     pcols: list[int] = []
@@ -133,7 +143,7 @@ def _panel(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = x1[:, c2]
     t2z = _reduce(t2 @ _reduce(gt[c1[:, None], p2].T @ t1, q), q)
     k1 = len(c1)
-    t = np.empty((k1 + len(c2),) * 2)
+    t = np.empty((k1 + len(c2),) * 2, dtype=gt.dtype)
     t[:k1, :k1] = _reduce(t1 + y @ t2z, q)
     t[:k1, k1:] = _reduce(-(y @ t2), q)
     t[k1:, :k1] = _reduce(-t2z, q)
@@ -142,15 +152,17 @@ def _panel(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _load(a, q: int) -> np.ndarray:
-    """a mod q as a new float64 array, reduced in int64 before conversion so
+    """a mod q as a new working array, float32 when the value bound B is
+    below 2**24 and float64 otherwise, reduced in int64 before conversion so
     that negative entries and entries above 2**53 stay exact."""
     a = np.asarray(a)
-    if min(a.shape) * (q - 1) ** 2 + q >= 2**53:
+    bound = min(a.shape) * (q - 1) ** 2 + q
+    if bound >= 2**53:
         raise ValueError(
             f"a {a.shape[0]}x{a.shape[1]} matrix over GF({q}) is too large for "
             "exact float64 elimination"
         )
-    r = np.empty(a.shape)
+    r = np.empty(a.shape, dtype=np.float32 if bound < 2**24 else np.float64)
     for s in range(0, a.shape[0], _BAND):
         r[s : s + _BAND] = np.asarray(a[s : s + _BAND], dtype=np.int64) % q
     return r
@@ -159,7 +171,7 @@ def _load(a, q: int) -> np.ndarray:
 def _echelon(
     r: np.ndarray, q: int, block: int = _BLOCK
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Eliminate r, a float64 array with entries in [0, q), in place, in panels
+    """Eliminate r, a float array with entries in [0, q), in place, in panels
     of `block` columns: (pivot column list, free columns, R[:rank, free]) of
     its RREF R. r is left holding the echelon form U, in which each panel's
     pivot rows hold an identity block in its pivot columns.
@@ -194,7 +206,7 @@ def _echelon(
             lead += k
         r[lead:, c0:c1] = 0
     free = np.setdiff1d(np.arange(cols), pivots)
-    solved = np.empty((lead, len(free)))
+    solved = np.empty((lead, len(free)), dtype=r.dtype)
     for s, e in reversed(panels):
         solved[s:e] = _reduce(r[s:e, free] - r[s:e, pivots[e:]] @ solved[e:], q)
     return pivots, free, solved
@@ -204,15 +216,16 @@ def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[np.ndarray, list[i
     """Reduced row-echelon form over GF(q): (R, pivot column list).
 
     `block` >= 1 is the panel width of `_echelon`; a is not modified. R is
-    written over the float64 working array, which `_echelon` leaves holding
-    nothing that is read again, so R takes no memory of its own.
+    an int64 array of a's shape, allocated after the working array is
+    dropped, so the two are never held at once.
     """
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
     r = _load(a, q)
     pivots, free, solved = _echelon(r, q, block)
-    out = r.view(np.int64)
-    out.fill(0)
+    shape = r.shape
+    del r
+    out = np.zeros(shape, dtype=np.int64)
     out[np.arange(len(pivots)), pivots] = 1
     out[: len(pivots), free] = solved
     return out, pivots

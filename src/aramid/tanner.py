@@ -133,9 +133,9 @@ class TannerCode:
         left-block parametrization z = (a_u G')_u, which shrinks the
         elimination to the right-side constraints only. Their
         (n*(delta - k'')) x (n*k') matrix is held in the smallest unsigned
-        dtype that holds q - 1, so beside the one float64 array that
-        `linalg.rref` eliminates it takes an eighth of that array or less
-        for q <= 256.
+        dtype that holds q - 1. `linalg.rref` eliminates it in float32
+        when min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance,
+        where the uint8 matrix is a quarter of that array.
         """
         if self._gen is None:
             q = self.field.q

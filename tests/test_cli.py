@@ -166,6 +166,29 @@ def test_build_unbuildable_plain_config_is_usage_error(
     assert not out.exists()
 
 
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        ([SMALL_CFG], "build config must be a JSON object, got list"),
+        (_without(SMALL_CFG, "n"), "build plain config lacks 'n'"),
+        (dict(LT_CFG, R="x"), "build R 'x': Invalid literal for Fraction"),
+    ],
+    ids=["json-list", "plain-without-n", "lt-R-not-a-fraction"],
+)
+def test_build_malformed_config_is_usage_error(tmp_path, caplog, cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), cfg)
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_build_refuses_weak_instance(tmp_path):
     cfg = dict(TINY_CFG)  # K33 has gamma = 0: 2*gamma > 0 fails
     cfg_path = tmp_path / "cfg.json"

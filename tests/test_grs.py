@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,3 +215,18 @@ def test_rejects_bad_parameters():
 def test_wrong_message_length(rs625):
     with pytest.raises(ValueError):
         rs625.encode([1, 2, 3])
+
+
+def test_construction_peak_is_its_retained_tables():
+    # the generator and parity tables are scaled in place: `_powers(...) *
+    # mults % q` would hold two more k x n int64 tables, a 1.6x peak here;
+    # the n x n difference matrix of the Forney products (30.5 MiB) comes
+    # first, below the 42.8 MiB the code then keeps
+    tracemalloc.start()
+    try:
+        code = GrsCode(PrimeField(2003), k=1600, eval_points=range(1, 2001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(v.nbytes for v in vars(code).values() if isinstance(v, np.ndarray))
+    assert peak <= 1.1 * kept, f"peak {peak / kept:.2f}x the retained tables"

@@ -112,6 +112,71 @@ def test_rref_panels_without_pivots(q, block, shape):
     assert np.array_equal(r1, r2)
 
 
+def _unit_lu(rows, cols, q):
+    """L U mod q, L unit lower and U unit upper triangular with q - 1 in
+    every other entry of their triangles. Eliminated one pivot at a time,
+    every multiplier and pivot-row entry is q - 1, so the last trailing
+    entries reach (rows - 1)*(q - 1)**2, close to the bound B."""
+    lower = np.tril(np.full((rows, rows), q - 1), -1) + np.eye(rows, dtype=np.int64)
+    upper = np.triu(np.full((rows, cols), q - 1), 1) + np.eye(rows, cols, dtype=np.int64)
+    return lower @ upper % q
+
+
+@pytest.mark.parametrize("kind", ["random", "rank-deficient", "all-q-1", "unit-lu"])
+@pytest.mark.parametrize(
+    "shape, dtype",
+    [((255, 300), np.float32), ((256, 300), np.float64), ((300, 345), np.float64)],
+    ids=["B-below-2**24", "B-at-2**24", "float32-would-round"],
+)
+def test_rref_exact_at_the_float32_boundary(kind, shape, dtype):
+    # q = 257: B = min(rows, cols)*256**2 + 257 is below 2**24 for 255 rows
+    # and above it from 256; at 300 rows the unit LU's trailing entries pass
+    # 2**24, where float32 no longer holds every integer
+    q = 257
+    rows, cols = shape
+    rng = np.random.default_rng(rows)
+    if kind == "random":
+        a = rng.integers(0, q, size=shape)
+    elif kind == "rank-deficient":
+        a = rng.integers(0, q, size=(rows, 200)) @ rng.integers(0, q, size=(200, cols)) % q
+    elif kind == "all-q-1":
+        a = np.full(shape, q - 1)
+    else:
+        a = _unit_lu(rows, cols, q)
+    assert linalg._load(a, q).dtype == dtype
+    r1, p1 = ref.rref_plain(a, q)
+    for block in (1, linalg._BLOCK):
+        r2, p2 = linalg.rref(a, q, block)
+        assert p1 == p2
+        assert np.array_equal(r1, r2)
+        assert r2.dtype == np.int64 and r2.shape == shape
+
+
+@pytest.mark.parametrize("block", [1, 16])
+def test_float32_elimination_never_upcasts(monkeypatch, block):
+    # every value the elimination computes passes through _reduce, so one
+    # float64 temporary, such as a default-dtype allocation, shows up here
+    # under both value-based casting and NEP 50
+    seen = set()
+    reduce = linalg._reduce
+
+    def spy(x, q):
+        out = reduce(x, q)
+        seen.update((x.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    q = 37
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, q, size=(120, 40)) @ rng.integers(0, q, size=(40, 150)) % q
+    r = linalg._load(a, q)
+    assert r.dtype == np.float32
+    pivots, free, solved = linalg._echelon(r, q, block)
+    assert len(pivots) == 40
+    assert r.dtype == solved.dtype == np.float32
+    assert seen == {np.dtype(np.float32)}
+
+
 def test_rref_refuses_block_below_one():
     # a panel of width 0 would never advance
     for block in (0, -1):

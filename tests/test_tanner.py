@@ -271,10 +271,12 @@ def test_desk_generator_golden_digest(desk_code):
 
 
 def test_desk_generator_holds_one_dense_copy(desk_code):
-    # the elimination runs in place on one float64 copy of the
-    # (n*(delta - k'')) x (n*k') constraint matrix, beside the matrix itself
-    # in uint8 (q = 37) and O(band * cols) temporaries; a second int64 or
-    # float64 copy reads above 2x
+    # the (n*(delta - k'')) x (n*k') constraint matrix is held in uint8
+    # (q = 37) and eliminated in place in float32, half the float64 bytes
+    # measured against; R is written into a new int64 array once the float32
+    # one is dropped, so the peak is R beside the uint8 matrix and the
+    # float32 R[:rank, free], 1.16x; a float64 working array, or R
+    # allocated beside the working array, reads above 1.3x
     code = TannerCode(desk_code.graph, desk_code.c_prime, desk_code.c_double)
     h = code.c_double.length - code.c_double.k
     matrix_bytes = 8 * (code.n * h) * (code.n * code.c_prime.k)
@@ -284,7 +286,7 @@ def test_desk_generator_holds_one_dense_copy(desk_code):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the matrix"
+    assert peak < 1.3 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the matrix"
     assert np.array_equal(gen, desk_code.generator())
 
 
