@@ -126,12 +126,12 @@ def _unit_lu(rows, cols, q):
 @pytest.mark.parametrize(
     "shape, dtype",
     [((255, 300), np.float32), ((256, 300), np.float64), ((300, 345), np.float64)],
-    ids=["B-below-2**24", "B-at-2**24", "float32-would-round"],
+    ids=["B-below-2**24", "B-just-above-2**24", "float32-would-round"],
 )
 def test_rref_exact_at_the_float32_boundary(kind, shape, dtype):
     # q = 257: B = min(rows, cols)*256**2 + 257 is below 2**24 for 255 rows
-    # and above it from 256; at 300 rows the unit LU's trailing entries pass
-    # 2**24, where float32 no longer holds every integer
+    # and above it from 256; at 300 rows, one pivot per panel, the unit LU's
+    # trailing entries pass 2**24, where float32 no longer holds every integer
     q = 257
     rows, cols = shape
     rng = np.random.default_rng(rows)

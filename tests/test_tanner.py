@@ -274,9 +274,9 @@ def test_desk_generator_holds_one_dense_copy(desk_code):
     # the (n*(delta - k'')) x (n*k') constraint matrix is held in uint8
     # (q = 37) and eliminated in place in float32, half the float64 bytes
     # measured against; R is written into a new int64 array once the float32
-    # one is dropped, so the peak is R beside the uint8 matrix and the
-    # float32 R[:rank, free], 1.16x; a float64 working array, or R
-    # allocated beside the working array, reads above 1.3x
+    # one is dropped, so the peak is R beside the uint8 matrix and small
+    # temporaries, 1.16x; a float64 working array, or R allocated beside the
+    # working array, reads above 1.3x
     code = TannerCode(desk_code.graph, desk_code.c_prime, desk_code.c_double)
     h = code.c_double.length - code.c_double.k
     matrix_bytes = 8 * (code.n * h) * (code.n * code.c_prime.k)
