@@ -70,7 +70,7 @@ class GrsCode:
         nsyn = self.dmin - 1
         # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k. This
         # and the generator are scaled in place, so that no k x n temporary
-        # outlives _powers' own table.
+        # is made beside _powers' own table.
         self._parity = _powers(x, nsyn, q)
         self._parity *= self._dual_mults
         self._parity %= q
