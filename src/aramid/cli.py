@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import logging
@@ -248,6 +249,35 @@ _BUILD_KEYS = {
     "plain": ("n", "delta", "q", "k_prime", "k_double", "seed"),
     "lt": ("n", "R", "eps", "kappa", "mu", "seed"),
 }
+_INT = (int,)
+_NUM = (int, float)
+# the JSON types of the numeric build keys, wherever a config gives them
+_BUILD_TYPES = {
+    **dict.fromkeys(
+        ("n", "delta", "q", "k_prime", "k_double", "seed", "anneal_iters", "max_resamples"),
+        _INT,
+    ),
+    **dict.fromkeys(("sigma_frac", "eps", "kappa", "mu"), _NUM),
+    "gamma_target": (int, float, type(None)),
+}
+
+
+def _check_keys(obj, keys, types: dict, where: str) -> None:
+    """Refuse `obj` unless it is a JSON object that holds every key in
+    `keys` and gives each key of `types` it holds a value of those types.
+    JSON true and false count as bool only, not as int."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise UsageError(f"{where} lacks {', '.join(map(repr, missing))}")
+    for key, kinds in types.items():
+        value = obj.get(key)
+        if key in obj and (
+            isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds)
+        ):
+            names = " or ".join(kind.__name__ for kind in kinds)
+            raise UsageError(f"{where} {key} must be {names}, got {value!r}")
 
 
 def cmd_build(args) -> int:
@@ -256,14 +286,12 @@ def cmd_build(args) -> int:
         raise UsageError(f"build config must be a JSON object, got {type(cfg).__name__}")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if cfg.get("anneal_iters", 0) < 0:
-        raise UsageError("build anneal_iters must not be negative")
     mode = cfg.get("mode", "plain")
     if mode not in _BUILD_KEYS:
         raise UsageError(f"build unknown mode {mode!r}")
-    missing = [key for key in _BUILD_KEYS[mode] if key not in cfg]
-    if missing:
-        raise UsageError(f"build {mode} config lacks {', '.join(map(repr, missing))}")
+    _check_keys(cfg, _BUILD_KEYS[mode], _BUILD_TYPES, f"build {mode} config")
+    if cfg.get("anneal_iters", 0) < 0:
+        raise UsageError("build anneal_iters must not be negative")
     if mode == "plain":
         instance = build_plain_instance(cfg, args.allow_weak)
     else:
@@ -313,14 +341,31 @@ def fraction_tuple(x):
     return Fraction(x[0], x[1]) if isinstance(x, (list, tuple)) else Fraction(x)
 
 
+# the parts of an lt instance and the JSON types of the keys each must hold;
+# the design's come from the LtDesign field annotations
+_LT_PARTS = {
+    "design": {
+        f.name: {"Fraction": (list,), "int": _INT, "float": _NUM, "bool": (bool,)}[f.type]
+        for f in dataclasses.fields(LtDesign)
+    },
+    "g1": {"matchings": (list,)},
+    "g2": {"matchings": (list,)},
+    "derived": {"gamma1": _NUM, "gamma2": _NUM},
+}
+
+
 def load_lt_instance(obj: dict) -> LtCode:
     """Rebuild an lt instance; the design fixes its mediator, the GRS bank.
 
-    The stored gamma1 and gamma2 are checked against the spectral ratios
+    A missing key or a value of the wrong JSON type is a usage error. The
+    stored gamma1 and gamma2 are checked against the spectral ratios
     measured on the stored graphs. Files written before the design fixed the
     mediator may carry a "mediator" record; one naming any other kind is
     refused.
     """
+    _check_keys(obj, _LT_PARTS, {}, "lt instance")
+    for part, types in _LT_PARTS.items():
+        _check_keys(obj[part], types, types, f"lt instance {part}")
     kind = obj.get("mediator", {"kind": "grs"}).get("kind")
     if kind != "grs":
         raise DesignError(f"instance was built with a {kind!r} mediator; rebuild it")

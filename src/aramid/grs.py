@@ -136,14 +136,13 @@ class GrsCode:
     # -- decoding -----------------------------------------------------------
 
     def decode_ee(
-        self, words, erased=None, syndromes: np.ndarray | None = None
+        self, words, erased=None
     ) -> tuple[np.ndarray, np.ndarray] | np.ndarray | None:
         """Batched error-erasure decoding: correct any row with 2a + b < d.
 
         `words` is a stack (m, length) with an optional bool mask `erased`
-        of the same shape (or one (length,) mask shared by every row), and
-        `syndromes` optional precomputed syndrome rows of the zero-filled
-        words. Returns (decoded, ok): where ok[r] holds, decoded[r] is the
+        of the same shape (or one (length,) mask shared by every row).
+        Returns (decoded, ok): where ok[r] holds, decoded[r] is the
         unique codeword within 2a + b < d of row r; other rows hold the
         zero-filled received word. A single word (length,) returns its
         codeword, or None when none can be certified inside the radius.
@@ -153,17 +152,13 @@ class GrsCode:
         if words.ndim not in (1, 2) or words.shape[-1] != self.length:
             raise ValueError(f"word length must be {self.length}")
         values = words.reshape(-1, self.length) % q
-        m = len(values)
         if erased is None:
             era = np.zeros(values.shape, dtype=bool)
         else:
             era = np.broadcast_to(np.asarray(erased, dtype=bool), values.shape)
         out = np.where(era, 0, values)
         b = era.sum(axis=1)
-        if syndromes is None:
-            synd = self.syndromes(out)
-        else:
-            synd = np.asarray(syndromes, dtype=np.int64).reshape(m, self.dmin - 1) % q
+        synd = self.syndromes(out)
         ok = b < self.dmin
         # clean rows without erasures are already codewords
         rows = np.flatnonzero(ok & ((b > 0) | synd.any(axis=1)))

@@ -1,22 +1,26 @@
 """Iterative error-erasure decoder for the folded graph code.
 
-Rounds alternate sides: even rounds decode every right sub-block with the
-C'' error-erasure decoder, odd rounds decode left sub-blocks with the C'
-errors-only decoder (or a coset decoder of C0 when per-vertex syndromes are
-supplied). Each round is one batched component-decoder call over the
-scheduled vertices. Erasures exist at the field level only until round 2
-completes. A component-decoder failure leaves the sub-block unchanged.
+Rounds alternate sides: even rounds decode right sub-blocks with the C''
+error-erasure decoder, odd rounds decode left sub-blocks with C', or in
+cosets of C0 when per-vertex syndromes s_u are supplied (the block is shifted
+by R s_u, decoded in C0 and shifted back). Both sides run the same round
+step: gather the scheduled sub-blocks by edge id, make one batched
+component-decoder call, scatter the changed symbols and mark the vertices on
+the other side of those edges. Erasures exist at the field level only until
+round 2 completes. A component-decoder failure leaves the sub-block
+unchanged.
 
-Dirty-vertex scheduling (default on) re-decodes a vertex only when one of its
-incident edges changed since its last decode; the first visit of each side is
-unconditional. This is output-equivalent to visiting every vertex each round,
-because the component decoders are pure functions of the sub-block.
+A vertex is re-decoded only when one of its incident edges changed since its
+last decode; the first visit of each side is unconditional. This is
+output-equivalent to visiting every vertex each round, because the component
+decoders are pure functions of the sub-block; tests/iterdec_reference.py
+holds that all-vertex schedule as the oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +120,6 @@ class DecodeReport:
     result: PhiWord | None
     rounds_run: int
     component_calls: int
-    error_counts: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def success(self) -> bool:
@@ -128,8 +131,6 @@ def decode_phi(
     y: PhiWord,
     params: DecodeParams,
     cosets: CosetSide | None = None,
-    dirty: bool = True,
-    truth: np.ndarray | None = None,
 ) -> DecodeReport:
     """Decode a received Phi word with t errors and rho erasures.
 
@@ -137,19 +138,16 @@ def decode_phi(
     satisfies the params hypothesis (theta taken from C0 in the coset
     variant). On failure of the final membership check the report carries no
     result; a wrong codeword is never returned silently.
-
-    `truth` (a clean edge-word array) enables per-round instrumentation of
-    erroneous sub-block counts on the active side.
     """
     graph = code.graph
     n, delta = graph.n, graph.delta
     q = code.field.q
-    cp, cd = code.c_prime, code.c_double
+    cp = code.c_prime
     if y.values.shape != (n, code.phi_width) or y.erased.shape != (n,):
         raise ValueError(
             f"phi word must have shape ({n}, {code.phi_width}) with an (n,) mask"
         )
-    # plain left side = coset side of C' with zero syndromes and zero shifts
+    left_code, shifts = cp, None
     if cosets is not None:
         left_code = cosets.code
         if left_code.length != delta or left_code.field != code.field:
@@ -157,104 +155,68 @@ def decode_phi(
         s_mat = np.asarray(cosets.syndromes, dtype=np.int64) % q
         if s_mat.shape != (n, left_code.dmin - 1):
             raise ValueError(f"coset syndromes must be (n, {left_code.dmin - 1})")
-        # one right-inverse application per vertex, precomputed as a batch
+        # block u lies in C0 + R s_u: decode block - R s_u in C0, then add R s_u
         shifts = linalg._mul_mod(s_mat, left_code.parity_right_inverse().T, q)
-    else:
-        left_code = cp
-        s_mat = np.zeros((n, cp.dmin - 1), dtype=np.int64)
-        shifts = np.zeros((n, delta), dtype=np.int64)
 
-    right_edges = graph.right_edges
+    # per side (0 = left V', 1 = right V''): the component code, the edge ids
+    # of each vertex's sub-block and the coset shifts (left only); owner[s][e]
+    # is the vertex of edge e on side s
+    edges = np.arange(n * delta)
+    sides = (
+        (left_code, edges.reshape(n, delta), shifts),
+        (code.c_double, graph.right_edges, None),
+    )
+    owner = (edges // delta, graph.matchings.T.ravel())
+
     z = np.zeros(n * delta, dtype=np.int64)
     z_er = np.zeros(n * delta, dtype=bool)
     known = ~y.erased
     if known.any():
         z.reshape(n, delta)[known] = cp.sys_encode(y.values[known] % q)
-    if y.erased.any():
-        z_er.reshape(n, delta)[y.erased] = True
+    z_er.reshape(n, delta)[y.erased] = True
 
-    applied = {0: np.zeros(n, dtype=bool), 1: np.zeros(n, dtype=bool)}
-    dirty_mask = {0: np.zeros(n, dtype=bool), 1: np.zeros(n, dtype=bool)}
-    truth_left = truth.reshape(n, delta) if truth is not None else None
+    # the first visit of each side decodes every vertex
+    dirty = np.ones((2, n), dtype=bool)
     report = DecodeReport(result=None, rounds_run=0, component_calls=0)
-
-    def mark_changed(eids: np.ndarray, writer_right: bool):
-        u = eids // delta
-        slot = eids % delta
-        v = graph.matchings[slot, u]
-        if writer_right:
-            dirty_mask[0][u] = True
-        else:
-            dirty_mask[1][v] = True
 
     def in_code() -> bool:
         if z_er.any():
             return False
-        left = z.reshape(n, delta)
-        if np.any((left_code.syndromes(left) - s_mat) % q):
-            return False
-        return not np.any(cd.syndromes(z[right_edges]))
+        for comp, gather, shift in sides:
+            blocks = z[gather] if shift is None else z[gather] - shift
+            if np.any(comp.syndromes(blocks)):
+                return False
+        return True
 
     for i in range(2, params.nu + 1):
-        side = 1 if i % 2 == 0 else 0  # 1 = right (V''), 0 = left (V')
+        side = 1 if i % 2 == 0 else 0
+        comp, side_gather, side_shifts = sides[side]
         report.rounds_run = i
-        if dirty:
-            work = np.flatnonzero(dirty_mask[side] | ~applied[side])
-        else:
-            work = np.arange(n)
+        work = np.flatnonzero(dirty[side])
         report.component_calls += len(work)
-        applied[side][work] = True
-        dirty_mask[side][work] = False
+        dirty[side] = False
 
-        if side == 1:
-            gather = right_edges[work]
-            blocks = z[gather]
-            masks = z_er[gather]
-            out, ok = cd.decode_ee(blocks, masks)
-            diff = ((out != blocks) | masks) & ok[:, None]
-            if diff.any():
-                eids = gather[diff]
-                z[eids] = out[diff]
-                z_er[eids] = False
-                mark_changed(eids, writer_right=True)
-            if i == 2 and z_er.any():
-                # unresolved erasures get the identity completion (zero fill);
-                # later rounds treat them as plain errors
-                eids = np.flatnonzero(z_er)
-                z_er[eids] = False
-                mark_changed(eids, writer_right=True)
-                u = eids // delta
-                slot = eids % delta
-                dirty_mask[1][graph.matchings[slot, u]] = True
-        else:
-            blocks = z.reshape(n, delta)[work]
-            synd = (left_code.syndromes(blocks) - s_mat[work]) % q
-            out, ok = left_code.decode_ee(
-                (blocks - shifts[work]) % q, None, syndromes=synd
-            )
-            out = (out + shifts[work]) % q
-            diff = (out != blocks) & ok[:, None]
-            if diff.any():
-                # left blocks are disjoint, so one scatter writes the round
-                rows, cols = np.nonzero(diff)
-                eids = work[rows] * delta + cols
-                z[eids] = out[diff]
-                mark_changed(eids, writer_right=False)
-
-        if truth is not None and not z_er.any():
-            if side == 1:
-                errs = int(
-                    np.count_nonzero(
-                        np.any(z[right_edges] != truth[right_edges], axis=1)
-                    )
-                )
-            else:
-                errs = int(
-                    np.count_nonzero(
-                        np.any(z.reshape(n, delta) != truth_left, axis=1)
-                    )
-                )
-            report.error_counts.append((i, errs))
+        gather = side_gather[work]
+        blocks = z[gather]
+        masks = z_er[gather]
+        shift = 0 if side_shifts is None else side_shifts[work]
+        out, ok = comp.decode_ee(blocks - shift, masks)
+        out = (out + shift) % q
+        diff = ((out != blocks) | masks) & ok[:, None]
+        if diff.any():
+            # the sub-blocks of one side are disjoint, so one scatter writes
+            # the round
+            eids = gather[diff]
+            z[eids] = out[diff]
+            z_er[eids] = False
+            dirty[1 - side, owner[1 - side][eids]] = True
+        if i == 2 and z_er.any():
+            # unresolved erasures get the identity completion (zero fill);
+            # later rounds treat them as plain errors on both sides
+            eids = np.flatnonzero(z_er)
+            z_er[eids] = False
+            for s in (0, 1):
+                dirty[s, owner[s][eids]] = True
 
         # nu is odd, so the last round is checked here too
         if i >= 3 and i % 2 == 1 and in_code():

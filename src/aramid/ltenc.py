@@ -115,10 +115,6 @@ class LtDesign:
         return Fraction(self.km, self.n)
 
     @property
-    def mu_mediator(self) -> Fraction:
-        return Fraction((self.n - self.km) // 2, self.n)
-
-    @property
     def theta0(self) -> Fraction:
         return Fraction(self.delta1 - self.k0 + 1, self.delta1)
 

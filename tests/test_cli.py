@@ -189,6 +189,28 @@ def test_build_malformed_config_is_usage_error(tmp_path, caplog, cfg, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (dict(SMALL_CFG, anneal_iters="x"), "build plain config anneal_iters must be int, got 'x'"),
+        (dict(SMALL_CFG, seed="x"), "build plain config seed must be int, got 'x'"),
+        (dict(SMALL_CFG, k_prime="x"), "build plain config k_prime must be int, got 'x'"),
+        (dict(SMALL_CFG, gamma_target="x"), "build plain config gamma_target must be int or float"),
+        (dict(SMALL_CFG, sigma_frac="x"), "build plain config sigma_frac must be int or float"),
+        (dict(LT_CFG, eps="x"), "build lt config eps must be int or float, got 'x'"),
+    ],
+    ids=["anneal-iters", "seed", "k-prime", "gamma-target", "sigma-frac", "lt-eps"],
+)
+def test_build_wrong_type_is_usage_error(tmp_path, caplog, cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), cfg)
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_build_refuses_weak_instance(tmp_path):
     cfg = dict(TINY_CFG)  # K33 has gamma = 0: 2*gamma > 0 fails
     cfg_path = tmp_path / "cfg.json"
@@ -512,6 +534,32 @@ def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
         "--out", str(tmp_path / "rep"),
     )
     assert rc == EXIT_VIOLATION
+    assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["design"].pop("q"), "lt instance design lacks 'q'"),
+        (lambda obj: obj.pop("g1"), "lt instance lacks 'g1'"),
+        (
+            lambda obj: obj["design"].update(delta1="x"),
+            "lt instance design delta1 must be int, got 'x'",
+        ),
+    ],
+    ids=["design-without-q", "without-g1", "delta1-not-int"],
+)
+def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog, edit, message):
+    obj = json.loads(open(lt_instance).read())
+    edit(obj)
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    rc = run_cli(
+        "lt-run", "--instance", str(edited), "--seed", "11", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert message in caplog.text
     assert not (tmp_path / "rep.csv").exists()
 
 

@@ -59,8 +59,8 @@ def corrupt_exact(rng, code, counts):
     return clean, words, erased
 
 
-def assert_matches_reference(code, words, erased, syndromes=None):
-    out, ok = code.decode_ee(words, erased, syndromes=syndromes)
+def assert_matches_reference(code, words, erased):
+    out, ok = code.decode_ee(words, erased)
     assert out.shape == words.shape and ok.shape == (len(words),)
     for r in range(len(words)):
         row_era = None if erased is None else np.broadcast_to(erased, words.shape)[r]
@@ -81,8 +81,6 @@ def test_kernel_matches_reference_battery(q, n, k, first):
     out, ok = assert_matches_reference(code, words, erased)
     assert ok.any() and not ok.all()  # both sides of the radius exercised
     filled = np.where(erased, 0, words % q)
-    again, ok2 = code.decode_ee(words, erased, syndromes=code.syndromes(filled))
-    assert np.array_equal(again, out) and np.array_equal(ok2, ok)
     # failed rows hand back the zero-filled received word
     assert np.array_equal(out[~ok], filled[~ok])
 

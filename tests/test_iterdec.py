@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from iterdec_reference import decode_all_vertices
 
 from aramid.bigraph import anneal_circulant_bipartite, circulant_bipartite, gamma
 from aramid.channel import corrupt_phi, trial_rng
@@ -39,6 +40,31 @@ def tiny():
         code.theta, code.delta_rel, gm, 0.9 * beta, code.n, g.delta
     )
     return code, params
+
+
+@pytest.fixture(scope="module")
+def coset():
+    """n=40, delta=20 rate-1-left instance over GF(23): left blocks lie in
+    cosets of the [20,10,11] code C0, right blocks in C1 = [20,10,11]."""
+    f = PrimeField(23)
+    g = anneal_circulant_bipartite(40, 20, seed=103, gamma_target=0.21, iters=30000)
+    full = GrsCode(f, k=20, eval_points=range(1, 21))  # C' = F^delta
+    c1 = GrsCode(f, k=10, eval_points=range(1, 21))
+    c0 = GrsCode(f, k=10, eval_points=range(1, 21))
+    code = TannerCode(g, full, c1)
+    gm = gamma(g).gamma
+    beta = beta_bound(c0.rel_dist, c1.rel_dist, gm)
+    params = decode_params(
+        c0.rel_dist, c1.rel_dist, gm, 0.9 * beta, code.n, g.delta
+    )
+    return code, c0, params
+
+
+def coset_word(code, c0, rng):
+    """A random rate-1 codeword's folded image and its left syndromes."""
+    eta = rng.integers(0, code.field.q, size=(code.n, code.c_double.k))
+    z = code.encode_rate1(eta)
+    return code.psi(z), c0.syndromes(code.left_blocks(z))
 
 
 def random_codeword(code, rng):
@@ -114,7 +140,7 @@ def test_radius_guarantee_trials(mid):
         rho = int(rng.integers(0, int(2 * (smax - t)) + 1))
         assert t + rho / 2 <= smax
         y = corrupt_phi(rng, x, t, rho, code.field.q)
-        rep = decode_phi(code, y, params, truth=z)
+        rep = decode_phi(code, y, params)
         assert rep.success, f"trial {trial} failed (t={t}, rho={rho})"
         assert np.array_equal(rep.result.values, x)
         assert rep.rounds_run <= params.nu
@@ -131,32 +157,48 @@ def test_contraction_witness(mid):
         x = code.psi(z)
         t = int(params.sigma * n)
         y = corrupt_phi(rng, x, t, 0, code.field.q)
-        rep = decode_phi(code, y, params, truth=z)
-        assert rep.success
+        result, _, counts = decode_all_vertices(code, y, params, truth=z)
+        assert result is not None
+        assert np.array_equal(decode_phi(code, y, params).result.values, x)
         for parity in (0, 1):
-            seq = [c for (i, c) in rep.error_counts if i % 2 == parity]
+            seq = [c for (i, c) in counts if i % 2 == parity]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
 
 
-def test_scheduled_matches_unscheduled(mid):
-    code, params = mid
+def assert_matches_oracle(code, params, x, rng, cosets=None):
+    """Corrupt x with a budget up to 3x the radius, decode it with both
+    schedules and compare; returns whether the pattern left the radius."""
     n = code.n
+    budget = int(3 * params.sigma * n)
+    t = int(rng.integers(0, budget + 1))
+    rho = int(rng.integers(0, min(budget, n - t) + 1))
+    y = corrupt_phi(rng, x, t, rho, code.field.q)
+    rep = decode_phi(code, y, params, cosets=cosets)
+    result, rounds, _ = decode_all_vertices(code, y, params, cosets=cosets)
+    assert rep.success == (result is not None)
+    if rep.success:
+        assert np.array_equal(rep.result.values, result.values)
+    assert rep.rounds_run == rounds
+    assert rep.component_calls <= n * (rounds - 1)
+    return t + rho / 2 > params.sigma * n
+
+
+def test_scheduled_matches_unscheduled(mid, coset):
+    """The dirty-vertex schedule against the all-vertex oracle, on the plain
+    instance and on the coset variant that ltenc D4 runs."""
+    code, params = mid
     rng0 = np.random.default_rng(34)
+    beyond = 0
     for trial in range(100):
-        rng = trial_rng(902, trial)
-        z = random_codeword(code, rng0)
-        x = code.psi(z)
-        # include beyond-radius patterns: up to 3x the guaranteed radius
-        budget = int(3 * params.sigma * n)
-        t = int(rng.integers(0, budget + 1))
-        rho = int(rng.integers(0, min(budget, n - t) + 1))
-        y = corrupt_phi(rng, x, t, rho, code.field.q)
-        rep_s = decode_phi(code, y, params, dirty=True)
-        rep_u = decode_phi(code, y, params, dirty=False)
-        assert rep_s.success == rep_u.success
-        if rep_s.success:
-            assert np.array_equal(rep_s.result.values, rep_u.result.values)
-        assert rep_s.component_calls <= rep_u.component_calls
+        x = code.psi(random_codeword(code, rng0))
+        beyond += assert_matches_oracle(code, params, x, trial_rng(902, trial))
+    c_code, c0, c_params = coset
+    rng0 = np.random.default_rng(39)
+    for trial in range(100):
+        x, s = coset_word(c_code, c0, rng0)
+        rng = trial_rng(903, trial)
+        beyond += assert_matches_oracle(c_code, c_params, x, rng, CosetSide(c0, s))
+    assert beyond >= 100
 
 
 def test_clustered_support_fixture(mid):
@@ -222,26 +264,13 @@ def test_iterative_matches_ml_on_tiny(tiny):
     assert checked > 100
 
 
-def test_coset_variant_radius():
+def test_coset_variant_radius(coset):
     """Left side decoded into cosets of C0; radius from theta0."""
-    f = PrimeField(23)
-    g = anneal_circulant_bipartite(40, 20, seed=103, gamma_target=0.21, iters=30000)
-    full = GrsCode(f, k=20, eval_points=range(1, 21))  # C' = F^delta
-    c1 = GrsCode(f, k=10, eval_points=range(1, 21))
-    c0 = GrsCode(f, k=10, eval_points=range(1, 21))
-    code = TannerCode(g, full, c1)
-    gm = gamma(g).gamma
-    beta = beta_bound(c0.rel_dist, c1.rel_dist, gm)
-    params = decode_params(
-        c0.rel_dist, c1.rel_dist, gm, 0.9 * beta, code.n, g.delta
-    )
+    code, c0, params = coset
     rng = np.random.default_rng(37)
     n = code.n
     for trial in range(40):
-        eta = rng.integers(0, 23, size=(n, c1.k))
-        z = code.encode_rate1(eta)
-        s = c0.syndromes(code.left_blocks(z))
-        x = code.psi(z)  # identity re-blocking at rate 1
+        x, s = coset_word(code, c0, rng)
         smax = params.sigma * n
         t = int(rng.integers(0, int(smax) + 1))
         rho = int(rng.integers(0, int(2 * (smax - t)) + 1))

@@ -127,7 +127,7 @@ def test_desk_lt_mediator_is_design_bank(desk_lt):
     med = desk_lt.mediator
     assert isinstance(med, InterleavedGrsMediator)
     assert (med.n, med.symbol_width, med.km) == (d.n, d.k2, d.km)
-    assert med.mu == d.mu_mediator
+    assert med.mu == Fraction((d.n - d.km) // 2, d.n)
     assert float(med.mu) > 0.05
 
 
@@ -143,7 +143,7 @@ def test_three_quarter_rate_design_builds_grs_bank():
     """R=3/4, eps=0.15, n=80: the bank is built at once and holds its radius."""
     d = lt_design(R=Fraction(3, 4), eps=0.15, kappa=0.25, mu=0.05, n=80)
     code = build_lt_code(d, seed=500)
-    assert code.mediator.mu == d.mu_mediator
+    assert code.mediator.mu == Fraction((d.n - d.km) // 2, d.n)
     radius = code.radius
     for trial in range(100):
         rng = trial_rng(700, trial)
