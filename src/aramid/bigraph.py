@@ -1,15 +1,15 @@
-"""Bipartite regular graphs: construction, edge indexing, spectral checks.
+"""Circulant bipartite graphs: construction, edge indexing, spectral checks.
 
-A graph is stored as delta matchings (permutations of [0, n)); edge u--v with
-slot i exists when matchings[i][u] == v. Edge ids are e = u*delta + i, so the
-left sub-block of an edge word is a contiguous reshape and the right sub-block
-is a precomputed gather. The spectral ratio gamma is the second singular value
-of the biadjacency matrix divided by delta, measured numerically in one of two
-ways. A circulant graph, every row a shift u -> u + s (mod n), is diagonalised
-by the DFT, so its singular values are the DFT magnitudes of its shift-count
-vector: one FFT, O(n log n + n*delta) time and O(n) extra memory beyond one
-n*delta check array. Any other graph gets a dense eigensolve of X^T X: O(n^3)
-time and n^2 floats.
+A graph is stored as delta matchings; edge u--v with slot i exists when
+matchings[i][u] == v. Every graph is circulant: row i is the shift
+u -> u + s_i (mod n), and the shifts may repeat (parallel edges). Edge ids
+are e = u*delta + i, so the left sub-block of an edge word is a contiguous
+reshape and the right sub-block is a precomputed gather. The graph is
+connected exactly when n and the shift differences are coprime. The
+spectral ratio gamma is the second singular value of the biadjacency matrix
+divided by delta; the DFT diagonalises a circulant, so its singular values
+are the DFT magnitudes of the shift-count vector: one FFT, O(n log n) time
+and O(n) memory.
 """
 
 from __future__ import annotations
@@ -51,7 +51,11 @@ def validate_degree(n: int, delta: int) -> None:
 
 
 class BipartiteRegularGraph:
-    """A delta-regular bipartite graph on n + n vertices."""
+    """A delta-regular circulant bipartite graph on n + n vertices.
+
+    Raises ValueError naming the first matching that is not a shift with
+    entries in [0, n), and when the graph is not connected.
+    """
 
     def __init__(self, matchings: np.ndarray, seed: int | None = None):
         m = np.asarray(matchings, dtype=np.int64)
@@ -60,52 +64,29 @@ class BipartiteRegularGraph:
         delta, n = m.shape
         validate_degree(n, delta)
         ref = np.arange(n)
-        bad = ~(np.sort(m, axis=1) == ref).all(axis=1)
+        diff = (m - ref) % n
+        shifts = diff[:, 0]
+        bad = ((m < 0) | (m >= n) | (diff != shifts[:, None])).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"matching {i} is not a permutation of [0, {n})")
+            raise ValueError(
+                f"matching {i} is not a shift u -> u + s (mod {n}) with entries in [0, {n})"
+            )
+        if _circulant_gcd(n, shifts.tolist()) != 1:
+            raise ValueError("graph is not connected")
         self.n = n
         self.delta = delta
         self.matchings = m
+        self.shifts = shifts
         self.seed = seed
-        inv = np.empty_like(m)  # inv[i, v] = the left end of slot i at v
-        inv[np.arange(delta)[:, None], m] = ref
-        if not self._connected(inv):
-            raise ValueError("graph is not connected")
-        # Hard-wired adjacency: right_edges[v] lists edge ids at v in slot order.
-        self.right_edges = (inv.T * delta + np.arange(delta)[None, :]).astype(np.int64)
-        self.cross_index = np.empty(n * delta, dtype=np.int64)
-        self.cross_index[self.right_edges.reshape(-1)] = np.tile(
-            np.arange(delta), n
-        )
+        # Hard-wired adjacency: right_edges[v] lists edge ids at v in slot
+        # order; slot i at v comes from the left vertex u = v - s_i (mod n).
+        self.right_edges = ((ref[:, None] - shifts) % n) * delta + np.arange(delta)
         self._profile: SpectralProfile | None = None
-
-    # -- structure ----------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
         return self.n * self.delta
-
-    def _connected(self, inv: np.ndarray) -> bool:
-        """Frontier search from left vertex 0 through the matchings and their
-        inverses. Each vertex joins one frontier, so each edge is read at most
-        twice; a frontier is the set bits of a boolean mask over one side, so
-        each level also costs O(n): O(n*delta + n*depth) work."""
-        seen_l = np.zeros(self.n, dtype=bool)
-        seen_r = np.zeros(self.n, dtype=bool)
-        seen_l[0] = True
-        left = np.array([0])
-        while left.size:
-            right = _fresh(self.matchings[:, left], seen_r)
-            left = _fresh(inv[:, right], seen_l)
-        return bool(seen_l.all() and seen_r.all())
-
-    def biadjacency(self) -> np.ndarray:
-        """X[u, v] = edge multiplicity between u in V' and v in V''."""
-        x = np.zeros((self.n, self.n), dtype=np.int64)
-        for i in range(self.delta):
-            np.add.at(x, (np.arange(self.n), self.matchings[i]), 1)
-        return x
 
     # -- serialization --------------------------------------------------------
 
@@ -122,80 +103,31 @@ class BipartiteRegularGraph:
         return cls(np.array(obj["matchings"], dtype=np.int64), seed=obj.get("seed"))
 
 
-def _fresh(reached: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """The vertices in `reached` not yet in `seen`, once each and ascending;
-    marks them seen."""
-    mask = np.zeros_like(seen)
-    mask[reached] = True
-    mask &= ~seen
-    seen |= mask
-    return np.flatnonzero(mask)
-
-
 # -- spectral measurement ------------------------------------------------------
 
 
 def gamma(graph: BipartiteRegularGraph) -> SpectralProfile:
     """Measure lambda2(X^T X) on the complement of the all-ones vector.
 
-    Cached on the graph. A circulant graph (see `_circulant_shifts`) takes
-    the FFT path: X is a sum of cyclic shift matrices, so X^T X has the
-    eigenvalues |F_k|^2, F the DFT of the shift-count vector, and lambda2 is
-    the largest |F_k|^2 over k != 0. The check on that path asserts that F_0,
-    the eigenvalue on the all-ones vector, equals delta. Any other graph gets
-    one dense symmetric eigensolve of X^T X: O(n^3) time and n^2 floats. It
-    asserts the top eigenpair structure: X^T X has largest eigenvalue
-    delta^2 with the all-ones eigenvector.
+    Cached on the graph. X is a sum of cyclic shift matrices, so X^T X has
+    the eigenvalues |F_k|^2, F the DFT of the shift-count vector, and
+    lambda2 is the largest |F_k|^2 over k != 0. The check asserts that F_0,
+    the eigenvalue on the all-ones vector, equals delta.
     """
     if graph._profile is not None:
         return graph._profile
     delta = graph.delta
-    d2 = float(delta**2)
-    shifts = _circulant_shifts(graph)
-    if shifts is not None:
-        # the annealer's cost: the same FFT of the same indicator
-        mag = np.abs(np.fft.fft(np.bincount(shifts, minlength=graph.n).astype(np.float64)))
-        if abs(mag[0] - delta) > 1e-9 * delta:
-            raise AssertionError(f"DFT at frequency 0 is {mag[0]}, not delta {delta}")
-        sv2 = float(mag[1:].max())  # the second singular value of X
-        lam2 = sv2 * sv2
-    else:
-        lam2 = max(_dense_lambda2(graph, d2), 0.0)
-        sv2 = math.sqrt(lam2)
-    if lam2 < 1e-12 * d2:  # numerically zero relative to the top eigenvalue
+    # the annealer's cost: the same FFT of the same indicator
+    mag = np.abs(np.fft.fft(np.bincount(graph.shifts, minlength=graph.n).astype(np.float64)))
+    if abs(mag[0] - delta) > 1e-9 * delta:
+        raise AssertionError(f"DFT at frequency 0 is {mag[0]}, not delta {delta}")
+    sv2 = float(mag[1:].max())  # the second singular value of X
+    lam2 = sv2 * sv2
+    if lam2 < 1e-12 * delta**2:  # numerically zero relative to the top eigenvalue
         lam2 = sv2 = 0.0
     prof = SpectralProfile(lambda2=lam2, gamma=sv2 / delta)
     graph._profile = prof
     return prof
-
-
-def _circulant_shifts(graph: BipartiteRegularGraph) -> np.ndarray | None:
-    """The shifts s_i when every matching is u -> u + s_i (mod n), else None.
-
-    O(n*delta) time; the one temporary is the (delta, n) array of
-    v - u (mod n) over the edges.
-    """
-    m = graph.matchings
-    diff = m - np.arange(graph.n)
-    diff %= graph.n
-    shifts = diff[:, 0]
-    if not (diff == shifts[:, None]).all():
-        return None
-    return shifts
-
-
-def _dense_lambda2(graph: BipartiteRegularGraph, d2: float) -> float:
-    x = graph.biadjacency().astype(np.float64)
-    m = x.T @ x
-    ones = np.ones(graph.n)
-    residual = np.abs(m @ ones - d2 * ones).max()
-    if residual > 1e-9 * max(d2, 1.0):
-        raise AssertionError(f"top eigenpair residual {residual} too large")
-    ev = np.linalg.eigvalsh(m)
-    lam1 = float(ev[-1])
-    if abs(lam1 - d2) > 1e-6 * d2:
-        raise AssertionError(f"largest eigenvalue {lam1} != delta^2 {d2}")
-    return float(ev[-2])
 
 
 def ramanujan_bound(delta: int) -> float:
@@ -203,64 +135,6 @@ def ramanujan_bound(delta: int) -> float:
 
 
 # -- constructions --------------------------------------------------------------
-
-
-def random_regular_bipartite(
-    n: int,
-    delta: int,
-    seed: int,
-    gamma_target: float | None = None,
-    max_resamples: int = 200,
-) -> BipartiteRegularGraph:
-    """Union of delta uniformly random permutations, deterministic given seed.
-
-    Resamples until connected, simple (when n > delta), and, if gamma_target
-    is given, until the measured gamma is within target.
-    """
-    validate_degree(n, delta)
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for attempt in range(max_resamples):
-        m = np.array([rng.permutation(n) for _ in range(delta)], dtype=np.int64)
-        if n > delta:
-            m = _repair_parallel_edges(m, rng)
-            if m is None:
-                continue
-        try:
-            g = BipartiteRegularGraph(m, seed=seed)
-        except ValueError:
-            continue
-        if gamma_target is None:
-            return g
-        prof = gamma(g)
-        if prof.gamma <= gamma_target:
-            return g
-        best = min(best, prof.gamma)
-    if gamma_target is None:
-        raise RuntimeError(f"no connected graph found in {max_resamples} attempts")
-    raise GammaTargetError(gamma_target, best, max_resamples)
-
-
-def _repair_parallel_edges(m: np.ndarray, rng):
-    """Swap entries within matchings until every left vertex has distinct
-    neighbors, for at most 200 passes. Each swap preserves the permutation
-    property."""
-    delta, n = m.shape
-    for _ in range(200):
-        collisions = 0
-        for u in range(n):
-            seen: dict[int, int] = {}
-            for i in range(delta):
-                v = int(m[i, u])
-                if v in seen:
-                    j = int(rng.integers(n))
-                    m[i, u], m[i, j] = m[i, j], m[i, u]
-                    collisions += 1
-                else:
-                    seen[v] = i
-        if collisions == 0:
-            return m
-    return None
 
 
 def circulant_bipartite(

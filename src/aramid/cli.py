@@ -31,7 +31,6 @@ from .bigraph import (
     circulant_bipartite,
     gamma,
     ramanujan_bound,
-    random_regular_bipartite,
     validate_degree,
 )
 from .channel import corrupt_inner_rows, corrupt_pairs, corrupt_phi, trial_rng
@@ -96,24 +95,17 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
     q = cfg["q"]
     seed = cfg["seed"]
     kind = cfg.get("graph", "circulant")
-    target = cfg.get("gamma_target")
-    if kind not in ("circulant", "random"):
-        raise UsageError(f"build graph must be 'circulant' or 'random', got {kind!r}")
+    if kind != "circulant":
+        raise UsageError(f"build graph must be 'circulant', got {kind!r}")
     try:
         validate_degree(n, delta)
         field = PrimeField(q)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"build {exc}") from None
-    if kind == "circulant":
-        graph = anneal_circulant_bipartite(
-            n, delta, seed=seed, gamma_target=target,
-            iters=cfg.get("anneal_iters", 30000),
-        )
-    else:
-        graph = random_regular_bipartite(
-            n, delta, seed=seed, gamma_target=target,
-            max_resamples=cfg.get("max_resamples", 200),
-        )
+    graph = anneal_circulant_bipartite(
+        n, delta, seed=seed, gamma_target=cfg.get("gamma_target"),
+        iters=cfg.get("anneal_iters", 30000),
+    )
     cp = _component_code(field, cfg, "k_prime")
     cd = _component_code(field, cfg, "k_double")
     code = TannerCode(graph, cp, cd)
@@ -175,11 +167,24 @@ def _check_stored(derived: dict, key: str, measured: float) -> None:
         )
 
 
+def _load_graph(obj: dict, where: str) -> BipartiteRegularGraph:
+    """The stored graph; a wrong shape, a row that is not a shift or a
+    disconnected graph is a usage error."""
+    try:
+        return BipartiteRegularGraph.from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{where}: {exc}") from None
+
+
 def load_plain_instance(obj: dict):
     """Rebuild a plain instance; the stored gamma and sigma are checked
-    against the spectral ratio measured on the stored graph."""
+    against the spectral ratio measured on the stored graph. A missing key,
+    a value of the wrong JSON type or a malformed graph is a usage error."""
+    _check_keys(obj, _PLAIN_PARTS, {}, "plain instance")
+    for part, types in _PLAIN_PARTS.items():
+        _check_keys(obj[part], types, types, f"plain instance {part}")
     field = PrimeField(obj["field"]["q"])
-    graph = BipartiteRegularGraph.from_json(obj["graph"])
+    graph = _load_graph(obj["graph"], "plain instance graph")
     cp = grs_from_json(field, obj["c_prime"])
     cd = grs_from_json(field, obj["c_double"])
     code = TannerCode(graph, cp, cd)
@@ -187,7 +192,8 @@ def load_plain_instance(obj: dict):
     measured = gamma(graph).gamma
     _check_stored(derived, "gamma", measured)
     params = None
-    if not derived.get("weak"):
+    if not derived["weak"]:
+        _check_keys(derived, ("sigma",), {"sigma": _NUM}, "plain instance derived")
         sigma = derived["sigma"]
         beta = beta_bound(code.theta, code.delta_rel, measured)
         if not 0 < sigma < beta:
@@ -223,8 +229,13 @@ def _run_trials(args, header, trial, fields) -> dict:
 
 
 def _read_instance(args, mode: str) -> dict:
-    """Read `--instance`; a file of another mode is a usage error."""
+    """Read `--instance`; a file that is not a JSON object or is of
+    another mode is a usage error."""
     instance = read_json(args.instance)
+    if not isinstance(instance, dict):
+        raise UsageError(
+            f"{args.command} instance must be a JSON object, got {type(instance).__name__}"
+        )
     if instance.get("mode") != mode:
         raise UsageError(
             f"{args.command} expects an instance of mode {mode!r}, "
@@ -254,7 +265,7 @@ _NUM = (int, float)
 # the JSON types of the numeric build keys, wherever a config gives them
 _BUILD_TYPES = {
     **dict.fromkeys(
-        ("n", "delta", "q", "k_prime", "k_double", "seed", "anneal_iters", "max_resamples"),
+        ("n", "delta", "q", "k_prime", "k_double", "seed", "anneal_iters"),
         _INT,
     ),
     **dict.fromkeys(("sigma_frac", "eps", "kappa", "mu"), _NUM),
@@ -352,16 +363,25 @@ _LT_PARTS = {
     "g2": {"matchings": (list,)},
     "derived": {"gamma1": _NUM, "gamma2": _NUM},
 }
+_GRS_PART = {"k": _INT, "eval_points": (list,), "col_mults": (list,)}
+# the parts of a plain instance and the JSON types of the keys each must hold
+_PLAIN_PARTS = {
+    "field": {"q": _INT},
+    "graph": {"matchings": (list,)},
+    "c_prime": _GRS_PART,
+    "c_double": _GRS_PART,
+    "derived": {"gamma": _NUM, "weak": (bool,)},
+}
 
 
 def load_lt_instance(obj: dict) -> LtCode:
     """Rebuild an lt instance; the design fixes its mediator, the GRS bank.
 
-    A missing key or a value of the wrong JSON type is a usage error. The
-    stored gamma1 and gamma2 are checked against the spectral ratios
-    measured on the stored graphs. Files written before the design fixed the
-    mediator may carry a "mediator" record; one naming any other kind is
-    refused.
+    A missing key, a value of the wrong JSON type, an R that is not a
+    fraction or a malformed graph is a usage error. The stored gamma1 and
+    gamma2 are checked against the spectral ratios measured on the stored
+    graphs. Files written before the design fixed the mediator may carry a
+    "mediator" record; one naming any other kind is refused.
     """
     _check_keys(obj, _LT_PARTS, {}, "lt instance")
     for part, types in _LT_PARTS.items():
@@ -369,9 +389,12 @@ def load_lt_instance(obj: dict) -> LtCode:
     kind = obj.get("mediator", {"kind": "grs"}).get("kind")
     if kind != "grs":
         raise DesignError(f"instance was built with a {kind!r} mediator; rebuild it")
-    design = LtDesign.from_json(obj["design"])
-    g1 = BipartiteRegularGraph.from_json(obj["g1"])
-    g2 = BipartiteRegularGraph.from_json(obj["g2"])
+    try:
+        design = LtDesign.from_json(obj["design"])
+    except (TypeError, ZeroDivisionError) as exc:  # e.g. R = [1, 0]
+        raise UsageError(f"lt instance design: {exc}") from None
+    g1 = _load_graph(obj["g1"], "lt instance g1")
+    g2 = _load_graph(obj["g2"], "lt instance g2")
     code = LtCode(design, g1, g2)
     _check_stored(obj["derived"], "gamma1", code.gamma1)
     _check_stored(obj["derived"], "gamma2", code.gamma2)
@@ -454,8 +477,7 @@ def cmd_verify_bounds(args) -> int:
     graph = code.graph
     results = {}
 
-    # asserts the DFT at frequency 0 (circulant) or X^T X's top eigenpair
-    # (any other graph) to 1e-9
+    # asserts that the DFT of the shift counts at frequency 0 is delta, to 1e-9
     prof = gamma(graph)
     results["lemma_a1_eigenstructure"] = "pass"
 

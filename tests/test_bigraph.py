@@ -4,20 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from bigraph_reference import biadjacency
 
 from aramid.bigraph import (
     BipartiteRegularGraph,
     GammaTargetError,
-    _circulant_shifts,
     anneal_circulant_bipartite,
     check_degree_sum,
     check_expansion_lemma,
     check_mixing_lemma,
     circulant_bipartite,
     gamma,
-    ramanujan_bound,
-    random_regular_bipartite,
 )
+
+
+def _circulant(n, shifts):
+    """The matchings u -> u + s (mod n), one row per shift, repeats kept."""
+    return np.array([(np.arange(n) + s) % n for s in shifts])
 
 
 @pytest.fixture(scope="module")
@@ -32,33 +35,32 @@ def cycle8():
 
 
 def test_k33_forced_by_regularity():
-    # Any simple 3-regular bipartite graph on 3+3 vertices is K33.
-    g = random_regular_bipartite(3, 3, seed=9)
-    x = g.biadjacency()
-    assert np.array_equal(x, np.ones((3, 3), dtype=np.int64))
+    # Any simple 3-regular bipartite graph on 3+3 vertices is K33; with
+    # delta = n the annealer has no move to make.
+    g = anneal_circulant_bipartite(3, 3, seed=9)
+    assert np.array_equal(biadjacency(g), np.ones((3, 3), dtype=np.int64))
 
 
 def test_determinism_same_seed():
-    g1 = random_regular_bipartite(20, 4, seed=42)
-    g2 = random_regular_bipartite(20, 4, seed=42)
+    g1 = anneal_circulant_bipartite(20, 4, seed=42, iters=200)
+    g2 = anneal_circulant_bipartite(20, 4, seed=42, iters=200)
     assert np.array_equal(g1.matchings, g2.matchings)
 
 
 def test_degrees_and_edge_count():
-    g = random_regular_bipartite(15, 5, seed=1)
-    x = g.biadjacency()
+    g = circulant_bipartite(15, [0, 2, 3, 7, 11])
+    x = biadjacency(g)
     assert np.all(x.sum(axis=1) == 5) and np.all(x.sum(axis=0) == 5)
     assert g.num_edges == 75
-    assert g.biadjacency().max() <= 1
+    assert x.max() <= 1
 
 
 def test_edge_indexing_round_trip():
-    g = random_regular_bipartite(12, 4, seed=2)
+    g = circulant_bipartite(12, [0, 1, 5, 8])
     for e in range(g.num_edges):
         u, i = divmod(e, g.delta)
         v = g.matchings[i, u]
-        slot = g.cross_index[e]
-        assert g.right_edges[v, slot] == e
+        assert g.right_edges[v, i] == e  # slot i at v holds edge e
     # every edge appears exactly once on the right side
     assert sorted(g.right_edges.reshape(-1).tolist()) == list(range(g.num_edges))
 
@@ -82,37 +84,18 @@ def test_gamma_cycle8(cycle8):
     assert prof.gamma == pytest.approx(math.sqrt(2) / 2, rel=1e-9)
 
 
-def test_gamma_matches_dense_oracle_random():
-    g = random_regular_bipartite(30, 6, seed=3)
-    x = g.biadjacency().astype(float)
-    ev = np.linalg.eigvalsh(x.T @ x)
-    prof = gamma(g)
-    assert prof.lambda2 == pytest.approx(float(ev[-2]), rel=1e-9)
-
-
-def _circulant_600():
+def test_gamma_exact_at_paper_scale():
     # a circulant's singular values are the DFT magnitudes of its shift set
     shifts = np.random.default_rng(6).choice(600, size=40, replace=False)
     ind = np.zeros(600)
     ind[shifts] = 1.0
-    return circulant_bipartite(600, shifts), np.abs(np.fft.fft(ind))[1:].max() / 40
-
-
-def _random_600():
-    g = random_regular_bipartite(600, 20, seed=3)
-    x = g.biadjacency().astype(float)
-    return g, math.sqrt(np.linalg.eigvalsh(x.T @ x)[-2]) / 20
-
-
-@pytest.mark.parametrize("make", [_circulant_600, _random_600], ids=["circulant", "random"])
-def test_gamma_exact_at_paper_scale(make):
-    g, exact = make()
-    assert gamma(g).gamma == pytest.approx(exact, rel=1e-9)
+    exact = np.abs(np.fft.fft(ind))[1:].max() / 40
+    assert gamma(circulant_bipartite(600, shifts)).gamma == pytest.approx(exact, rel=1e-9)
 
 
 def _svd_gamma(g):
     """Test-side reference: the second singular value of X over delta."""
-    sv = np.linalg.svd(g.biadjacency().astype(float), compute_uv=False)
+    sv = np.linalg.svd(biadjacency(g).astype(float), compute_uv=False)
     return sv[1] / g.delta
 
 
@@ -129,9 +112,9 @@ def _circulant_cases():
 
 @pytest.mark.parametrize("shifts, n", list(_circulant_cases()))
 def test_gamma_fft_path_matches_dense(shifts, n):
-    m = np.array([(np.arange(n) + s) % n for s in shifts])
+    m = _circulant(n, shifts)
     g = BipartiteRegularGraph(m)
-    assert _circulant_shifts(g) is not None
+    assert np.array_equal(g.shifts, np.asarray(shifts) % n)
     want = _svd_gamma(g)
     got = gamma(g).gamma
     if want < 1e-12:
@@ -140,19 +123,16 @@ def test_gamma_fft_path_matches_dense(shifts, n):
         assert got == pytest.approx(want, rel=1e-12)
     if n < 3:
         return  # on two vertices every relabelling is a rotation
-    # swapping two right labels keeps the spectrum, and for n >= 3 no row
-    # is a shift any more, so gamma takes the dense path
+    # swapping two right labels keeps the spectrum, but for n >= 3 no row
+    # is a shift any more, so the graph is refused
     perm = np.arange(n)
     perm[:2] = [1, 0]
-    relabelled = BipartiteRegularGraph(perm[m])
-    assert _circulant_shifts(relabelled) is None
-    dense = gamma(relabelled)
-    assert dense.gamma == pytest.approx(got, rel=1e-12, abs=1e-12)
-    assert dense.lambda2 == pytest.approx(gamma(g).lambda2, rel=1e-12, abs=1e-12)
+    with pytest.raises(ValueError, match="matching 0 is not a shift"):
+        BipartiteRegularGraph(perm[m])
 
 
 def test_gamma_fft_path_memory_is_linear():
-    # the dense path would hold X and X^T X: 2 n^2 floats, 1 GB here
+    # a dense eigensolve would hold X and X^T X: 2 n^2 floats, 1 GB here
     n, delta = 8000, 40
     shifts = np.random.default_rng(8).choice(n, size=delta, replace=False)
     g = circulant_bipartite(n, shifts)
@@ -168,30 +148,25 @@ def test_gamma_fft_path_memory_is_linear():
 
 def test_rejects_non_permutation_names_first_bad_matching():
     m = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [0, 0, 1, 2], [3, 3, 3, 3]])
-    with pytest.raises(ValueError, match="matching 2 is not a permutation"):
+    with pytest.raises(ValueError, match="matching 2 is not a shift"):
         BipartiteRegularGraph(m)
-    with pytest.raises(ValueError, match="matching 0 is not a permutation"):
+    with pytest.raises(ValueError, match="matching 0 is not a shift"):
         BipartiteRegularGraph(np.array([[0, 1, 4]]))
-
-
-def test_random_graph_gamma_concentration():
-    # random regular graphs land at or below the Ramanujan ratio at this density
-    g = random_regular_bipartite(100, 36, seed=5)
-    prof = gamma(g)
-    assert prof.gamma < 0.35
-    assert prof.gamma <= ramanujan_bound(36) + 0.02
+    # 5 = 2 (mod 3) would pass as the shift 0 without the range check
+    with pytest.raises(ValueError, match="matching 1 is not a shift"):
+        BipartiteRegularGraph(np.array([[1, 2, 0], [0, 1, 5]]))
 
 
 def test_gamma_target_unreachable_reports_best():
     with pytest.raises(GammaTargetError) as exc:
-        random_regular_bipartite(30, 4, seed=6, gamma_target=0.01, max_resamples=5)
+        anneal_circulant_bipartite(30, 4, seed=6, gamma_target=0.01, iters=50)
     assert 0 < exc.value.best < 1
 
 
 def test_annealed_circulant_hits_low_gamma():
     g = anneal_circulant_bipartite(100, 36, seed=7, gamma_target=0.22, iters=30000)
     assert gamma(g).gamma <= 0.22
-    assert g.biadjacency().max() <= 1
+    assert biadjacency(g).max() <= 1
 
 
 def test_mixing_lemma_all_ones(cycle8):
@@ -281,7 +256,7 @@ def test_expansion_lemma_requires_positive_gamma(k33):
 
 
 def test_serialization_round_trip():
-    g = random_regular_bipartite(10, 3, seed=8)
+    g = circulant_bipartite(10, [0, 3, 4], seed=8)
     obj = g.to_json()
     g2 = BipartiteRegularGraph.from_json(obj)
     assert np.array_equal(g.matchings, g2.matchings)
@@ -289,10 +264,9 @@ def test_serialization_round_trip():
 
 
 def test_rejects_disconnected():
-    # two disjoint 4-cycles: matchings both map {0,1} to {0,1} and {2,3} to {2,3}
-    m = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
-    with pytest.raises(ValueError):
-        BipartiteRegularGraph(m)
+    # two disjoint 4-cycles: the shifts 0 and 2 keep each parity class apart
+    with pytest.raises(ValueError, match="not connected"):
+        circulant_bipartite(4, [0, 2])
 
 
 def _union_find_connected(matchings):
@@ -322,41 +296,30 @@ def _connected_by_constructor(matchings):
 
 
 def test_connectivity_matches_union_find_random():
+    # random shift sets, repeats allowed
     rng = np.random.default_rng(14)
     outcomes = set()
     for _ in range(300):
         n = int(rng.integers(2, 13))
-        delta = int(rng.integers(1, min(n, 3) + 1))
-        m = np.array([rng.permutation(n) for _ in range(delta)])
+        m = _circulant(n, rng.integers(0, n, size=int(rng.integers(1, n + 1))))
         want = _union_find_connected(m)
         assert _connected_by_constructor(m) == want
         outcomes.add(want)
     assert outcomes == {True, False}
 
 
-def test_connectivity_rejects_split_graphs():
-    # two connected halves, each a union of permutations within its own
-    # vertex set, relabelled by random permutations of both sides
+def test_connectivity_rejects_shifts_in_one_residue_class():
+    # every shift = s0 (mod d) for a divisor d > 1 of n: each class of the
+    # left vertices mod d reaches only one class on the right
     rng = np.random.default_rng(15)
-    for _ in range(40):
-        a = int(rng.integers(2, 20))
-        b = int(rng.integers(2, 20))
-        delta = int(rng.integers(2, min(a, b) + 1))
-        halves = [
-            np.array([np.roll(np.arange(size), s) for s in range(delta)])
-            for size in (a, b)
-        ]
-        m = np.hstack([halves[0], halves[1] + a])
-        left, right = rng.permutation(a + b), rng.permutation(a + b)
-        m = right[m][:, np.argsort(left)]
+    for _ in range(60):
+        d = int(rng.integers(2, 6))
+        n = d * int(rng.integers(1, 6))
+        s0 = int(rng.integers(d))
+        delta = int(rng.integers(1, n + 1))
+        m = _circulant(n, s0 + d * rng.integers(0, n // d, size=delta))
         assert not _union_find_connected(m)
         assert not _connected_by_constructor(m)
-        # one swapped edge pair joins the halves
-        joined = m.copy()
-        u1, u2 = left[0], left[a]
-        joined[0, [u1, u2]] = joined[0, [u2, u1]]
-        assert _union_find_connected(joined)
-        assert _connected_by_constructor(joined)
 
 
 def test_rejects_non_permutation():

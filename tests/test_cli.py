@@ -16,6 +16,7 @@ from aramid.cli import (
     load_lt_instance,
     load_plain_instance,
     main,
+    read_json,
     write_json,
 )
 from aramid.ltenc import DesignError
@@ -147,12 +148,16 @@ def test_build_negative_anneal_iters_is_usage_error(tmp_path, caplog, cfg):
     "change, message",
     [
         ({"delta": 49}, "1 <= delta <= n"),
-        ({"graph": "bogus"}, "'circulant' or 'random', got 'bogus'"),
+        ({"graph": "bogus"}, "build graph must be 'circulant', got 'bogus'"),
+        ({"graph": "random"}, "build graph must be 'circulant', got 'random'"),
         ({"q": 36}, "modulus 36 is not prime"),
         ({"k_prime": 40}, "k_prime: dimension must satisfy 0 < k <= 24, got 40"),
         ({"k_double": 0}, "k_double: dimension must satisfy 0 < k <= 24, got 0"),
     ],
-    ids=["delta-above-n", "unknown-graph", "q-not-prime", "k-prime-above-delta", "k-double-zero"],
+    ids=[
+        "delta-above-n", "unknown-graph", "random-graph", "q-not-prime",
+        "k-prime-above-delta", "k-double-zero",
+    ],
 )
 def test_build_unbuildable_plain_config_is_usage_error(
     tmp_path, caplog, change, message
@@ -268,7 +273,7 @@ def test_run_csv_identical_repeated_runs(small_instance, tmp_path):
 
 
 def test_plain_load_refuses_edited_gamma(small_instance, tmp_path):
-    obj = json.loads(open(small_instance).read())
+    obj = read_json(small_instance)
     obj["derived"]["gamma"] *= 0.9
     with pytest.raises(ContractError, match="stored gamma"):
         load_plain_instance(obj)
@@ -283,7 +288,7 @@ def test_plain_load_refuses_edited_gamma(small_instance, tmp_path):
 
 
 def test_plain_load_refuses_sigma_beyond_beta(small_instance):
-    obj = json.loads(open(small_instance).read())
+    obj = read_json(small_instance)
     obj["derived"]["sigma"] = obj["derived"]["beta"] * 1.01
     with pytest.raises(ContractError, match="stored sigma"):
         load_plain_instance(obj)
@@ -301,7 +306,7 @@ def test_run_zero_noise(small_instance, tmp_path):
     assert rc == EXIT_OK
     rep = json.loads((tmp_path / "clean.json").read_text())
     assert rep["success_rate"] == 1.0
-    code, params, _ = load_plain_instance(json.loads(open(small_instance).read()))
+    code, params, _ = load_plain_instance(read_json(small_instance))
     assert rep["max_calls"] <= 2 * code.n
 
 
@@ -481,7 +486,7 @@ def test_verify_bounds_omega_audit(small_instance, tmp_path):
 
 
 def test_lt_build_and_run(lt_instance, tmp_path):
-    obj = json.loads(open(lt_instance).read())
+    obj = read_json(lt_instance)
     assert obj["derived"]["relaxed"]
     assert obj["derived"]["radius"] == 26
     assert "mediator" not in obj  # the design fixes the mediator
@@ -520,7 +525,7 @@ def test_lt_run_gates_the_radius(lt_instance, tmp_path):
 
 @pytest.mark.parametrize("key", ["gamma1", "gamma2"])
 def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
-    obj = json.loads(open(lt_instance).read())
+    obj = read_json(lt_instance)
     stored = obj["derived"][key]
     obj["derived"][key] = stored * (1 + 1e-12)  # last-digit drift still loads
     load_lt_instance(obj)
@@ -546,11 +551,16 @@ def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
             lambda obj: obj["design"].update(delta1="x"),
             "lt instance design delta1 must be int, got 'x'",
         ),
+        (lambda obj: obj["design"].update(R=[1, 0]), "lt instance design: Fraction(1, 0)"),
+        (
+            lambda obj: obj["g1"].update(matchings=[[0, 1]]),
+            "lt instance g1: graph is not connected",
+        ),
     ],
-    ids=["design-without-q", "without-g1", "delta1-not-int"],
+    ids=["design-without-q", "without-g1", "delta1-not-int", "R-zero-denominator", "g1-shape"],
 )
 def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog, edit, message):
-    obj = json.loads(open(lt_instance).read())
+    obj = read_json(lt_instance)
     edit(obj)
     edited = tmp_path / "edited.json"
     write_json(str(edited), obj)
@@ -563,6 +573,63 @@ def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog,
     assert not (tmp_path / "rep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj.pop("derived"), "plain instance lacks 'derived'"),
+        (lambda obj: obj.pop("c_prime"), "plain instance lacks 'c_prime'"),
+        (lambda obj: obj["field"].update(q="x"), "plain instance field q must be int, got 'x'"),
+        (
+            lambda obj: obj["graph"].update(matchings=[[0, 1]]),
+            "plain instance graph: graph is not connected",
+        ),
+    ],
+    ids=["without-derived", "without-c-prime", "q-not-int", "graph-shape"],
+)
+def test_run_malformed_plain_instance_is_usage_error(
+    small_instance, tmp_path, caplog, edit, message
+):
+    obj = read_json(small_instance)
+    edit(obj)
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    rc = run_cli(
+        "run", "--instance", str(edited), "--seed", "7", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert message in caplog.text
+    assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify-bounds", "lt-run", "gmd-run"])
+def test_instance_not_a_json_object_is_usage_error(command, tmp_path, caplog):
+    inst = tmp_path / "list.json"
+    write_json(str(inst), [1, 2])
+    argv = [command, "--instance", str(inst), "--out", str(tmp_path / "rep")]
+    if command != "verify-bounds":
+        argv += ["--seed", "1", "--trials", "3"]
+    assert run_cli(*argv) == EXIT_USAGE
+    assert f"{command} instance must be a JSON object, got list" in caplog.text
+    assert not (tmp_path / "rep").exists() and not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify-bounds"])
+def test_non_circulant_graph_is_usage_error(small_instance, tmp_path, caplog, command):
+    # swapping two entries of one row keeps it a permutation but not a shift
+    obj = read_json(small_instance)
+    row = obj["graph"]["matchings"][3]
+    row[0], row[1] = row[1], row[0]
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    argv = [command, "--instance", str(edited), "--out", str(tmp_path / "rep")]
+    if command == "run":
+        argv += ["--seed", "7", "--trials", "3"]
+    assert run_cli(*argv) == EXIT_USAGE
+    assert "plain instance graph: matching 3 is not a shift" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
+
+
 def test_verify_bounds_on_lt_instance_is_usage_error(lt_instance, tmp_path, caplog):
     out = tmp_path / "bounds.json"
     rc = run_cli("verify-bounds", "--instance", lt_instance, "--out", str(out))
@@ -572,7 +639,7 @@ def test_verify_bounds_on_lt_instance_is_usage_error(lt_instance, tmp_path, capl
 
 
 def test_lt_load_refuses_tanner_mediator(lt_instance, tmp_path):
-    obj = json.loads(open(lt_instance).read())
+    obj = read_json(lt_instance)
     obj["mediator"] = {"kind": "grs", "seed": 502}  # older files carry this record
     assert load_lt_instance(obj).mediator.mu == Fraction(*obj["derived"]["mediator_mu"])
     obj["mediator"] = {"kind": "tanner", "seed": 502}
