@@ -167,11 +167,14 @@ def _check_stored(derived: dict, key: str, measured: float) -> None:
         )
 
 
-def _load_graph(obj: dict, where: str) -> BipartiteRegularGraph:
-    """The stored graph; a wrong shape, a row that is not a shift or a
-    disconnected graph is a usage error."""
+def _load_part(where: str, build, *args):
+    """build(*args) for a stored part of an instance; a TypeError or
+    ValueError it raises (a wrong shape, a graph row that is not a shift, a
+    disconnected graph, a modulus that is not a prime in range, a component
+    code that cannot exist) is a usage error that names the part. Only
+    constructors that raise no `DesignError` are passed here."""
     try:
-        return BipartiteRegularGraph.from_json(obj)
+        return build(*args)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{where}: {exc}") from None
 
@@ -179,15 +182,17 @@ def _load_graph(obj: dict, where: str) -> BipartiteRegularGraph:
 def load_plain_instance(obj: dict):
     """Rebuild a plain instance; the stored gamma and sigma are checked
     against the spectral ratio measured on the stored graph. A missing key,
-    a value of the wrong JSON type or a malformed graph is a usage error."""
+    a value of the wrong JSON type, a malformed graph, a modulus that is not
+    a prime in range or a component code that cannot exist is a usage
+    error."""
     _check_keys(obj, _PLAIN_PARTS, {}, "plain instance")
     for part, types in _PLAIN_PARTS.items():
         _check_keys(obj[part], types, types, f"plain instance {part}")
-    field = PrimeField(obj["field"]["q"])
-    graph = _load_graph(obj["graph"], "plain instance graph")
-    cp = grs_from_json(field, obj["c_prime"])
-    cd = grs_from_json(field, obj["c_double"])
-    code = TannerCode(graph, cp, cd)
+    field = _load_part("plain instance field", PrimeField, obj["field"]["q"])
+    graph = _load_part("plain instance graph", BipartiteRegularGraph.from_json, obj["graph"])
+    cp = _load_part("plain instance c_prime", grs_from_json, field, obj["c_prime"])
+    cd = _load_part("plain instance c_double", grs_from_json, field, obj["c_double"])
+    code = _load_part("plain instance", TannerCode, graph, cp, cd)
     derived = obj["derived"]
     measured = gamma(graph).gamma
     _check_stored(derived, "gamma", measured)
@@ -378,10 +383,11 @@ def load_lt_instance(obj: dict) -> LtCode:
     """Rebuild an lt instance; the design fixes its mediator, the GRS bank.
 
     A missing key, a value of the wrong JSON type, an R that is not a
-    fraction or a malformed graph is a usage error. The stored gamma1 and
-    gamma2 are checked against the spectral ratios measured on the stored
-    graphs. Files written before the design fixed the mediator may carry a
-    "mediator" record; one naming any other kind is refused.
+    fraction, a q that is not a prime in range or a malformed graph is a
+    usage error. The stored gamma1 and gamma2 are checked against the
+    spectral ratios measured on the stored graphs. Files written before the
+    design fixed the mediator may carry a "mediator" record; one naming any
+    other kind is refused.
     """
     _check_keys(obj, _LT_PARTS, {}, "lt instance")
     for part, types in _LT_PARTS.items():
@@ -393,8 +399,11 @@ def load_lt_instance(obj: dict) -> LtCode:
         design = LtDesign.from_json(obj["design"])
     except (TypeError, ZeroDivisionError) as exc:  # e.g. R = [1, 0]
         raise UsageError(f"lt instance design: {exc}") from None
-    g1 = _load_graph(obj["g1"], "lt instance g1")
-    g2 = _load_graph(obj["g2"], "lt instance g2")
+    # checked before LtCode, which builds the field again: the DesignErrors
+    # that LtCode raises must keep exit 1
+    _load_part("lt instance design", PrimeField, design.q)
+    g1 = _load_part("lt instance g1", BipartiteRegularGraph.from_json, obj["g1"])
+    g2 = _load_part("lt instance g2", BipartiteRegularGraph.from_json, obj["g2"])
     code = LtCode(design, g1, g2)
     _check_stored(obj["derived"], "gamma1", code.gamma1)
     _check_stored(obj["derived"], "gamma2", code.gamma2)

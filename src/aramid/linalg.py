@@ -17,8 +17,9 @@ word-size prime fields", ACM TOMS 2008). It has three parts:
    block follows from the 2x2 block inverse. Panels of at most `_LEAF`
    columns run a per-pivot Gauss-Jordan loop.
 3. One back-substitution gives R[:rank, free], the non-pivot columns of the
-   RREF R (its pivot columns are unit vectors). `rref` then drops the
-   working array and writes R into a new int64 array.
+   RREF R (its pivot columns are unit vectors). `nullspace` builds its basis
+   from that block alone, so it never allocates R; `rref` drops the working
+   array and writes R into a new int64 array.
 
 Every product multiplies operands reduced into [0, q) over an inner
 dimension that counts pivots, and every value left unreduced is an entry in
@@ -38,12 +39,16 @@ float64 serves any matrix with fewer than about 2*10**6 rows or columns.
 Which rows become pivots does not change the result: the RREF and its pivot
 columns depend only on the matrix.
 
-An input is reduced mod q in int64 and converted one band of `_BAND` rows at
-a time, so beside the input an elimination holds the working array and
-O((block + _BAND) * cols) other values, and then R with R[:rank, free] in
-the working dtype. An input of a narrow integer dtype thus adds little:
-`TannerCode.generator` passes its matrix as the smallest unsigned dtype that
-holds q - 1, a quarter of a float32 array when q <= 256.
+An input is reduced mod q and converted one band of `_BAND` rows at a time,
+an unsigned input in its own dtype and any other in int64. Each panel step
+reduces its panel and its pivot rows in place. So beside the input an
+elimination holds the working array and O((block + _BAND) * cols) other
+values. After it, `rref` holds R with R[:rank, free] in the working dtype,
+and `nullspace` holds that block and its (nullity x cols) basis. An input
+of a narrow unsigned dtype thus adds little: `TannerCode.generator` passes
+its matrix as the smallest unsigned dtype that holds q - 1, a quarter of a
+float32 array when q <= 256, and its nullspace peaks at the working array
+plus those temporaries.
 """
 
 from __future__ import annotations
@@ -72,16 +77,23 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return _reduce(prod, q).astype(np.int64)
 
 
-def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+def _reduce(x: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
     """x mod q for integers of a float dtype with a p-bit significand, below
     2**p in absolute value (2**24 for float32, 2**53 for float64).
 
     Faster than np.mod and exact in this range: the rounding error of x/q is
     below 2**p/q * 2**-p = 1/q, so the floor is the true quotient, and q
     times it lies within q of x. q is a Python int, so the result keeps x's
-    dtype under both value-based casting and NEP 50.
+    dtype under both value-based casting and NEP 50. With `out` (x itself
+    for an in-place reduction) the same operations write there and hold one
+    temporary of x's size.
     """
-    return x - q * np.floor(x / q)
+    if out is None:
+        return x - q * np.floor(x / q)
+    t = x / q
+    np.floor(t, out=t)
+    t *= q
+    return np.subtract(x, t, out=out)
 
 
 def _panel_leaf(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,8 +165,11 @@ def _panel(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _load(a, q: int) -> np.ndarray:
     """a mod q as a new working array, float32 when the value bound B is
-    below 2**24 and float64 otherwise, reduced in int64 before conversion so
-    that negative entries and entries above 2**53 stay exact."""
+    below 2**24 and float64 otherwise. Each band is reduced before
+    conversion: an unsigned input in its own dtype, with q as a scalar of
+    that dtype (under NEP 50 a Python int would have to fit it), and left as
+    it is when q exceeds the dtype's range; any other input in int64, so that
+    negative entries and entries above 2**53 stay exact."""
     a = np.asarray(a)
     bound = min(a.shape) * (q - 1) ** 2 + q
     if bound >= 2**53:
@@ -164,8 +179,44 @@ def _load(a, q: int) -> np.ndarray:
         )
     r = np.empty(a.shape, dtype=np.float32 if bound < 2**24 else np.float64)
     for s in range(0, a.shape[0], _BAND):
-        r[s : s + _BAND] = np.asarray(a[s : s + _BAND], dtype=np.int64) % q
+        band = a[s : s + _BAND]
+        if a.dtype.kind != "u":
+            band = np.asarray(band, dtype=np.int64) % q
+        elif q <= np.iinfo(a.dtype).max:
+            band = band % a.dtype.type(q)
+        r[s : s + _BAND] = band
     return r
+
+
+def _panel_step(r: np.ndarray, q: int, lead: int, c0: int, c1: int) -> np.ndarray:
+    """One panel of `_echelon`: eliminate columns c0 .. c1-1 of r from row
+    lead down and return the panel's pivot columns, counted from c0. Its k
+    pivot rows move to rows lead .. lead+k-1 and are solved for those
+    columns, and the rows below them are updated on columns c1 on. The
+    panel and the pivot rows are reduced in place, and the step's
+    temporaries are freed when it returns, before the next panel's exist."""
+    gt = np.array(r[lead:, c0:c1].T, order="C")
+    _reduce(gt, q, out=gt)
+    prows, pcols, t = _panel(gt, q)
+    k = len(pcols)
+    if k:
+        # the rows the pivot rows displace from lead .. lead+k-1 take their
+        # places, so that the rows below are contiguous
+        order = np.arange(r.shape[0] - lead)
+        moved = prows[prows >= k]
+        order[moved] = np.setdiff1d(np.arange(k), prows)
+        order[:k] = prows
+        f = gt[pcols[:, None], order[k:]].T
+        del gt  # f is all that the update reads of it
+        x = r[lead + prows, c0:]
+        x = t @ _reduce(x, q, out=x)
+        _reduce(x, q, out=x)
+        r[lead + moved, c0:] = r[lead + order[moved], c0:]
+        r[lead : lead + k, c0:] = x
+        for s in range(0, len(f), _BAND):
+            below = lead + k + s
+            r[below : below + _BAND, c1:] -= f[s : s + _BAND] @ x[:, c1 - c0 :]
+    return pcols
 
 
 def _echelon(
@@ -184,23 +235,9 @@ def _echelon(
         if lead == rows:
             break
         c1 = min(c0 + block, cols)
-        gt = _reduce(np.ascontiguousarray(r[lead:, c0:c1].T), q)
-        prows, pcols, t = _panel(gt, q)
+        pcols = _panel_step(r, q, lead, c0, c1)
         k = len(pcols)
         if k:
-            x = _reduce(t @ _reduce(r[lead + prows, c0:], q), q)
-            # the rows the pivot rows displace from lead .. lead+k-1 take
-            # their places, so that the rows below are contiguous
-            order = np.arange(rows - lead)
-            moved = prows[prows >= k]
-            order[moved] = np.setdiff1d(np.arange(k), prows)
-            order[:k] = prows
-            r[lead + moved, c0:] = r[lead + order[moved], c0:]
-            r[lead : lead + k, c0:] = x
-            f = gt[pcols[:, None], order[k:]].T
-            for s in range(0, len(f), _BAND):
-                below = lead + k + s
-                r[below : below + _BAND, c1:] -= f[s : s + _BAND] @ x[:, c1 - c0 :]
             pivots.extend((c0 + pcols).tolist())
             panels.append((lead, lead + k))
             lead += k
@@ -233,12 +270,18 @@ def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[np.ndarray, list[i
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     """Basis of {x : a x = 0} over GF(q), one basis vector per row:
-    x_free = I and x_pivots = -R[:rank, free]^T."""
-    r, pivots = rref(a, q)
-    free = np.setdiff1d(np.arange(r.shape[1]), pivots)
-    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
+    x_free = I and x_pivots = -R[:rank, free]^T.
+
+    R[:rank, free] comes straight from `_echelon`, and the working array is
+    dropped before the basis is allocated, so no dense R is ever built.
+    """
+    r = _load(a, q)
+    pivots, free, solved = _echelon(r, q)
+    cols = r.shape[1]
+    del r
+    basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = -r[: len(pivots), free].T % q
+    basis[:, pivots] = -solved.T % q
     return basis
 
 

@@ -133,9 +133,13 @@ class TannerCode:
         left-block parametrization z = (a_u G')_u, which shrinks the
         elimination to the right-side constraints only. Their
         (n*(delta - k'')) x (n*k') matrix is held in the smallest unsigned
-        dtype that holds q - 1. `linalg.rref` eliminates it in float32
-        when min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance,
-        where the uint8 matrix is a quarter of that array.
+        dtype that holds q - 1. `linalg.nullspace` reduces it mod q in that
+        dtype and eliminates it in float32 when min(rows, cols)*(q-1)**2 + q
+        < 2**24, as on the desk instance, where the uint8 matrix is a
+        quarter of that array. The basis comes from the solved block
+        R[:rank, free] with no dense RREF, so the working array sets the
+        peak. The basis's codewords are put in systematic form by a second
+        `linalg.rref` of only dim rows.
         """
         if self._gen is None:
             q = self.field.q

@@ -1,10 +1,10 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from bigraph_reference import biadjacency
+from memtrace import traced_peak
 
 from aramid.bigraph import (
     BipartiteRegularGraph,
@@ -136,12 +136,7 @@ def test_gamma_fft_path_memory_is_linear():
     n, delta = 8000, 40
     shifts = np.random.default_rng(8).choice(n, size=delta, replace=False)
     g = circulant_bipartite(n, shifts)
-    tracemalloc.start()
-    try:
-        prof = gamma(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    prof, peak = traced_peak(lambda: gamma(g))
     assert peak <= 2 * g.matchings.nbytes
     assert 0 < prof.gamma < 1
 

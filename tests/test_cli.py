@@ -556,8 +556,12 @@ def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
             lambda obj: obj["g1"].update(matchings=[[0, 1]]),
             "lt instance g1: graph is not connected",
         ),
+        (lambda obj: obj["design"].update(q=36), "lt instance design: modulus 36 is not prime"),
     ],
-    ids=["design-without-q", "without-g1", "delta1-not-int", "R-zero-denominator", "g1-shape"],
+    ids=[
+        "design-without-q", "without-g1", "delta1-not-int", "R-zero-denominator", "g1-shape",
+        "q-not-prime",
+    ],
 )
 def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog, edit, message):
     obj = read_json(lt_instance)
@@ -573,6 +577,40 @@ def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog,
     assert not (tmp_path / "rep.csv").exists()
 
 
+def _shorten(part, *keys):
+    def edit(obj):
+        for key in keys:
+            obj[part][key] = obj[part][key][:-1]
+
+    return edit
+
+
+# plain-instance parts of the right JSON type that no field, GRS code or
+# graph code can be built from; SMALL_CFG has delta = 24 over GF(29)
+_UNBUILDABLE_PARTS = [
+    (lambda obj: obj["field"].update(q=36), "plain instance field: modulus 36 is not prime"),
+    (
+        lambda obj: obj["c_prime"].update(k=99),
+        "plain instance c_prime: dimension must satisfy 0 < k <= 24, got 99",
+    ),
+    (
+        _shorten("c_double", "eval_points"),
+        "plain instance c_double: column multipliers must be nonzero, one per position",
+    ),
+    (
+        lambda obj: obj["c_prime"].update(eval_points=[1, *obj["c_prime"]["eval_points"][:-1]]),
+        "plain instance c_prime: evaluation points must be pairwise distinct",
+    ),
+    (
+        _shorten("c_double", "eval_points", "col_mults"),
+        "plain instance: component code length must equal the degree 24",
+    ),
+]
+_UNBUILDABLE_IDS = [
+    "q-not-prime", "k-too-large", "eval-points-short", "eval-points-repeat", "c-double-short",
+]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -583,8 +621,9 @@ def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog,
             lambda obj: obj["graph"].update(matchings=[[0, 1]]),
             "plain instance graph: graph is not connected",
         ),
+        *_UNBUILDABLE_PARTS,
     ],
-    ids=["without-derived", "without-c-prime", "q-not-int", "graph-shape"],
+    ids=["without-derived", "without-c-prime", "q-not-int", "graph-shape", *_UNBUILDABLE_IDS],
 )
 def test_run_malformed_plain_instance_is_usage_error(
     small_instance, tmp_path, caplog, edit, message
@@ -600,6 +639,24 @@ def test_run_malformed_plain_instance_is_usage_error(
     assert rc == EXIT_USAGE
     assert message in caplog.text
     assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["gmd-run", "verify-bounds"])
+@pytest.mark.parametrize("edit, message", _UNBUILDABLE_PARTS, ids=_UNBUILDABLE_IDS)
+def test_unbuildable_plain_part_is_usage_error(
+    small_instance, tmp_path, caplog, command, edit, message
+):
+    # gmd-run and verify-bounds load plain instances through the same path
+    obj = read_json(small_instance)
+    edit(obj)
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    argv = [command, "--instance", str(edited), "--out", str(tmp_path / "rep")]
+    if command == "gmd-run":
+        argv += ["--seed", "13", "--trials", "3"]
+    assert run_cli(*argv) == EXIT_USAGE
+    assert message in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
 
 
 @pytest.mark.parametrize("command", ["run", "verify-bounds", "lt-run", "gmd-run"])

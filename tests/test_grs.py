@@ -1,8 +1,8 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
+from memtrace import traced_peak
 
 from aramid.gf import PrimeField
 from aramid.grs import GrsCode
@@ -222,11 +222,8 @@ def test_construction_peak_is_its_retained_tables():
     # mults % q` would hold two more k x n int64 tables, a 1.6x peak here;
     # the n x n difference matrix of the Forney products (30.5 MiB) comes
     # first, below the 42.8 MiB the code then keeps
-    tracemalloc.start()
-    try:
-        code = GrsCode(PrimeField(2003), k=1600, eval_points=range(1, 2001))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(
+        lambda: GrsCode(PrimeField(2003), k=1600, eval_points=range(1, 2001))
+    )
     kept = sum(v.nbytes for v in vars(code).values() if isinstance(v, np.ndarray))
     assert peak <= 1.1 * kept, f"peak {peak / kept:.2f}x the retained tables"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as ref
+from memtrace import traced_peak
 
 from aramid import linalg
 
@@ -160,8 +161,8 @@ def test_float32_elimination_never_upcasts(monkeypatch, block):
     seen = set()
     reduce = linalg._reduce
 
-    def spy(x, q):
-        out = reduce(x, q)
+    def spy(x, q, out=None):
+        out = reduce(x, q, out)
         seen.update((x.dtype, out.dtype))
         return out
 
@@ -246,6 +247,63 @@ def test_rref_and_nullspace_reduce_int64_entries_exactly(q):
     r2, p2 = linalg.rref(a, q, block=16)
     assert p1 == p2 and np.array_equal(r1, r2)
     assert np.array_equal(linalg.nullspace(a, q), ref.nullspace_plain(a, q))
+
+
+@pytest.mark.parametrize(
+    "dtype, q",
+    [
+        (np.uint8, 37),
+        (np.uint8, 257),
+        (np.uint8, 65521),
+        (np.uint16, 257),
+        (np.uint16, 65521),
+        (np.uint32, 65521),
+        (np.uint64, 37),
+    ],
+)
+def test_rref_and_nullspace_reduce_unsigned_entries_in_their_dtype(dtype, q):
+    # 20 columns repeat earlier ones mod q, and about half of all entries
+    # are lifted by multiples of q into the top of the dtype's range (219 to
+    # 255 for uint8 and q = 37), so a copy and its column differ as integers.
+    # A q above the range (uint8 with q = 257 or 65521) leaves the entries as
+    # they are and must not be cast to the dtype: NEP 50 refuses that, and
+    # value-based casting wraps it with a DeprecationWarning, an error here
+    # under the suite's filterwarnings setting
+    top = int(np.iinfo(dtype).max)
+    rng = np.random.default_rng(q + top % 1000)
+    a = rng.integers(0, min(q, top + 1), size=(230, 250)).astype(dtype)
+    a[:, -20:] = a[:, :20]
+    if q <= top:
+        lift = rng.random(a.shape) < 0.5
+        a[lift] += dtype(q) * ((dtype(top) - a[lift]) // dtype(q))
+        assert a.max() > top - q and np.any(a % dtype(q) != a)
+    keep = a.copy()
+    r2, p2 = linalg.rref(a, q)
+    ns = linalg.nullspace(a, q)
+    # reduced through Python ints: uint64 entries above 2**63 would wrap in
+    # the oracle's int64 conversion
+    exact = (a.astype(object) % q).astype(np.int64)
+    r1, p1 = ref.rref_plain(exact, q)
+    assert p1 == p2 and np.array_equal(r1, r2)
+    assert np.array_equal(ns, ref.nullspace_plain(exact, q))
+    assert ns.shape[0] >= 20
+    assert a.dtype == dtype and np.array_equal(a, keep)
+
+
+def test_nullspace_holds_no_dense_int64_copy():
+    # a rank-deficient 1200 x 1200 uint8 matrix over GF(37): the float32
+    # working array is half the int64 bytes of its shape, and the basis is
+    # built from the solved block R[:rank, free], 0.76x in all; a dense int64
+    # R beside it, or int64 load bands beside a float64 array, reads above 1x
+    q, n = 37, 1200
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, q, size=(n, n), dtype=np.uint8)
+    a[:, -50:] = (a[:, :50] + a[:, 50:100]) % q
+    linalg.nullspace(a[:40, :50], q)  # keeps a first call's lazy imports untraced
+    ns, peak = traced_peak(lambda: linalg.nullspace(a, q))
+    assert peak < 8 * a.size, f"peak {peak / (8 * a.size):.2f}x the int64 bytes"
+    assert ns.shape == (50, n)
+    assert not np.any(a.astype(np.int64) @ ns.T % q)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
