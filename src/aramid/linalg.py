@@ -17,9 +17,9 @@ word-size prime fields", ACM TOMS 2008). It has three parts:
    block follows from the 2x2 block inverse. Panels of at most `_LEAF`
    columns run a per-pivot Gauss-Jordan loop.
 3. One back-substitution gives R[:rank, free], the non-pivot columns of the
-   RREF R (its pivot columns are unit vectors). `nullspace` builds its basis
-   from that block alone, so it never allocates R; `rref` drops the working
-   array and writes R into a new int64 array.
+   RREF R (its pivot columns are unit vectors). `rref` drops the working
+   array and writes R into a new int64 array, or returns that block alone
+   when `nullspace` asks for it, so a nullspace never allocates R.
 
 Every product multiplies operands reduced into [0, q) over an inner
 dimension that counts pivots, and every value left unreduced is an entry in
@@ -41,14 +41,15 @@ columns depend only on the matrix.
 
 An input is reduced mod q and converted one band of `_BAND` rows at a time,
 an unsigned input in its own dtype and any other in int64. Each panel step
-reduces its panel and its pivot rows in place. So beside the input an
-elimination holds the working array and O((block + _BAND) * cols) other
-values. After it, `rref` holds R with R[:rank, free] in the working dtype,
-and `nullspace` holds that block and its (nullity x cols) basis. An input
-of a narrow unsigned dtype thus adds little: `TannerCode.generator` passes
-its matrix as the smallest unsigned dtype that holds q - 1, a quarter of a
-float32 array when q <= 256, and its nullspace peaks at the working array
-plus those temporaries.
+frees its temporaries before the next one allocates its own. So beside the
+input an elimination holds the working array and O((block + _BAND) * cols)
+other values. After it, `rref` drops the working array and keeps only
+R[:rank, free] before it allocates its result, and `nullspace` allocates
+its (nullity x cols) basis beside that block. An input of a narrow unsigned
+dtype thus adds little: `TannerCode.generator` passes its matrix as the
+smallest unsigned dtype that holds q - 1, a quarter of a float32 array when
+q <= 256, and its nullspace peaks at the working array plus those
+temporaries.
 """
 
 from __future__ import annotations
@@ -77,23 +78,20 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return _reduce(prod, q).astype(np.int64)
 
 
-def _reduce(x: np.ndarray, q: int, out: np.ndarray | None = None) -> np.ndarray:
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     """x mod q for integers of a float dtype with a p-bit significand, below
     2**p in absolute value (2**24 for float32, 2**53 for float64).
 
     Faster than np.mod and exact in this range: the rounding error of x/q is
     below 2**p/q * 2**-p = 1/q, so the floor is the true quotient, and q
     times it lies within q of x. q is a Python int, so the result keeps x's
-    dtype under both value-based casting and NEP 50. With `out` (x itself
-    for an in-place reduction) the same operations write there and hold one
-    temporary of x's size.
+    dtype under both value-based casting and NEP 50. The quotient's array
+    is reused for the result, so the reduction allocates nothing else.
     """
-    if out is None:
-        return x - q * np.floor(x / q)
     t = x / q
     np.floor(t, out=t)
     t *= q
-    return np.subtract(x, t, out=out)
+    return np.subtract(x, t, out=t)
 
 
 def _panel_leaf(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,10 +191,9 @@ def _panel_step(r: np.ndarray, q: int, lead: int, c0: int, c1: int) -> np.ndarra
     lead down and return the panel's pivot columns, counted from c0. Its k
     pivot rows move to rows lead .. lead+k-1 and are solved for those
     columns, and the rows below them are updated on columns c1 on. The
-    panel and the pivot rows are reduced in place, and the step's
-    temporaries are freed when it returns, before the next panel's exist."""
-    gt = np.array(r[lead:, c0:c1].T, order="C")
-    _reduce(gt, q, out=gt)
+    step's temporaries are freed when it returns, before the next panel's
+    exist."""
+    gt = _reduce(np.ascontiguousarray(r[lead:, c0:c1].T), q)
     prows, pcols, t = _panel(gt, q)
     k = len(pcols)
     if k:
@@ -208,9 +205,7 @@ def _panel_step(r: np.ndarray, q: int, lead: int, c0: int, c1: int) -> np.ndarra
         order[:k] = prows
         f = gt[pcols[:, None], order[k:]].T
         del gt  # f is all that the update reads of it
-        x = r[lead + prows, c0:]
-        x = t @ _reduce(x, q, out=x)
-        _reduce(x, q, out=x)
+        x = _reduce(t @ _reduce(r[lead + prows, c0:], q), q)
         r[lead + moved, c0:] = r[lead + order[moved], c0:]
         r[lead : lead + k, c0:] = x
         for s in range(0, len(f), _BAND):
@@ -249,12 +244,17 @@ def _echelon(
     return pivots, free, solved
 
 
-def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[np.ndarray, list[int]]:
+def rref(
+    a: np.ndarray, q: int, block: int = _BLOCK, *, free_only: bool = False
+) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(q): (R, pivot column list).
 
     `block` >= 1 is the panel width of `_echelon`; a is not modified. R is
     an int64 array of a's shape, allocated after the working array is
-    dropped, so the two are never held at once.
+    dropped, so the two are never held at once. With `free_only` only
+    R[:rank, free] is returned in its place, the block on the non-pivot
+    columns, so no dense R is allocated: the rest of R is zero but for a
+    unit entry per pivot row in its pivot column.
     """
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
@@ -262,6 +262,8 @@ def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[np.ndarray, list[i
     pivots, free, solved = _echelon(r, q, block)
     shape = r.shape
     del r
+    if free_only:
+        return solved.astype(np.int64), pivots
     out = np.zeros(shape, dtype=np.int64)
     out[np.arange(len(pivots)), pivots] = 1
     out[: len(pivots), free] = solved
@@ -270,15 +272,11 @@ def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[np.ndarray, list[i
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     """Basis of {x : a x = 0} over GF(q), one basis vector per row:
-    x_free = I and x_pivots = -R[:rank, free]^T.
-
-    R[:rank, free] comes straight from `_echelon`, and the working array is
-    dropped before the basis is allocated, so no dense R is ever built.
-    """
-    r = _load(a, q)
-    pivots, free, solved = _echelon(r, q)
-    cols = r.shape[1]
-    del r
+    x_free = I and x_pivots = -R[:rank, free]^T, with R[:rank, free] from
+    `rref(..., free_only=True)`, so no dense R is built."""
+    solved, pivots = rref(a, q, free_only=True)
+    cols = np.shape(a)[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -solved.T % q

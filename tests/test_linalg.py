@@ -26,6 +26,11 @@ def test_blocked_rref_matches_plain(q, shape):
     assert p1 == p2
     assert np.array_equal(r1, r2)
     assert r2.dtype == np.int64 and r2.shape == shape
+    # the block that nullspace reads, without the dense R around it
+    free = [c for c in range(shape[1]) if c not in p1]
+    solved, p3 = linalg.rref(a, q, block=16, free_only=True)
+    assert p3 == p1 and solved.dtype == np.int64
+    assert np.array_equal(solved, r1[: len(p1), free])
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,8 +166,8 @@ def test_float32_elimination_never_upcasts(monkeypatch, block):
     seen = set()
     reduce = linalg._reduce
 
-    def spy(x, q, out=None):
-        out = reduce(x, q, out)
+    def spy(x, q):
+        out = reduce(x, q)
         seen.update((x.dtype, out.dtype))
         return out
 
