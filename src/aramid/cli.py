@@ -306,8 +306,11 @@ def cmd_build(args) -> int:
     if mode not in _BUILD_KEYS:
         raise UsageError(f"build unknown mode {mode!r}")
     _check_keys(cfg, _BUILD_KEYS[mode], _BUILD_TYPES, f"build {mode} config")
-    if cfg.get("anneal_iters", 0) < 0:
-        raise UsageError("build anneal_iters must not be negative")
+    for key in ("anneal_iters", "seed"):
+        if cfg.get(key, 0) < 0:
+            raise UsageError(f"build {key} must not be negative")
+    if mode == "plain" and not 0 < cfg.get("sigma_frac", 0.9) < 1:
+        raise UsageError(f"build sigma_frac must lie in (0, 1), got {cfg['sigma_frac']!r}")
     if mode == "plain":
         instance = build_plain_instance(cfg, args.allow_weak)
     else:

@@ -27,6 +27,8 @@ import numpy as np
 from . import linalg
 from .gf import PrimeField
 
+_DIFF_COLS = 256  # columns of the difference matrix per block of _prod_others
+
 
 class GrsCode:
     """A [length, k, length-k+1] generalized Reed-Solomon code over GF(q)."""
@@ -62,26 +64,30 @@ class GrsCode:
                 raise ValueError("cannot find nonzero locators (length == q)")
         self._locators = (pts + shift) % q
         x = self._locators
-        prod = _prod_others(x, q)  # prod_{j != i} (x_i - x_j)
+        prod, head = _prod_others(x, k, q)
         inv = _inverses(q)
         self._dual_mults = inv[mults * prod % q]
         # Forney factor -x_i / u_i = -x_i * v_i * prod_i
         self._forney = (-x * mults % q) * prod % q
+        # Systematic generator [I | P] by Lagrange interpolation through the
+        # first k points: P[i, j] = v_j A_j / (v_i B_i (a_j - a_i)), where
+        # head gives A_j for j >= k and B_i for i < k. Built before the other
+        # tables, so that its temporaries do not add to theirs, and kept in
+        # float64, the dtype `_mul_mod` multiplies by; (q-1)**3 < 2**63.
+        p = inv[(x[k:] - x[:k, None]) % q]
+        p *= mults[k:] * head[k:] % q
+        p *= inv[mults[:k] * head[:k] % q][:, None]
+        p %= q
+        self._redundancy = p.astype(np.float64)
+        del p
         nsyn = self.dmin - 1
-        # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k. This
-        # and the generator are scaled in place, so that no k x n temporary
-        # is made beside _powers' own table.
+        # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k, scaled
+        # in place, so that no temporary is made beside _powers' own table.
         self._parity = _powers(x, nsyn, q)
         self._parity *= self._dual_mults
         self._parity %= q
-        self._parity_t = np.ascontiguousarray(self._parity.T)
-        # Inverse-locator power table for Chien search / Forney evaluation.
-        self._inv_pow = np.ascontiguousarray(_powers(inv[x], nsyn + 1, q).T)
-        # Monomial generator G[j, i] = v_i * a_i^j.
-        self._gen = _powers(pts, k, q)
-        self._gen *= mults
-        self._gen %= q
-        self._sys_gen = None
+        # x_i^-m for m <= d - 1, for Chien search and Forney evaluation
+        self._inv_pow = _powers(inv[x], nsyn + 1, q)
         self._right_inv = None
 
     @property
@@ -97,26 +103,17 @@ class GrsCode:
 
     # -- encoding ---------------------------------------------------------
 
-    def encode(self, msg) -> np.ndarray:
-        """Evaluate the polynomial with coefficient vector msg."""
-        msg = np.asarray(msg, dtype=np.int64) % self.field.q
-        if msg.shape[-1] != self.k:
-            raise ValueError(f"message length must be {self.k}, got {msg.shape[-1]}")
-        return linalg._mul_mod(msg, self._gen, self.field.q)
-
     def sys_generator(self) -> np.ndarray:
-        """Generator in systematic form: identity on the first k positions."""
-        if self._sys_gen is None:
-            r, pivots = linalg.rref(self._gen, self.field.q)
-            assert pivots == list(range(self.k))  # any k GRS columns independent
-            self._sys_gen = r
-        return self._sys_gen
+        """Generator in systematic form [I | P]: identity on the first k positions."""
+        return np.hstack([np.eye(self.k, dtype=np.int64), self._redundancy.astype(np.int64)])
 
     def sys_encode(self, msg) -> np.ndarray:
-        msg = np.asarray(msg, dtype=np.int64) % self.field.q
+        """[m | m P] for a message m (k,) or a stack of them (rows, k)."""
+        q = self.field.q
+        msg = np.asarray(msg, dtype=np.int64) % q
         if msg.shape[-1] != self.k:
             raise ValueError(f"message length must be {self.k}, got {msg.shape[-1]}")
-        return linalg._mul_mod(msg, self.sys_generator(), self.field.q)
+        return np.concatenate([msg, linalg._mul_mod(msg, self._redundancy, q)], axis=-1)
 
     def sys_project(self, codeword) -> np.ndarray:
         """Inverse of sys_encode: projection onto the systematic positions."""
@@ -131,7 +128,7 @@ class GrsCode:
     def syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndrome rows for one word (shape (n,)) or a batch (m, n)."""
         q = self.field.q
-        return linalg._mul_mod(np.asarray(words, dtype=np.int64) % q, self._parity_t, q)
+        return linalg._mul_mod(np.asarray(words, dtype=np.int64) % q, self._parity.T, q)
 
     # -- decoding -----------------------------------------------------------
 
@@ -208,15 +205,14 @@ class GrsCode:
         lam = np.where(ok[:, None], lam[:, :top], 0)
         lam[:, 0] = 1
         psi = _mul_trunc(gamma, lam, nsyn + 1, q)
-        inv_pow = self._inv_pow.T
-        roots = linalg._mul_mod(psi, inv_pow, q) == 0
+        roots = linalg._mul_mod(psi, self._inv_pow, q) == 0
         ok &= roots.sum(axis=1) == el + b
 
         # Forney: e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i)
         omega = _mul_trunc(lam, xi, nsyn, q)  # psi * S = Lambda * xi mod X^(d-1)
         dpsi = psi[:, 1:] * np.arange(1, nsyn + 1) % q
-        num = linalg._mul_mod(omega, inv_pow[:nsyn], q)
-        den = linalg._mul_mod(dpsi, inv_pow[:nsyn], q)
+        num = linalg._mul_mod(omega, self._inv_pow[:nsyn], q)
+        den = linalg._mul_mod(dpsi, self._inv_pow[:nsyn], q)
         ok &= ~np.any(roots & (den == 0), axis=1)
         err = self._forney * num % q * inv[den] % q
         corrected = (filled - np.where(roots, err, 0)) % q
@@ -227,26 +223,34 @@ class GrsCode:
         return np.where(ok[:, None], corrected, filled), ok
 
     def parity_right_inverse(self) -> np.ndarray:
-        """Some R with H R = I, so that R h is a word with syndrome h."""
+        """R = [H_S^-1; 0] for S the first d - 1 positions, so that H R = I
+        and R h is a word with syndrome h.
+
+        H_S = V diag(u_S) for the Vandermonde V[l, i] = x_i^l, whose inverse
+        has the Lagrange basis M(X) / ((X - x_i) M'(x_i)) in row i, where
+        M = prod_{t in S} (X - x_t). One synthetic division by X - x_i runs
+        for every i at once, and Horner's rule on its quotient gives M'(x_i).
+        """
         if self._right_inv is None:
-            self._right_inv = linalg.right_inverse(self._parity, self.field.q)
+            q = self.field.q
+            s = self.dmin - 1
+            x = self._locators[:s]
+            m = np.zeros(s + 1, dtype=np.int64)  # M, leading coefficient first
+            m[0] = 1
+            for j, t in enumerate(x):
+                m[1 : j + 2] = (m[1 : j + 2] - t * m[: j + 1]) % q
+            quot = np.empty((s, s), dtype=np.int64)  # row i: M / (X - x_i), leading first
+            c = np.ones(s, dtype=np.int64)
+            deriv = np.zeros(s, dtype=np.int64)  # M'(x_i)
+            for j in range(s):
+                if j:
+                    c = (m[j] + x * c) % q
+                quot[:, j] = c
+                deriv = (deriv * x + c) % q
+            scale = _inverses(q)[self._dual_mults[:s] * deriv % q]
+            self._right_inv = np.zeros((self.length, s), dtype=np.int64)
+            self._right_inv[:s] = quot[:, ::-1] * scale[:, None] % q
         return self._right_inv
-
-    # -- oracles --------------------------------------------------------------
-
-    def all_codewords(self, limit: int = 10**6) -> np.ndarray:
-        """Every codeword, for exhaustive checks on tiny codes."""
-        q = self.field.q
-        total = q**self.k
-        if total > limit:
-            raise ValueError(f"enumeration of {total} codewords exceeds limit {limit}")
-        msgs = np.indices((q,) * self.k).reshape(self.k, total).T
-        return self.encode(msgs)
-
-    def min_distance_brute(self, limit: int = 10**6) -> int:
-        words = self.all_codewords(limit)
-        weights = np.count_nonzero(words, axis=1)
-        return int(weights[weights > 0].min())
 
 
 def _powers(base: np.ndarray, count: int, q: int) -> np.ndarray:
@@ -265,21 +269,36 @@ def _powers(base: np.ndarray, count: int, q: int) -> np.ndarray:
     return out
 
 
-def _prod_others(x: np.ndarray, q: int) -> np.ndarray:
-    """prod_{j != i} (x_i - x_j) mod q for every i, as one product tree over
-    the difference matrix: each halving multiplies the last half of the live
-    rows into the first half, so ceil(log2(n)) array products."""
-    d = x[None, :] - x[:, None]  # d[j, i] = x_i - x_j
-    d %= q
-    np.fill_diagonal(d, 1)
-    rows = len(x)
+def _prod_others(x: np.ndarray, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """prod_{j != i} (x_i - x_j) and prod_{j < k, j != i} (x_i - x_j) mod q
+    for every i, in one pass over column blocks of the difference matrix
+    d[j, i] = x_i - x_j, so that the n x n matrix is never held. A block's
+    first k rows fold into row k - 1, and then rows k - 1 on into it."""
+    n = len(x)
+    full = np.empty(n, dtype=np.int64)
+    head = np.empty(n, dtype=np.int64)
+    for s in range(0, n, _DIFF_COLS):
+        cols = np.arange(s, min(s + _DIFF_COLS, n))
+        d = x[cols] - x[:, None]
+        d %= q
+        d[cols, cols - s] = 1
+        head[cols] = _fold(d[k - 1 :: -1], q)
+        full[cols] = _fold(d[k - 1 :], q)
+    return full, head
+
+
+def _fold(d: np.ndarray, q: int) -> np.ndarray:
+    """The product of d's rows mod q, folded in place into row 0: each
+    halving multiplies the last half of the live rows into the first half,
+    so ceil(log2(rows)) array products."""
+    rows = len(d)
     while rows > 1:
         h = rows // 2
         # rows [rows - h, rows) fold into [0, h); with rows odd, row h stays
         d[:h] *= d[rows - h : rows]
         d[:h] %= q
         rows -= h
-    return d[0].copy()  # not a view, so the n x n matrix is freed here
+    return d[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,9 +17,9 @@ word-size prime fields", ACM TOMS 2008). It has three parts:
    block follows from the 2x2 block inverse. Panels of at most `_LEAF`
    columns run a per-pivot Gauss-Jordan loop.
 3. One back-substitution gives R[:rank, free], the non-pivot columns of the
-   RREF R (its pivot columns are unit vectors). `rref` drops the working
-   array and writes R into a new int64 array, or returns that block alone
-   when `nullspace` asks for it, so a nullspace never allocates R.
+   RREF R. `rref` drops the working array and returns that block and the
+   pivot columns, which fix the rest of R (unit pivot columns, zero rows
+   below the rank), so no dense R is ever allocated.
 
 Every product multiplies operands reduced into [0, q) over an inner
 dimension that counts pivots, and every value left unreduced is an entry in
@@ -44,12 +44,11 @@ an unsigned input in its own dtype and any other in int64. Each panel step
 frees its temporaries before the next one allocates its own. So beside the
 input an elimination holds the working array and O((block + _BAND) * cols)
 other values. After it, `rref` drops the working array and keeps only
-R[:rank, free] before it allocates its result, and `nullspace` allocates
-its (nullity x cols) basis beside that block. An input of a narrow unsigned
-dtype thus adds little: `TannerCode.generator` passes its matrix as the
-smallest unsigned dtype that holds q - 1, a quarter of a float32 array when
-q <= 256, and its nullspace peaks at the working array plus those
-temporaries.
+R[:rank, free], and `nullspace` allocates its (nullity x cols) basis beside
+that block. An input of a narrow unsigned dtype thus adds little:
+`TannerCode.generator` passes its matrix as the smallest unsigned dtype that
+holds q - 1, a quarter of a float32 array when q <= 256, and its nullspace
+peaks at the working array plus those temporaries.
 """
 
 from __future__ import annotations
@@ -244,53 +243,29 @@ def _echelon(
     return pivots, free, solved
 
 
-def rref(
-    a: np.ndarray, q: int, block: int = _BLOCK, *, free_only: bool = False
-) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(q): (R, pivot column list).
+def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[list[int], np.ndarray]:
+    """Reduced row-echelon form R over GF(q), as (pivot column list,
+    R[:rank, free]): the int64 block of R on its non-pivot columns. The rest
+    of R is zero but for a unit entry per pivot row in its pivot column.
 
-    `block` >= 1 is the panel width of `_echelon`; a is not modified. R is
-    an int64 array of a's shape, allocated after the working array is
-    dropped, so the two are never held at once. With `free_only` only
-    R[:rank, free] is returned in its place, the block on the non-pivot
-    columns, so no dense R is allocated: the rest of R is zero but for a
-    unit entry per pivot row in its pivot column.
+    `block` >= 1 is the panel width of `_echelon`; a is not modified.
     """
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
     r = _load(a, q)
-    pivots, free, solved = _echelon(r, q, block)
-    shape = r.shape
+    pivots, _, solved = _echelon(r, q, block)
     del r
-    if free_only:
-        return solved.astype(np.int64), pivots
-    out = np.zeros(shape, dtype=np.int64)
-    out[np.arange(len(pivots)), pivots] = 1
-    out[: len(pivots), free] = solved
-    return out, pivots
+    return pivots, solved.astype(np.int64)
 
 
 def nullspace(a: np.ndarray, q: int) -> np.ndarray:
     """Basis of {x : a x = 0} over GF(q), one basis vector per row:
     x_free = I and x_pivots = -R[:rank, free]^T, with R[:rank, free] from
-    `rref(..., free_only=True)`, so no dense R is built."""
-    solved, pivots = rref(a, q, free_only=True)
+    `rref`."""
+    pivots, solved = rref(a, q)
     cols = np.shape(a)[1]
     free = np.setdiff1d(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -solved.T % q
     return basis
-
-
-def right_inverse(a: np.ndarray, q: int) -> np.ndarray:
-    """B with a B = I over GF(q); requires full row rank."""
-    a = np.asarray(a, dtype=np.int64) % q
-    rows, cols = a.shape
-    aug = np.hstack([a, np.eye(rows, dtype=np.int64)])
-    r, pivots = rref(aug, q)
-    if len([p for p in pivots if p < cols]) < rows:
-        raise ValueError("matrix does not have full row rank")
-    b = np.zeros((cols, rows), dtype=np.int64)
-    b[pivots] = r[: len(pivots), cols:]
-    return b

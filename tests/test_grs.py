@@ -1,9 +1,12 @@
 import itertools
 
+import grs_reference as ref
+import linalg_reference
 import numpy as np
 import pytest
 from memtrace import traced_peak
 
+from aramid import linalg
 from aramid.gf import PrimeField
 from aramid.grs import GrsCode
 
@@ -17,7 +20,7 @@ def rs625():
 def brute_nearest(code, values, erased=None):
     """Independent oracle: nearest codeword by exhaustive enumeration,
     ignoring erased positions; returns (codeword, distance, unique)."""
-    words = code.all_codewords()
+    words = ref.all_codewords(code)
     diffs = words != np.asarray(values)[None, :]
     if erased is not None:
         diffs = diffs[:, ~np.asarray(erased, dtype=bool)]
@@ -28,29 +31,29 @@ def brute_nearest(code, values, erased=None):
 
 
 def test_encode_constant_polynomial(rs625):
-    assert rs625.encode([1, 0]).tolist() == [1, 1, 1, 1, 1, 1]
+    assert ref.encode(rs625, [1, 0]).tolist() == [1, 1, 1, 1, 1, 1]
 
 
 def test_encode_identity_polynomial(rs625):
-    assert rs625.encode([0, 1]).tolist() == [1, 2, 3, 4, 5, 6]
+    assert ref.encode(rs625, [0, 1]).tolist() == [1, 2, 3, 4, 5, 6]
 
 
 def test_encode_hand_evaluated(rs625):
     # p(x) = 2 + 3x mod 7 at x = 1..6
-    assert rs625.encode([2, 3]).tolist() == [5, 1, 4, 0, 3, 6]
+    assert ref.encode(rs625, [2, 3]).tolist() == [5, 1, 4, 0, 3, 6]
 
 
 def test_encode_linear(rs625):
     rng = np.random.default_rng(3)
     for _ in range(50):
         m1, m2 = rng.integers(0, 7, size=(2, 2))
-        lhs = rs625.encode((m1 + m2) % 7)
-        rhs = (rs625.encode(m1) + rs625.encode(m2)) % 7
+        lhs = ref.encode(rs625, (m1 + m2) % 7)
+        rhs = (ref.encode(rs625, m1) + ref.encode(rs625, m2)) % 7
         assert np.array_equal(lhs, rhs)
 
 
 def test_mds_minimum_distance_brute(rs625):
-    assert rs625.min_distance_brute() == 5
+    assert ref.min_distance_brute(rs625) == 5
 
 
 def test_sys_encode_round_trip(rs625):
@@ -63,7 +66,7 @@ def test_sys_encode_round_trip(rs625):
 
 
 def test_decode_clean_is_identity(rs625):
-    c = rs625.encode([4, 2])
+    c = ref.encode(rs625, [4, 2])
     assert np.array_equal(rs625.decode_ee(c), c)
     assert np.array_equal(rs625.decode_ee(np.zeros(6, dtype=np.int64)), np.zeros(6))
 
@@ -80,7 +83,7 @@ def test_decode_two_errors_example(rs625):
 
 
 def test_decode_four_erasures(rs625):
-    c = rs625.encode([3, 6])
+    c = ref.encode(rs625, [3, 6])
     erased = np.zeros(6, dtype=bool)
     erased[[0, 2, 4, 5]] = True
     got = rs625.decode_ee(c, erased)
@@ -93,7 +96,7 @@ def test_decode_errors_only_random_trials(rs625):
     rng = np.random.default_rng(5)
     for _ in range(200):
         msg = rng.integers(0, 7, size=2)
-        c = rs625.encode(msg)
+        c = ref.encode(rs625, msg)
         y = c.copy()
         pos = rng.choice(6, size=2, replace=False)
         for p in pos:
@@ -107,7 +110,7 @@ def test_decode_errors_only_random_trials(rs625):
 
 def test_beyond_radius_contract(rs625):
     # 3 errors: FAIL or a codeword other than the original is permitted.
-    c = rs625.encode([1, 1])
+    c = ref.encode(rs625, [1, 1])
     y = c.copy()
     y[[0, 1, 2]] = (y[[0, 1, 2]] + 1) % 7
     got = rs625.decode_ee(y)
@@ -117,7 +120,7 @@ def test_beyond_radius_contract(rs625):
 
 def test_exhaustive_error_erasure_contract(rs625):
     """Every codeword, every (a, b) with 2a + b < 5, every support and value."""
-    codewords = rs625.all_codewords()
+    codewords = ref.all_codewords(rs625)
     n = 6
     failures = 0
     for c in codewords:
@@ -149,7 +152,7 @@ def coset_decode(code, h, y):
 
 
 def test_coset_decode_zero_syndrome_matches_plain(rs625):
-    c = rs625.encode([2, 5])
+    c = ref.encode(rs625, [2, 5])
     y = c.copy()
     y[3] = (y[3] + 2) % 7
     h = np.zeros(4, dtype=np.int64)
@@ -163,7 +166,7 @@ def test_coset_decode_one_error():
     for _ in range(30):
         t = rng.integers(0, 7, size=6)
         h = code.syndromes(t)
-        coset = (code.all_codewords() + t[None, :]) % 7
+        coset = (ref.all_codewords(code) + t[None, :]) % 7
         w = coset[rng.integers(len(coset))]
         y = w.copy()
         p = rng.integers(6)
@@ -192,7 +195,7 @@ def test_decoder_handles_zero_evaluation_point():
     code = GrsCode(PrimeField(7), k=2, eval_points=range(0, 6))
     rng = np.random.default_rng(7)
     for _ in range(100):
-        c = code.encode(rng.integers(0, 7, size=2))
+        c = ref.encode(code, rng.integers(0, 7, size=2))
         y = c.copy()
         pos = rng.choice(6, size=2, replace=False)
         for p in pos:
@@ -214,16 +217,71 @@ def test_rejects_bad_parameters():
 
 def test_wrong_message_length(rs625):
     with pytest.raises(ValueError):
-        rs625.encode([1, 2, 3])
+        rs625.sys_encode([1, 2, 3])
+
+
+def _random_codes(seed, qs, count):
+    """count lengths per q, each with random points and nonzero
+    multipliers, and k = 1, n - 1, n and one random k for each."""
+    rng = np.random.default_rng(seed)
+    for q in qs:
+        for _ in range(count):
+            n = int(rng.integers(1, min(q - 1, 90) + 1))
+            for k in sorted({1, max(n - 1, 1), n, int(rng.integers(1, n + 1))}):
+                pts = rng.choice(q, size=n, replace=False)
+                yield GrsCode(PrimeField(q), k, pts, rng.integers(1, q, size=n)), rng
+
+
+@pytest.mark.parametrize("q", [3, 7, 37, 131, 65521])
+def test_systematic_encoder_and_right_inverse_match_elimination(q):
+    # the closed forms against an RREF of the monomial generator and of
+    # [H | I], the constructions they replaced
+    for code, rng in _random_codes(q, [q], 4):
+        n, k = code.length, code.k
+        gen = ref.monomial_generator(q, k, code.eval_points, code.col_mults)
+        sys_gen, pivots = linalg_reference.rref_plain(gen, q)
+        assert pivots == list(range(k))
+        assert np.array_equal(code.sys_generator(), sys_gen)
+        msgs = rng.integers(0, q, size=(5, k))
+        msgs[0] = q - 1
+        assert np.array_equal(code.sys_encode(msgs), msgs @ sys_gen % q)
+        assert np.array_equal(code.sys_encode(msgs[1]), msgs[1] @ sys_gen % q)
+        h = code.parity_check()
+        r = code.parity_right_inverse()
+        assert r.shape == (n, n - k) and r.dtype == np.int64
+        assert np.array_equal(r, linalg_reference.right_inverse_plain(h, q))
+        assert np.array_equal(h @ r % q, np.eye(n - k, dtype=np.int64))
+
+
+def test_grs_runs_no_elimination(monkeypatch):
+    # construction, encoding, the coset shift and decoding are closed forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("grs called linalg.rref")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    for code, rng in _random_codes(5, [7, 37, 131], 3):
+        n, k, q = code.length, code.k, code.field.q
+        msgs = rng.integers(0, q, size=(4, k))
+        words = code.sys_encode(msgs)
+        assert np.array_equal(code.sys_project(words), msgs)
+        assert code.parity_right_inverse().shape == (n, n - k)
+        erased = rng.random(words.shape) < 0.2
+        out, ok = code.decode_ee(words, erased)
+        assert np.array_equal(out[ok], words[ok])
 
 
 def test_construction_peak_is_its_retained_tables():
-    # the generator and parity tables are scaled in place: `_powers(...) *
-    # mults % q` would hold two more k x n int64 tables, a 1.6x peak here;
-    # the n x n difference matrix of the Forney products (30.5 MiB) comes
-    # first, below the 42.8 MiB the code then keeps
-    code, peak = traced_peak(
-        lambda: GrsCode(PrimeField(2003), k=1600, eval_points=range(1, 2001))
-    )
+    # construction and the first sys_encode: the systematic redundancy block
+    # is built first, in closed form, and its int64 temporaries are freed
+    # before the parity and inverse-power tables, which are scaled in place;
+    # the difference products run over column blocks, so the n x n matrix
+    # (30.5 MiB) is never held. A generator kept beside them, or an RREF of
+    # one at the first encode, reads above 1.3x
+    def build_and_encode():
+        code = GrsCode(PrimeField(2003), k=1600, eval_points=range(1, 2001))
+        code.sys_encode(np.ones(1600, dtype=np.int64))
+        return code
+
+    code, peak = traced_peak(build_and_encode)
     kept = sum(v.nbytes for v in vars(code).values() if isinstance(v, np.ndarray))
     assert peak <= 1.1 * kept, f"peak {peak / kept:.2f}x the retained tables"

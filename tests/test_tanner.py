@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import grs_reference
 import linalg_reference as ref
 from bigraph_reference import biadjacency
 from memtrace import traced_peak
@@ -205,12 +206,13 @@ def test_rate_bound_holds_on_instances(k33_code, cycle8_code):
 
 
 def _per_edge_generator(code):
-    """Oracle: right-vertex constraints built one edge at a time, eliminated
-    by the single-pivot reference."""
+    """Oracle: right-vertex constraints built one edge at a time on C''s
+    monomial generator, eliminated by the single-pivot reference."""
     q, n, delta = code.field.q, code.n, code.graph.delta
-    kp = code.c_prime.k
+    cp = code.c_prime
+    kp = cp.k
     h2 = code.c_double.parity_check()
-    gp = code.c_prime._gen
+    gp = grs_reference.monomial_generator(q, kp, cp.eval_points, cp.col_mults)
     h = h2.shape[0]
     m = np.zeros((n * h, n * kp), dtype=np.int64)
     for v in range(n):
@@ -320,9 +322,9 @@ def test_encoders_match_int64_products_at_the_top_of_the_field():
 
     grs = GrsCode(f, k=1000, eval_points=range(5, 1205))
     msgs = messages(1000)
-    assert np.array_equal(grs.encode(msgs), msgs @ grs._gen % q)
-    assert np.array_equal(grs.sys_encode(msgs), msgs @ grs.sys_generator() % q)
-    assert np.array_equal(grs.encode(msgs[1]), msgs[1] @ grs._gen % q)
+    gen = grs.sys_generator()
+    assert np.array_equal(grs.sys_encode(msgs), msgs @ gen % q)
+    assert np.array_equal(grs.sys_encode(msgs[1]), msgs[1] @ gen % q)
 
     comp = GrsCode(f, k=33, eval_points=range(1, 37))
     code = TannerCode(circulant_bipartite(36, range(36)), comp, comp)
