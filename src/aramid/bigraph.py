@@ -1,15 +1,15 @@
 """Circulant bipartite graphs: construction, edge indexing, spectral checks.
 
-A graph is stored as delta matchings; edge u--v with slot i exists when
-matchings[i][u] == v. Every graph is circulant: row i is the shift
-u -> u + s_i (mod n), and the shifts may repeat (parallel edges). Edge ids
-are e = u*delta + i, so the left sub-block of an edge word is a contiguous
-reshape and the right sub-block is a precomputed gather. The graph is
-connected exactly when n and the shift differences are coprime. The
-spectral ratio gamma is the second singular value of the biadjacency matrix
-divided by delta; the DFT diagonalises a circulant, so its singular values
-are the DFT magnitudes of the shift-count vector: one FFT, O(n log n) time
-and O(n) memory.
+A graph is its shift list: slot i joins u to u + s_i (mod n), and the
+shifts may repeat (parallel edges). The delta matchings, edge u--v with
+slot i when matchings[i][u] == v, are derived from the shifts once. Edge
+ids are e = u*delta + i, so the left sub-block of an edge word is a
+contiguous reshape and the right sub-block is a precomputed gather. The
+graph is connected exactly when n and the shift differences are coprime.
+The spectral ratio gamma is the second singular value of the biadjacency
+matrix divided by delta; the DFT diagonalises a circulant, so its singular
+values are the DFT magnitudes of the shift-count vector: one FFT,
+O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
@@ -51,34 +51,27 @@ def validate_degree(n: int, delta: int) -> None:
 
 
 class BipartiteRegularGraph:
-    """A delta-regular circulant bipartite graph on n + n vertices.
+    """The delta-regular circulant bipartite graph on n + n vertices with
+    the given shifts, kept in their order.
 
-    Raises ValueError naming the first matching that is not a shift with
-    entries in [0, n), and when the graph is not connected.
+    Raises ValueError unless 1 <= delta <= n, n > 1 and every shift lies in
+    [0, n), and when the graph is not connected.
     """
 
-    def __init__(self, matchings: np.ndarray, seed: int | None = None):
-        m = np.asarray(matchings, dtype=np.int64)
-        if m.ndim != 2:
-            raise ValueError("matchings must be a (delta, n) array")
-        delta, n = m.shape
-        validate_degree(n, delta)
-        ref = np.arange(n)
-        diff = (m - ref) % n
-        shifts = diff[:, 0]
-        bad = ((m < 0) | (m >= n) | (diff != shifts[:, None])).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"matching {i} is not a shift u -> u + s (mod {n}) with entries in [0, {n})"
-            )
-        if _circulant_gcd(n, shifts.tolist()) != 1:
+    def __init__(self, n: int, shifts, seed: int | None = None):
+        validate_degree(n, len(shifts))
+        bad = [s for s in shifts if not 0 <= s < n]
+        if bad:
+            raise ValueError(f"shift {bad[0]} is outside [0, {n})")
+        if _circulant_gcd(n, shifts) != 1:
             raise ValueError("graph is not connected")
+        shifts = np.asarray(shifts, dtype=np.int64)
         self.n = n
-        self.delta = delta
-        self.matchings = m
+        self.delta = delta = len(shifts)
         self.shifts = shifts
         self.seed = seed
+        ref = np.arange(n)
+        self.matchings = (ref + shifts[:, None]) % n
         # Hard-wired adjacency: right_edges[v] lists edge ids at v in slot
         # order; slot i at v comes from the left vertex u = v - s_i (mod n).
         self.right_edges = ((ref[:, None] - shifts) % n) * delta + np.arange(delta)
@@ -91,16 +84,17 @@ class BipartiteRegularGraph:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "matchings": self.matchings.tolist(),
-            "seed": self.seed,
-        }
+        return {"n": self.n, "shifts": self.shifts.tolist(), "seed": self.seed}
 
     @classmethod
     def from_json(cls, obj: dict) -> "BipartiteRegularGraph":
-        return cls(np.array(obj["matchings"], dtype=np.int64), seed=obj.get("seed"))
+        """Rebuild a graph from `to_json`'s record; a shift that is not a
+        JSON int (a bool, a float, a string) raises TypeError."""
+        shifts = obj["shifts"]
+        bad = [s for s in shifts if type(s) is not int]
+        if bad:
+            raise TypeError(f"shifts must be ints, got {bad[0]!r}")
+        return cls(obj["n"], shifts, seed=obj.get("seed"))
 
 
 # -- spectral measurement ------------------------------------------------------
@@ -140,13 +134,11 @@ def ramanujan_bound(delta: int) -> float:
 def circulant_bipartite(
     n: int, shifts, seed: int | None = None
 ) -> BipartiteRegularGraph:
-    """Union of shift permutations u -> u + s (mod n), one per s in shifts."""
+    """The graph on the distinct shifts s mod n, in ascending order."""
     shifts = sorted(int(s) % n for s in shifts)
     if len(set(shifts)) != len(shifts):
         raise ValueError("shifts must be distinct mod n")
-    base = np.arange(n, dtype=np.int64)
-    m = np.array([(base + s) % n for s in shifts], dtype=np.int64)
-    return BipartiteRegularGraph(m, seed=seed)
+    return BipartiteRegularGraph(n, shifts, seed=seed)
 
 
 def _circulant_gcd(n: int, shifts) -> int:

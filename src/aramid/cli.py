@@ -169,7 +169,7 @@ def _check_stored(derived: dict, key: str, measured: float) -> None:
 
 def _load_part(where: str, build, *args):
     """build(*args) for a stored part of an instance; a TypeError or
-    ValueError it raises (a wrong shape, a graph row that is not a shift, a
+    ValueError it raises (a shift that is not an int or not in [0, n), a
     disconnected graph, a modulus that is not a prime in range, a component
     code that cannot exist) is a usage error that names the part. Only
     constructors that raise no `DesignError` are passed here."""
@@ -185,9 +185,7 @@ def load_plain_instance(obj: dict):
     a value of the wrong JSON type, a malformed graph, a modulus that is not
     a prime in range or a component code that cannot exist is a usage
     error."""
-    _check_keys(obj, _PLAIN_PARTS, {}, "plain instance")
-    for part, types in _PLAIN_PARTS.items():
-        _check_keys(obj[part], types, types, f"plain instance {part}")
+    _check_parts(obj, _PLAIN_PARTS, "plain instance")
     field = _load_part("plain instance field", PrimeField, obj["field"]["q"])
     graph = _load_part("plain instance graph", BipartiteRegularGraph.from_json, obj["graph"])
     cp = _load_part("plain instance c_prime", grs_from_json, field, obj["c_prime"])
@@ -296,6 +294,16 @@ def _check_keys(obj, keys, types: dict, where: str) -> None:
             raise UsageError(f"{where} {key} must be {names}, got {value!r}")
 
 
+def _check_parts(obj, parts: dict, where: str) -> None:
+    """`_check_keys` on `obj` and on each of its `parts`. A part that stores
+    matchings, as graphs in earlier versions' files do, must be rebuilt."""
+    _check_keys(obj, parts, {}, where)
+    for part, types in parts.items():
+        if isinstance(obj[part], dict) and "matchings" in obj[part]:
+            raise UsageError(f"{where} {part} stores matchings, not shifts; rebuild it")
+        _check_keys(obj[part], types, types, f"{where} {part}")
+
+
 def cmd_build(args) -> int:
     cfg = read_json(args.config)
     if not isinstance(cfg, dict):
@@ -360,6 +368,7 @@ def fraction_tuple(x):
     return Fraction(x[0], x[1]) if isinstance(x, (list, tuple)) else Fraction(x)
 
 
+_GRAPH_PART = {"n": _INT, "shifts": (list,)}  # a graph is its shift list
 # the parts of an lt instance and the JSON types of the keys each must hold;
 # the design's come from the LtDesign field annotations
 _LT_PARTS = {
@@ -367,15 +376,15 @@ _LT_PARTS = {
         f.name: {"Fraction": (list,), "int": _INT, "float": _NUM, "bool": (bool,)}[f.type]
         for f in dataclasses.fields(LtDesign)
     },
-    "g1": {"matchings": (list,)},
-    "g2": {"matchings": (list,)},
+    "g1": _GRAPH_PART,
+    "g2": _GRAPH_PART,
     "derived": {"gamma1": _NUM, "gamma2": _NUM},
 }
 _GRS_PART = {"k": _INT, "eval_points": (list,), "col_mults": (list,)}
 # the parts of a plain instance and the JSON types of the keys each must hold
 _PLAIN_PARTS = {
     "field": {"q": _INT},
-    "graph": {"matchings": (list,)},
+    "graph": _GRAPH_PART,
     "c_prime": _GRS_PART,
     "c_double": _GRS_PART,
     "derived": {"gamma": _NUM, "weak": (bool,)},
@@ -388,16 +397,9 @@ def load_lt_instance(obj: dict) -> LtCode:
     A missing key, a value of the wrong JSON type, an R that is not a
     fraction, a q that is not a prime in range or a malformed graph is a
     usage error. The stored gamma1 and gamma2 are checked against the
-    spectral ratios measured on the stored graphs. Files written before the
-    design fixed the mediator may carry a "mediator" record; one naming any
-    other kind is refused.
+    spectral ratios measured on the stored graphs.
     """
-    _check_keys(obj, _LT_PARTS, {}, "lt instance")
-    for part, types in _LT_PARTS.items():
-        _check_keys(obj[part], types, types, f"lt instance {part}")
-    kind = obj.get("mediator", {"kind": "grs"}).get("kind")
-    if kind != "grs":
-        raise DesignError(f"instance was built with a {kind!r} mediator; rebuild it")
+    _check_parts(obj, _LT_PARTS, "lt instance")
     try:
         design = LtDesign.from_json(obj["design"])
     except (TypeError, ZeroDivisionError) as exc:  # e.g. R = [1, 0]

@@ -363,7 +363,10 @@ def _berlekamp_massey(
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.ndarray:
-    """Row-wise polynomial products a[r] * b[r] mod X^width (ascending coeffs)."""
+    """Row-wise polynomial products a[r] * b[r] mod X^width (ascending coeffs),
+    looping over the narrower operand."""
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
     out = np.zeros((len(a), width), dtype=np.int64)
     for j in range(min(a.shape[1], width)):
         w = min(b.shape[1], width - j)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,23 +113,15 @@ def _circulant_cases():
 
 @pytest.mark.parametrize("shifts, n", list(_circulant_cases()))
 def test_gamma_fft_path_matches_dense(shifts, n):
-    m = _circulant(n, shifts)
-    g = BipartiteRegularGraph(m)
-    assert np.array_equal(g.shifts, np.asarray(shifts) % n)
+    g = BipartiteRegularGraph(n, shifts)
+    assert np.array_equal(g.shifts, shifts)
+    assert np.array_equal(g.matchings, _circulant(n, shifts))
     want = _svd_gamma(g)
     got = gamma(g).gamma
     if want < 1e-12:
         assert got == 0.0
     else:
         assert got == pytest.approx(want, rel=1e-12)
-    if n < 3:
-        return  # on two vertices every relabelling is a rotation
-    # swapping two right labels keeps the spectrum, but for n >= 3 no row
-    # is a shift any more, so the graph is refused
-    perm = np.arange(n)
-    perm[:2] = [1, 0]
-    with pytest.raises(ValueError, match="matching 0 is not a shift"):
-        BipartiteRegularGraph(perm[m])
 
 
 def test_gamma_fft_path_memory_is_linear():
@@ -139,17 +132,6 @@ def test_gamma_fft_path_memory_is_linear():
     prof, peak = traced_peak(lambda: gamma(g))
     assert peak <= 2 * g.matchings.nbytes
     assert 0 < prof.gamma < 1
-
-
-def test_rejects_non_permutation_names_first_bad_matching():
-    m = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [0, 0, 1, 2], [3, 3, 3, 3]])
-    with pytest.raises(ValueError, match="matching 2 is not a shift"):
-        BipartiteRegularGraph(m)
-    with pytest.raises(ValueError, match="matching 0 is not a shift"):
-        BipartiteRegularGraph(np.array([[0, 1, 4]]))
-    # 5 = 2 (mod 3) would pass as the shift 0 without the range check
-    with pytest.raises(ValueError, match="matching 1 is not a shift"):
-        BipartiteRegularGraph(np.array([[1, 2, 0], [0, 1, 5]]))
 
 
 def test_gamma_target_unreachable_reports_best():
@@ -251,11 +233,18 @@ def test_expansion_lemma_requires_positive_gamma(k33):
 
 
 def test_serialization_round_trip():
-    g = circulant_bipartite(10, [0, 3, 4], seed=8)
+    # the shifts keep their order, repeats included
+    g = BipartiteRegularGraph(9, [7, 0, 5, 0, 2], seed=8)
     obj = g.to_json()
+    assert obj == {"n": 9, "shifts": [7, 0, 5, 0, 2], "seed": 8}
     g2 = BipartiteRegularGraph.from_json(obj)
+    assert g2.shifts.tolist() == [7, 0, 5, 0, 2]
     assert np.array_equal(g.matchings, g2.matchings)
+    assert np.array_equal(g.right_edges, g2.right_edges)
     assert g2.seed == 8
+    sorted_g = BipartiteRegularGraph.from_json(dict(obj, shifts=[0, 0, 2, 5, 7]))
+    assert np.array_equal(sorted_g.matchings, _circulant(9, [0, 0, 2, 5, 7]))
+
 
 
 def test_rejects_disconnected():
@@ -281,9 +270,9 @@ def _union_find_connected(matchings):
     return len({find(x) for x in range(2 * n)}) == 1
 
 
-def _connected_by_constructor(matchings):
+def _connected_by_constructor(n, shifts):
     try:
-        BipartiteRegularGraph(matchings)
+        BipartiteRegularGraph(n, shifts)
     except ValueError as exc:
         assert "not connected" in str(exc)
         return False
@@ -296,9 +285,9 @@ def test_connectivity_matches_union_find_random():
     outcomes = set()
     for _ in range(300):
         n = int(rng.integers(2, 13))
-        m = _circulant(n, rng.integers(0, n, size=int(rng.integers(1, n + 1))))
-        want = _union_find_connected(m)
-        assert _connected_by_constructor(m) == want
+        shifts = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+        want = _union_find_connected(_circulant(n, shifts))
+        assert _connected_by_constructor(n, shifts) == want
         outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -312,11 +301,22 @@ def test_connectivity_rejects_shifts_in_one_residue_class():
         n = d * int(rng.integers(1, 6))
         s0 = int(rng.integers(d))
         delta = int(rng.integers(1, n + 1))
-        m = _circulant(n, s0 + d * rng.integers(0, n // d, size=delta))
-        assert not _union_find_connected(m)
-        assert not _connected_by_constructor(m)
+        shifts = s0 + d * rng.integers(0, n // d, size=delta)
+        assert not _union_find_connected(_circulant(n, shifts))
+        assert not _connected_by_constructor(n, shifts)
 
 
-def test_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        BipartiteRegularGraph(np.array([[0, 0, 1, 2]]))
+@pytest.mark.parametrize(
+    "n, shifts, message",
+    [
+        (4, [0, 4], "shift 4 is outside [0, 4)"),
+        (4, [-1, 0], "shift -1 is outside [0, 4)"),
+        (4, [], "need 1 <= delta <= n"),
+        (4, [0, 1, 2, 3, 1], "need 1 <= delta <= n"),
+        (1, [0], "need 1 <= delta <= n and n > 1"),
+    ],
+    ids=["s-is-n", "minus-1", "empty", "more-than-n", "n-is-1"],
+)
+def test_rejects_malformed_shift_list(n, shifts, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BipartiteRegularGraph(n, shifts)

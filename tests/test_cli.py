@@ -1,8 +1,8 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +19,6 @@ from aramid.cli import (
     read_json,
     write_json,
 )
-from aramid.ltenc import DesignError
 
 SMALL_CFG = {
     "mode": "plain",
@@ -43,6 +42,20 @@ TINY_CFG = {
     "k_double": 2,
     "graph": "circulant",
     "seed": 1,
+}
+
+
+DESK_CFG = {
+    "mode": "plain",
+    "n": 100,
+    "delta": 36,
+    "q": 37,
+    "k_prime": 18,
+    "k_double": 18,
+    "graph": "circulant",
+    "gamma_target": 0.20,
+    "anneal_iters": 40000,
+    "seed": 11,
 }
 
 
@@ -71,6 +84,16 @@ def weak_instance(tmp_path_factory):
     path = tmp_path_factory.mktemp("weak") / "weak.json"
     write_json(str(path), build_plain_instance(TINY_CFG, allow_weak=True))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def desk_instance(tmp_path_factory):
+    """The desk plain instance, built through the CLI."""
+    tmp = tmp_path_factory.mktemp("desk")
+    cfg, inst = tmp / "cfg.json", tmp / "desk.json"
+    write_json(str(cfg), DESK_CFG)
+    assert main(["build", "--config", str(cfg), "--out", str(inst)]) == EXIT_OK
+    return str(inst)
 
 
 @pytest.fixture(scope="module")
@@ -579,8 +602,8 @@ def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
         ),
         (lambda obj: obj["design"].update(R=[1, 0]), "lt instance design: Fraction(1, 0)"),
         (
-            lambda obj: obj["g1"].update(matchings=[[0, 1]]),
-            "lt instance g1: graph is not connected",
+            lambda obj: obj["g1"].update(shifts=[[0, 1]]),
+            "lt instance g1: shifts must be ints, got [0, 1]",
         ),
         (lambda obj: obj["design"].update(q=36), "lt instance design: modulus 36 is not prime"),
     ],
@@ -644,8 +667,8 @@ _UNBUILDABLE_IDS = [
         (lambda obj: obj.pop("c_prime"), "plain instance lacks 'c_prime'"),
         (lambda obj: obj["field"].update(q="x"), "plain instance field q must be int, got 'x'"),
         (
-            lambda obj: obj["graph"].update(matchings=[[0, 1]]),
-            "plain instance graph: graph is not connected",
+            lambda obj: obj["graph"].update(shifts=[[0, 1]]),
+            "plain instance graph: shifts must be ints, got [0, 1]",
         ),
         *_UNBUILDABLE_PARTS,
     ],
@@ -697,20 +720,116 @@ def test_instance_not_a_json_object_is_usage_error(command, tmp_path, caplog):
     assert not (tmp_path / "rep").exists() and not (tmp_path / "rep.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "verify-bounds"])
-def test_non_circulant_graph_is_usage_error(small_instance, tmp_path, caplog, command):
-    # swapping two entries of one row keeps it a permutation but not a shift
-    obj = read_json(small_instance)
-    row = obj["graph"]["matchings"][3]
-    row[0], row[1] = row[1], row[0]
+def _set_shift(i, value):
+    def edit(g):
+        g["shifts"][i] = value
+
+    return edit
+
+
+# edits of a graph part {"n", "shifts", "seed"} and the message each gets;
+# {n} stands for the stored n and {n1} for n + 1
+_MALFORMED_SHIFT_LISTS = [
+    (_set_shift(1, 1.0), ": shifts must be ints, got 1.0"),
+    (_set_shift(1, True), ": shifts must be ints, got True"),
+    (_set_shift(1, "1"), ": shifts must be ints, got '1'"),
+    (_set_shift(0, -1), ": shift -1 is outside [0, {n})"),
+    (lambda g: g.update(shifts=[g["n"], *g["shifts"][1:]]), ": shift {n} is outside [0, {n})"),
+    (lambda g: g.update(shifts=[]), ": need 1 <= delta <= n and n > 1, got delta=0"),
+    (lambda g: g.update(n=float(g["n"])), " n must be int, got {n}.0"),
+    (lambda g: g.update(n=1, shifts=[0]), ": need 1 <= delta <= n and n > 1, got delta=1 n=1"),
+    (
+        lambda g: g.update(shifts=list(range(g["n"] + 1))),
+        ": need 1 <= delta <= n and n > 1, got delta={n1} n={n}",
+    ),
+    (lambda g: g.update(n=4, shifts=[0, 2]), ": graph is not connected"),
+]
+_MALFORMED_SHIFT_IDS = [
+    "float", "bool", "string", "minus-1", "s-is-n", "empty", "n-not-int", "n-is-1",
+    "more-than-n", "disconnected",
+]
+
+
+@pytest.mark.parametrize(
+    "command, instance, part",
+    [("run", "small_instance", "graph"), ("lt-run", "lt_instance", "g1")],
+)
+@pytest.mark.parametrize("edit, message", _MALFORMED_SHIFT_LISTS, ids=_MALFORMED_SHIFT_IDS)
+def test_malformed_shift_list_is_usage_error(
+    command, instance, part, edit, message, request, tmp_path, caplog
+):
+    obj = read_json(request.getfixturevalue(instance))
+    mode = obj["mode"]
+    n = obj[part]["n"]
+    edit(obj[part])
     edited = tmp_path / "edited.json"
     write_json(str(edited), obj)
-    argv = [command, "--instance", str(edited), "--out", str(tmp_path / "rep")]
-    if command == "run":
+    rc = run_cli(
+        command, "--instance", str(edited), "--seed", "7", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert f"{mode} instance {part}" + message.format(n=n, n1=n + 1) in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
+
+
+def _as_matchings(graph: dict) -> dict:
+    """A graph part as earlier versions stored it: delta full matchings."""
+    n, shifts = graph["n"], graph["shifts"]
+    return {
+        "n": n,
+        "delta": len(shifts),
+        "matchings": [[(u + s) % n for u in range(n)] for s in shifts],
+        "seed": graph["seed"],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, instance",
+    [
+        ("run", "desk_instance"),
+        ("verify-bounds", "desk_instance"),
+        ("gmd-run", "desk_instance"),
+        ("lt-run", "lt_instance"),
+    ],
+)
+def test_matchings_file_is_usage_error(command, instance, request, tmp_path, caplog):
+    obj = read_json(request.getfixturevalue(instance))
+    parts = ["graph"] if obj["mode"] == "plain" else ["g1", "g2"]
+    for part in parts:
+        obj[part] = _as_matchings(obj[part])
+    old = tmp_path / "old.json"
+    write_json(str(old), obj)
+    argv = [command, "--instance", str(old), "--out", str(tmp_path / "rep")]
+    if command != "verify-bounds":
         argv += ["--seed", "7", "--trials", "3"]
     assert run_cli(*argv) == EXIT_USAGE
-    assert "plain instance graph: matching 3 is not a shift" in caplog.text
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
+    message = f"{obj['mode']} instance {parts[0]} stores matchings, not shifts; rebuild it"
+    assert message in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
+
+
+# sha256 of canonical_json of each graph part of the desk instances; the
+# parts hold only ints, so the digests do not depend on the numpy version
+_DESK_GRAPH_DIGESTS = {
+    "graph": "b5eff38d6a1ee55f4491d85d00c1e16d5ac2bda2f04e5846a2a55d8576828605",
+    "g1": "201e0190a912879508d706989afb71ab04ae8cebb82bc65b7d39c1c031a15d8e",
+    "g2": "445cf9fccaa03a3c15b43abad875fe785b7dc11748fd9462816d2046821d2bac",
+}
+# the file sizes when each graph was stored as delta x n matchings
+_MATCHINGS_FILE_BYTES = {"plain": 45701, "lt": 208557}
+
+
+@pytest.mark.parametrize("instance", ["desk_instance", "lt_instance"])
+def test_desk_graph_parts_are_pinned_shift_lists(instance, request):
+    path = request.getfixturevalue(instance)
+    obj = read_json(path)
+    parts = ["graph"] if obj["mode"] == "plain" else ["g1", "g2"]
+    for part in parts:
+        assert sorted(obj[part]) == ["n", "seed", "shifts"]
+        digest = hashlib.sha256(canonical_json(obj[part]).encode()).hexdigest()
+        assert digest == _DESK_GRAPH_DIGESTS[part], part
+    assert 10 * os.path.getsize(path) <= _MATCHINGS_FILE_BYTES[obj["mode"]]
 
 
 def test_verify_bounds_on_lt_instance_is_usage_error(lt_instance, tmp_path, caplog):
@@ -719,22 +838,6 @@ def test_verify_bounds_on_lt_instance_is_usage_error(lt_instance, tmp_path, capl
     assert rc == EXIT_USAGE
     assert "verify-bounds expects an instance of mode 'plain', got 'lt'" in caplog.text
     assert not out.exists()
-
-
-def test_lt_load_refuses_tanner_mediator(lt_instance, tmp_path):
-    obj = read_json(lt_instance)
-    obj["mediator"] = {"kind": "grs", "seed": 502}  # older files carry this record
-    assert load_lt_instance(obj).mediator.mu == Fraction(*obj["derived"]["mediator_mu"])
-    obj["mediator"] = {"kind": "tanner", "seed": 502}
-    with pytest.raises(DesignError, match="tanner"):
-        load_lt_instance(obj)
-    edited = tmp_path / "tanner.json"
-    write_json(str(edited), obj)
-    rc = run_cli(
-        "lt-run", "--instance", str(edited), "--seed", "11", "--trials", "3",
-        "--out", str(tmp_path / "rep"),
-    )
-    assert rc == EXIT_VIOLATION
 
 
 def test_gmd_run(small_instance, tmp_path):

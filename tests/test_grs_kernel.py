@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aramid.gf import PrimeField
-from aramid.grs import GrsCode, _berlekamp_massey, _inverses
+from aramid.grs import GrsCode, _berlekamp_massey, _inverses, _mul_trunc
 
 # (q, length, k, first evaluation point); 0 forces the locator shift
 BATTERY_CODES = [
@@ -256,6 +256,24 @@ def test_berlekamp_massey_stop_rule_on_arbitrary_sequences(q):
                 assert got_el == want_el
                 assert np.all(got[len(want) :] == 0)
                 assert got[: len(want)].tolist() == want
+
+
+@pytest.mark.parametrize("q", [7, 131, 65521])
+def test_mul_trunc_matches_reference_for_any_widths(q):
+    # either operand may be the wider one, and the truncation width may cut
+    # into both, fall between them or lie past the full product
+    rng = np.random.default_rng(q + 1)
+    for _ in range(80):
+        m = int(rng.integers(1, 6))
+        wa, wb = (int(w) for w in rng.integers(1, 20, size=2))
+        width = int(rng.integers(1, wa + wb + 3))
+        a = rng.integers(0, q, size=(m, wa))
+        b = rng.integers(0, q, size=(m, wb))
+        got = _mul_trunc(a, b, width, q)
+        assert np.array_equal(got, _mul_trunc(b, a, width, q))
+        for r in range(m):
+            want = ref.poly_mul_trunc(a[r].tolist(), b[r].tolist(), width, q)
+            assert got[r].tolist() == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 37])

@@ -236,7 +236,7 @@ def test_generator_matches_per_edge_assembly_with_parallel_edges():
     # slots 0 and 1 are the same shift, so every left vertex has a
     # doubled edge whose two constraint blocks must add up
     n, f = 9, PrimeField(13)
-    g = BipartiteRegularGraph(np.array([(np.arange(n) + s) % n for s in (0, 0, 2, 5, 7)]))
+    g = BipartiteRegularGraph(n, [0, 0, 2, 5, 7])
     assert biadjacency(g).max() >= 2
     for k1, k2 in ((4, 4), (5, 3), (3, 2)):
         c1 = GrsCode(f, k=k1, eval_points=range(1, 6))
