@@ -1,15 +1,18 @@
 """Dense linear algebra over GF(q).
 
 `rref`, and `nullspace` through it, run one elimination, `_echelon`. It
-works in place on one floating-point array with entries in [0, q) and
-delays the reduction mod q (Dumas-Giorgi-Pernet, "Dense linear algebra over
-word-size prime fields", ACM TOMS 2008). It has three parts:
+works in place on one store, an array of the smallest unsigned dtype that
+holds q - 1 (uint8 for q <= 256, uint16 for q <= 65536), whose entries are
+kept in [0, q). Its products run in floating point with delayed reduction
+mod q (Dumas-Giorgi-Pernet, "Dense linear algebra over word-size prime
+fields", ACM TOMS 2008): the values a product reads are converted from the
+store, and its result is reduced and written back. It has three parts:
 
 1. An echelon pass over panels of `_BLOCK` columns. A panel's pivots are
    found over the rows that hold no pivot yet. Its pivot rows move up and
    are solved for the panel's pivot columns, and only the rows below them
    are updated, on the trailing columns, by BLAS products of `_BAND` rows
-   each.
+   each, each band converted, updated, reduced and stored in turn.
 2. The panel is factored by splitting it recursively (Toledo, "Locality of
    reference in LU decomposition with partial pivoting", SIAM J. Matrix
    Anal. Appl. 1997). The left half's pivots give the right half's Schur
@@ -17,38 +20,43 @@ word-size prime fields", ACM TOMS 2008). It has three parts:
    block follows from the 2x2 block inverse. Panels of at most `_LEAF`
    columns run a per-pivot Gauss-Jordan loop.
 3. One back-substitution gives R[:rank, free], the non-pivot columns of the
-   RREF R. `rref` drops the working array and returns that block and the
-   pivot columns, which fix the rest of R (unit pivot columns, zero rows
-   below the rank), so no dense R is ever allocated.
+   RREF R, converting the slices of the store that it reads. `rref` drops
+   the store and returns that block and the pivot columns, which fix the
+   rest of R (unit pivot columns, zero rows below the rank), so no dense R
+   is ever allocated.
 
 Every product multiplies operands reduced into [0, q) over an inner
 dimension that counts pivots, and every value left unreduced is an entry in
 [0, q) minus or plus such products, with at most one (q-1)**2 per pivot in
 all. So every value is an integer of absolute value at most
 B = min(rows, cols)*(q-1)**2 + q, and so is every partial sum of a product,
-in whatever order BLAS adds its terms, since they are nonnegative. A
+in whatever order BLAS adds its terms, since they are nonnegative. Reducing
+each result before it is stored only makes the values smaller: the next
+product again reads entries in [0, q), so the bound holds at every step as
+it did when unreduced values were carried from panel to panel. A
 floating-point type with a p-bit significand holds every integer below 2**p
 exactly, and `_reduce` is exact on them, so the elimination is exact in it
-while B < 2**p. The working array is float32 (p = 24) when B < 2**24, so
-that BLAS runs single-precision products (the single-precision path of
-Dumas-Giorgi-Pernet), and float64 (p = 53) otherwise; `rref` refuses
-B >= 2**53 before any allocation. Every temporary takes the working array's
-dtype. So float32 serves any matrix over GF(37) with fewer than about
-12900 rows or columns, and over GF(257) with at most 255; for q <= 65521
-float64 serves any matrix with fewer than about 2*10**6 rows or columns.
-Which rows become pivots does not change the result: the RREF and its pivot
-columns depend only on the matrix.
+while B < 2**p. Products run in float32 (p = 24) when B < 2**24, so that
+BLAS runs single-precision products (the single-precision path of
+Dumas-Giorgi-Pernet), and in float64 (p = 53) otherwise; `rref` refuses
+B >= 2**53 before any allocation. Every float temporary takes that dtype.
+So float32 serves any matrix over GF(37) with fewer than about 12900 rows
+or columns, and over GF(257) with at most 255; for q <= 65521 float64
+serves any matrix with fewer than about 2*10**6 rows or columns. Which rows
+become pivots does not change the result: the RREF and its pivot columns
+depend only on the matrix.
 
-An input is reduced mod q and converted one band of `_BAND` rows at a time,
-an unsigned input in its own dtype and any other in int64. Each panel step
-frees its temporaries before the next one allocates its own. So beside the
-input an elimination holds the working array and O((block + _BAND) * cols)
-other values. After it, `rref` drops the working array and keeps only
-R[:rank, free], and `nullspace` allocates its (nullity x cols) basis beside
-that block. An input of a narrow unsigned dtype thus adds little:
-`TannerCode.generator` passes its matrix as the smallest unsigned dtype that
-holds q - 1, a quarter of a float32 array when q <= 256, and its nullspace
-peaks at the working array plus those temporaries.
+An input is reduced mod q and stored one band of `_BAND` rows at a time, an
+unsigned input in its own dtype and any other in int64. Each panel step
+converts only the panel's columns, its pivot rows and one band of the
+trailing block at a time, and frees them before the next step allocates its
+own. So beside the input an elimination holds the store, a quarter of a
+float32 array when q <= 256, and O((block + _BAND) * cols) float values.
+After it, `rref` drops the store and keeps only R[:rank, free], and
+`nullspace` allocates its (nullity x cols) basis beside that block. An input
+of a narrow unsigned dtype thus adds little: `TannerCode.generator` passes
+its matrix in the store's own dtype, and its nullspace peaks at the input,
+the store and one panel step's temporaries.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ import numpy as np
 
 _BLOCK = 192
 _LEAF = 8
-_BAND = 256  # rows per int64 load and per trailing-update product
+_BAND = 256  # rows per load band and per trailing-update product
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -160,21 +168,30 @@ def _panel(gt: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([p1, p2]), np.concatenate([c1, h + c2]), t
 
 
-def _load(a, q: int) -> np.ndarray:
-    """a mod q as a new working array, float32 when the value bound B is
-    below 2**24 and float64 otherwise. Each band is reduced before
-    conversion: an unsigned input in its own dtype, with q as a scalar of
-    that dtype (under NEP 50 a Python int would have to fit it), and left as
-    it is when q exceeds the dtype's range; any other input in int64, so that
-    negative entries and entries above 2**53 stay exact."""
-    a = np.asarray(a)
-    bound = min(a.shape) * (q - 1) ** 2 + q
+def _float_dtype(shape: tuple[int, ...], q: int) -> np.dtype:
+    """The float dtype that an elimination of a matrix of this shape over
+    GF(q) multiplies in: float32 when the value bound B is below 2**24 and
+    float64 otherwise. B >= 2**53 raises ValueError."""
+    bound = min(shape) * (q - 1) ** 2 + q
     if bound >= 2**53:
         raise ValueError(
-            f"a {a.shape[0]}x{a.shape[1]} matrix over GF({q}) is too large for "
+            f"a {shape[0]}x{shape[1]} matrix over GF({q}) is too large for "
             "exact float64 elimination"
         )
-    r = np.empty(a.shape, dtype=np.float32 if bound < 2**24 else np.float64)
+    return np.dtype(np.float32 if bound < 2**24 else np.float64)
+
+
+def _load(a, q: int) -> np.ndarray:
+    """a mod q as a new store, in the smallest unsigned dtype that holds
+    q - 1. Each band is reduced before it is stored: an unsigned input in its
+    own dtype, with q as a scalar of that dtype (under NEP 50 a Python int
+    would have to fit it), and left as it is when q exceeds the dtype's
+    range; any other input in int64, so that negative entries and entries
+    above 2**53 stay exact. A shape whose value bound reaches 2**53 is
+    refused before any allocation."""
+    a = np.asarray(a)
+    _float_dtype(a.shape, q)
+    r = np.empty(a.shape, dtype=np.min_scalar_type(q - 1))
     for s in range(0, a.shape[0], _BAND):
         band = a[s : s + _BAND]
         if a.dtype.kind != "u":
@@ -185,14 +202,17 @@ def _load(a, q: int) -> np.ndarray:
     return r
 
 
-def _panel_step(r: np.ndarray, q: int, lead: int, c0: int, c1: int) -> np.ndarray:
-    """One panel of `_echelon`: eliminate columns c0 .. c1-1 of r from row
-    lead down and return the panel's pivot columns, counted from c0. Its k
-    pivot rows move to rows lead .. lead+k-1 and are solved for those
-    columns, and the rows below them are updated on columns c1 on. The
-    step's temporaries are freed when it returns, before the next panel's
-    exist."""
-    gt = _reduce(np.ascontiguousarray(r[lead:, c0:c1].T), q)
+def _panel_step(
+    r: np.ndarray, q: int, ft: np.dtype, lead: int, c0: int, c1: int
+) -> np.ndarray:
+    """One panel of `_echelon`: eliminate columns c0 .. c1-1 of the store r
+    from row lead down, multiplying in the float dtype ft, and return the
+    panel's pivot columns, counted from c0. Its k pivot rows move to rows
+    lead .. lead+k-1 and are solved for those columns, and the rows below
+    them are updated on columns c1 on, one band of `_BAND` rows at a time,
+    each reduced back into r. The step's temporaries are freed when it
+    returns, before the next panel's exist."""
+    gt = r[lead:, c0:c1].T.astype(ft, order="C")
     prows, pcols, t = _panel(gt, q)
     k = len(pcols)
     if k:
@@ -204,24 +224,29 @@ def _panel_step(r: np.ndarray, q: int, lead: int, c0: int, c1: int) -> np.ndarra
         order[:k] = prows
         f = gt[pcols[:, None], order[k:]].T
         del gt  # f is all that the update reads of it
-        x = _reduce(t @ _reduce(r[lead + prows, c0:], q), q)
+        x = _reduce(t @ r[lead + prows, c0:].astype(ft), q)
         r[lead + moved, c0:] = r[lead + order[moved], c0:]
         r[lead : lead + k, c0:] = x
+        x = x[:, c1 - c0 :]
         for s in range(0, len(f), _BAND):
-            below = lead + k + s
-            r[below : below + _BAND, c1:] -= f[s : s + _BAND] @ x[:, c1 - c0 :]
+            band = r[lead + k + s : lead + k + s + _BAND, c1:]
+            prod = f[s : s + _BAND] @ x
+            band[...] = _reduce(np.subtract(band, prod, out=prod), q)
     return pcols
 
 
 def _echelon(
     r: np.ndarray, q: int, block: int = _BLOCK
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Eliminate r, a float array with entries in [0, q), in place, in panels
-    of `block` columns: (pivot column list, free columns, R[:rank, free]) of
-    its RREF R. r is left holding the echelon form U, in which each panel's
-    pivot rows hold an identity block in its pivot columns.
+    """Eliminate the store r, an unsigned array with entries in [0, q), in
+    place, in panels of `block` columns: (pivot column list, free columns,
+    R[:rank, free]) of its RREF R, the last in the float dtype the
+    elimination multiplies in. r is left holding the echelon form U, in which
+    each panel's pivot rows hold an identity block in its pivot columns, with
+    every entry still in [0, q).
     """
     rows, cols = r.shape
+    ft = _float_dtype(r.shape, q)
     pivots: list[int] = []
     panels: list[tuple[int, int]] = []  # each panel's pivot rows in U
     lead = 0
@@ -229,7 +254,7 @@ def _echelon(
         if lead == rows:
             break
         c1 = min(c0 + block, cols)
-        pcols = _panel_step(r, q, lead, c0, c1)
+        pcols = _panel_step(r, q, ft, lead, c0, c1)
         k = len(pcols)
         if k:
             pivots.extend((c0 + pcols).tolist())
@@ -237,9 +262,10 @@ def _echelon(
             lead += k
         r[lead:, c0:c1] = 0
     free = np.setdiff1d(np.arange(cols), pivots)
-    solved = np.empty((lead, len(free)), dtype=r.dtype)
+    solved = np.empty((lead, len(free)), dtype=ft)
     for s, e in reversed(panels):
-        solved[s:e] = _reduce(r[s:e, free] - r[s:e, pivots[e:]] @ solved[e:], q)
+        prod = r[s:e, pivots[e:]].astype(ft) @ solved[e:]
+        solved[s:e] = _reduce(np.subtract(r[s:e, free], prod, out=prod), q)
     return pivots, free, solved
 
 

@@ -133,13 +133,16 @@ class TannerCode:
         left-block parametrization z = (a_u G')_u, with G' = [I | P] from
         C', which shrinks the elimination to the right-side constraints
         only. Their (n*(delta - k'')) x (n*k') matrix is held in the
-        smallest unsigned dtype that holds q - 1. `linalg.nullspace` reduces
-        it mod q in that dtype and eliminates it in float32 when
-        min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance, where
-        the uint8 matrix is a quarter of that array, and reads the basis off
-        R[:rank, free], so the working array sets the peak. The basis's
-        codewords are put in systematic form by a second `linalg.rref` of
-        only dim rows, assembled from its pivots and R[:rank, free].
+        smallest unsigned dtype that holds q - 1, the dtype `linalg` keeps
+        its elimination in. `linalg.nullspace` reduces it mod q into a store
+        of that dtype and eliminates the store in place, converting only the
+        values each product reads, to float32 when
+        min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance. It
+        reads the basis off R[:rank, free], so the peak is the matrix, the
+        store (uint8 on the desk, each a quarter of a float32 array) and one
+        panel step's temporaries. The basis's codewords are put in systematic
+        form by a second `linalg.rref` of only dim rows, assembled from its
+        pivots and R[:rank, free].
         """
         if self._gen is None:
             q = self.field.q

@@ -124,7 +124,9 @@ def _unit_lu(rows, cols, q):
 def test_rref_exact_at_the_float32_boundary(kind, shape, dtype):
     # q = 257: B = min(rows, cols)*256**2 + 257 is below 2**24 for 255 rows
     # and above it from 256; at 300 rows, one pivot per panel, the unit LU's
-    # trailing entries pass 2**24, where float32 no longer holds every integer
+    # unreduced trailing entries would pass 2**24, where float32 no longer
+    # holds every integer. The store is uint16 (q - 1 = 256 needs 9 bits)
+    # whatever the shape; only the dtype the products run in follows B
     q = 257
     rows, cols = shape
     rng = np.random.default_rng(rows)
@@ -136,16 +138,19 @@ def test_rref_exact_at_the_float32_boundary(kind, shape, dtype):
         a = np.full(shape, q - 1)
     else:
         a = _unit_lu(rows, cols, q)
-    assert linalg._load(a, q).dtype == dtype
+    r = linalg._load(a, q)
+    assert r.dtype == np.uint16
+    assert linalg._echelon(r, q)[2].dtype == dtype
     for block in (1, linalg._BLOCK):
         assert_rref_matches_plain(a, q, block)
 
 
 @pytest.mark.parametrize("block", [1, 16])
 def test_float32_elimination_never_upcasts(monkeypatch, block):
-    # every value the elimination computes passes through _reduce, so one
-    # float64 temporary, such as a default-dtype allocation, shows up here
-    # under both value-based casting and NEP 50
+    # every value the elimination computes passes through _reduce before it
+    # is stored, so one float64 temporary, such as a default-dtype
+    # allocation or a conversion of the uint8 store to the wrong float
+    # dtype, shows up here under both value-based casting and NEP 50
     seen = set()
     reduce = linalg._reduce
 
@@ -159,11 +164,41 @@ def test_float32_elimination_never_upcasts(monkeypatch, block):
     rng = np.random.default_rng(3)
     a = rng.integers(0, q, size=(120, 40)) @ rng.integers(0, q, size=(40, 150)) % q
     r = linalg._load(a, q)
-    assert r.dtype == np.float32
+    assert r.dtype == np.uint8
     pivots, free, solved = linalg._echelon(r, q, block)
     assert len(pivots) == 40
-    assert r.dtype == solved.dtype == np.float32
+    assert r.dtype == np.uint8 and solved.dtype == np.float32
     assert seen == {np.dtype(np.float32)}
+
+
+@pytest.mark.parametrize("q", [2, 37, 257, 65521])
+@pytest.mark.parametrize("block", [1, linalg._LEAF + 1, linalg._BLOCK])
+@pytest.mark.parametrize("shape", [(260, 420), (420, 260)])
+def test_store_stays_reduced_in_its_unsigned_dtype(q, block, shape):
+    # rank 150 with a zero column and a repeated one, so that panels meet
+    # columns without a pivot and rows run out of them; the store is uint8 for q <= 256 and uint16
+    # above, and at 260 rows or columns q = 257 and q = 65521 multiply in
+    # float64 while q = 2 and q = 37 multiply in float32
+    rows, cols = shape
+    rng = np.random.default_rng(q + block + cols)
+    a = rng.integers(0, q, size=(rows, 150)) @ rng.integers(0, q, size=(150, cols)) % q
+    a[:, 3] = 0
+    a[:, 7] = a[:, 5]
+    r = linalg._load(a, q)
+    assert r.dtype == np.min_scalar_type(q - 1)
+    assert np.array_equal(r, a)
+    pivots, free, solved = linalg._echelon(r, q, block)
+    assert r.dtype == np.min_scalar_type(q - 1)
+    assert int(r.max()) < q
+    want = np.float32 if 260 * (q - 1) ** 2 + q < 2**24 else np.float64
+    assert solved.dtype == want
+    p1, s1 = ref.rref_free(a, q)
+    assert pivots == p1 and len(pivots) == 150
+    assert np.array_equal(solved.astype(np.int64), s1)
+    # r holds the echelon form: unit diagonal and zeros below it in the pivot
+    # columns, and zero rows below the rank
+    assert np.array_equal(np.tril(r[:150][:, pivots]), np.eye(150))
+    assert not r[150:].any()
 
 
 def test_rref_refuses_block_below_one():
@@ -270,17 +305,18 @@ def test_rref_and_nullspace_reduce_unsigned_entries_in_their_dtype(dtype, q):
 
 
 def test_nullspace_holds_no_dense_int64_copy():
-    # a rank-deficient 1200 x 1200 uint8 matrix over GF(37): the float32
-    # working array is half the int64 bytes of its shape, and the basis is
-    # built from the solved block R[:rank, free], 0.76x in all; a dense int64
-    # R beside it, or int64 load bands beside a float64 array, reads above 1x
+    # a rank-deficient 1200 x 1200 uint8 matrix over GF(37): the uint8 store
+    # is an eighth of the int64 bytes of its shape, one panel step's float32
+    # temporaries come on top, and the basis is built from the solved block
+    # R[:rank, free], 0.47x in all; a float32 working array in place of the
+    # store reads 0.76x, and a dense int64 R beside it above 1x
     q, n = 37, 1200
     rng = np.random.default_rng(9)
     a = rng.integers(0, q, size=(n, n), dtype=np.uint8)
     a[:, -50:] = (a[:, :50] + a[:, 50:100]) % q
     linalg.nullspace(a[:40, :50], q)  # keeps a first call's lazy imports untraced
     ns, peak = traced_peak(lambda: linalg.nullspace(a, q))
-    assert peak < 8 * a.size, f"peak {peak / (8 * a.size):.2f}x the int64 bytes"
+    assert peak < 0.6 * 8 * a.size, f"peak {peak / (8 * a.size):.2f}x the int64 bytes"
     assert ns.shape == (50, n)
     assert not np.any(a.astype(np.int64) @ ns.T % q)
 
