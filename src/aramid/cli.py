@@ -395,9 +395,12 @@ def load_lt_instance(obj: dict) -> LtCode:
     """Rebuild an lt instance; the design fixes its mediator, the GRS bank.
 
     A missing key, a value of the wrong JSON type, an R that is not a
-    fraction, a q that is not a prime in range or a malformed graph is a
-    usage error. The stored gamma1 and gamma2 are checked against the
-    spectral ratios measured on the stored graphs.
+    fraction, a q that is not a prime in range, an n above q (the mediator's
+    GRS length bound), a graph whose n exceeds the design's or a malformed
+    graph is a usage error; the two bounds on n are checked before any graph
+    is allocated, so a graph allocates at most q entries per shift. The
+    stored gamma1 and gamma2 are checked against the spectral ratios
+    measured on the stored graphs.
     """
     _check_parts(obj, _LT_PARTS, "lt instance")
     try:
@@ -407,6 +410,13 @@ def load_lt_instance(obj: dict) -> LtCode:
     # checked before LtCode, which builds the field again: the DesignErrors
     # that LtCode raises must keep exit 1
     _load_part("lt instance design", PrimeField, design.q)
+    if design.n > design.q:
+        raise UsageError(f"lt instance design: n = {design.n} exceeds q = {design.q}")
+    for part in ("g1", "g2"):
+        if obj[part]["n"] > design.n:  # a smaller n is refused by LtCode
+            raise UsageError(
+                f"lt instance {part}: n = {obj[part]['n']} exceeds the design's n = {design.n}"
+            )
     g1 = _load_part("lt instance g1", BipartiteRegularGraph.from_json, obj["g1"])
     g2 = _load_part("lt instance g2", BipartiteRegularGraph.from_json, obj["g2"])
     code = LtCode(design, g1, g2)

@@ -16,18 +16,39 @@ Massey bound would give L* >= N'+1-L > floor(l/2), so it is already final. A
 row beyond the radius fails the certificate (zero syndrome after correction,
 2a + b < d) whatever the loop returns, since passing it puts a codeword
 within the radius.
+
+Work that cannot change the result is skipped, so each output is the one
+the full computation gives:
+- a Berlekamp-Massey step whose discrepancy is zero on every row leaves
+  Lambda, B, L and B's discrepancy as they are (B is shifted by X on every
+  step through its offset alone), so its update is not run;
+- error values are computed only at the roots of psi on rows still
+  certified, the only positions where a certified row is corrected, and
+  the final syndrome check runs only on those rows;
+- the erasure locator Gamma is built in int64 without reducing after each
+  factor (1 - x X). With coefficients in [0, q) after a reduction, each
+  factor multiplies their bound by at most q, so after p more factors they
+  are below (q-1) q**p < q**(p+1) < 2**62 for p = floor(62/log2(q+1)) - 1
+  (7 for q = 131, 2 for q = 65521), and Gamma is reduced every p factors.
+
+The tables that the products read are stored once, in float64 (exact, as
+in `linalg._mul_mod`): the transposed parity check H.T, the operand of
+every syndrome product, and the inverse-power table of the Chien search
+and Forney values. Operands the kernel passes between its own steps are
+already reduced mod q; only the public entry points reduce their input.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from . import linalg
 from .gf import PrimeField
 
-_DIFF_COLS = 256  # columns of the difference matrix per block of _prod_others
+_BLOCK = 256  # positions per block of _prod_others and _powers
 
 
 class GrsCode:
@@ -81,13 +102,14 @@ class GrsCode:
         self._redundancy = p.astype(np.float64)
         del p
         nsyn = self.dmin - 1
-        # Alternant parity check H[l, i] = u_i * x_i^l; rank = n - k, scaled
-        # in place, so that no temporary is made beside _powers' own table.
-        self._parity = _powers(x, nsyn, q)
-        self._parity *= self._dual_mults
-        self._parity %= q
-        # x_i^-m for m <= d - 1, for Chien search and Forney evaluation
-        self._inv_pow = _powers(inv[x], nsyn + 1, q)
+        # Each table is laid out as the right operand of its products, so
+        # that BLAS reads it as it is stored. The transposed alternant parity
+        # check H.T[i, l] = u_i * x_i^l (rank n - k), for syndromes:
+        self._parity = np.empty((n, nsyn), dtype=np.float64)
+        _powers(x, q, self._parity.T, first=self._dual_mults)
+        # x_i^-m for m <= d - 1, row m, for Chien search and Forney values
+        self._inv_pow = np.empty((nsyn + 1, n), dtype=np.float64)
+        _powers(inv[x], q, self._inv_pow)
         self._right_inv = None
 
     @property
@@ -123,12 +145,15 @@ class GrsCode:
 
     def parity_check(self) -> np.ndarray:
         """Canonical (alternant-form) parity-check matrix, (d-1) x length."""
-        return self._parity
+        return self._parity.T.astype(np.int64)
 
     def syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndrome rows for one word (shape (n,)) or a batch (m, n)."""
-        q = self.field.q
-        return linalg._mul_mod(np.asarray(words, dtype=np.int64) % q, self._parity.T, q)
+        return self._syndromes(np.asarray(words, dtype=np.int64) % self.field.q)
+
+    def _syndromes(self, words: np.ndarray) -> np.ndarray:
+        """`syndromes` of words already reduced into [0, q)."""
+        return linalg._mul_mod(words, self._parity, self.field.q)
 
     # -- decoding -----------------------------------------------------------
 
@@ -155,7 +180,7 @@ class GrsCode:
             era = np.broadcast_to(np.asarray(erased, dtype=bool), values.shape)
         out = np.where(era, 0, values)
         b = era.sum(axis=1)
-        synd = self.syndromes(out)
+        synd = self._syndromes(out)
         ok = b < self.dmin
         # clean rows without erasures are already codewords
         rows = np.flatnonzero(ok & ((b > 0) | synd.any(axis=1)))
@@ -172,24 +197,16 @@ class GrsCode:
 
         Every step runs on all rows at once; the certificate (deg Lambda = L
         within the radius, deg psi roots, nonzero Forney denominators, zero
-        syndrome after correction, 2a + b < d) is checked per row.
+        syndrome after correction, 2a + b < d) is checked per row. Error
+        values are computed only at the roots of rows still certified, and
+        only those rows get the final syndrome check.
         """
         q = self.field.q
         nsyn = self.dmin - 1
         inv = _inverses(q)
         m = len(b)
 
-        # erasure locator Gamma = prod (1 - x_i X) over each row's erasures
-        bmax = int(b.max())
-        gamma = np.zeros((m, bmax + 1), dtype=np.int64)
-        gamma[:, 0] = 1
-        if bmax:
-            first = np.argsort(~era, axis=1, kind="stable")[:, :bmax]
-            xs = np.where(np.arange(bmax) < b[:, None], self._locators[first], 0)
-            for j in range(bmax):
-                gamma[:, 1 : j + 2] = (
-                    gamma[:, 1 : j + 2] - xs[:, j : j + 1] * gamma[:, : j + 1]
-                ) % q
+        gamma = _erasure_locator(self._locators, era, b, q)
         xi = _mul_trunc(gamma, synd, nsyn, q)  # Gamma * S mod X^(d-1)
 
         # Berlekamp-Massey on xi[b:], length d-1-b per row
@@ -208,17 +225,23 @@ class GrsCode:
         roots = linalg._mul_mod(psi, self._inv_pow, q) == 0
         ok &= roots.sum(axis=1) == el + b
 
-        # Forney: e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i)
+        # Forney at the roots r, i of certified rows:
+        # e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i)
+        r, i = np.nonzero(roots & ok[:, None])
         omega = _mul_trunc(lam, xi, nsyn, q)  # psi * S = Lambda * xi mod X^(d-1)
         dpsi = psi[:, 1:] * np.arange(1, nsyn + 1) % q
-        num = linalg._mul_mod(omega, self._inv_pow[:nsyn], q)
-        den = linalg._mul_mod(dpsi, self._inv_pow[:nsyn], q)
-        ok &= ~np.any(roots & (den == 0), axis=1)
-        err = self._forney * num % q * inv[den] % q
-        corrected = (filled - np.where(roots, err, 0)) % q
+        num = linalg._mul_mod(omega, self._inv_pow[:nsyn], q)[r, i]
+        den = linalg._mul_mod(dpsi, self._inv_pow[:nsyn], q)[r, i]
+        ok[r[den == 0]] = False
+        keep = ok[r]
+        r, i = r[keep], i[keep]
+        err = self._forney[i] * num[keep] % q * inv[den[keep]] % q
+        corrected = filled.copy()
+        corrected[r, i] = (filled[r, i] - err) % q
 
-        ok &= ~self.syndromes(corrected).any(axis=1)
-        a = np.count_nonzero((corrected != filled) & ~era, axis=1)
+        rows = np.flatnonzero(ok)
+        ok[rows] = ~self._syndromes(corrected[rows]).any(axis=1)
+        a = np.bincount(r, weights=(err != 0) & ~era[r, i], minlength=m)
         ok &= 2 * a + b < self.dmin
         return np.where(ok[:, None], corrected, filled), ok
 
@@ -235,10 +258,8 @@ class GrsCode:
             q = self.field.q
             s = self.dmin - 1
             x = self._locators[:s]
-            m = np.zeros(s + 1, dtype=np.int64)  # M, leading coefficient first
-            m[0] = 1
-            for j, t in enumerate(x):
-                m[1 : j + 2] = (m[1 : j + 2] - t * m[: j + 1]) % q
+            # M, leading coefficient first: Gamma = prod (1 - x_t X), ascending
+            m = _erasure_locator(x, np.ones((1, s), dtype=bool), np.array([s]), q)[0]
             quot = np.empty((s, s), dtype=np.int64)  # row i: M / (X - x_i), leading first
             c = np.ones(s, dtype=np.int64)
             deriv = np.zeros(s, dtype=np.int64)  # M'(x_i)
@@ -253,20 +274,27 @@ class GrsCode:
         return self._right_inv
 
 
-def _powers(base: np.ndarray, count: int, q: int) -> np.ndarray:
-    """Rows base**j mod q for j < count, by doubling: rows [m, 2m) are rows
-    [0, m) times base**m, so ceil(log2(count)) array products."""
-    out = np.empty((count, len(base)), dtype=np.int64)
-    if count:
-        out[0] = 1
-    m = 1
-    while m < count:
-        top = min(2 * m, count)
-        step = out[m - 1] * base % q  # base**m
-        np.multiply(out[: top - m], step, out=out[m:top])
-        out[m:top] %= q
-        m = top
-    return out
+def _powers(base: np.ndarray, q: int, out: np.ndarray, first=None) -> None:
+    """Fill the float64 array `out` with out[j, i] = first[i] * base[i]**j
+    mod q (first = 1 if not given; base and first reduced mod q). float64
+    is the dtype the kernel multiplies by, exact since q - 1 < 2**53.
+
+    Each block of _BLOCK positions runs in int64, by doubling: rows [m, 2m)
+    of its (rows, block) array are rows [0, m) times base**m, so
+    ceil(log2(rows)) array products. Only that array is held beside `out`."""
+    count, n = out.shape
+    for s in range(0, n if count else 0, _BLOCK):
+        step = base[s : s + _BLOCK]  # base**m
+        blk = np.empty((count, len(step)), dtype=np.int64)
+        blk[0] = 1 if first is None else first[s : s + _BLOCK]
+        m = 1
+        while m < count:
+            top = min(2 * m, count)
+            np.multiply(blk[: top - m], step, out=blk[m:top])
+            blk[m:top] %= q
+            step = step * step % q
+            m = top
+        out[:, s : s + _BLOCK] = blk
 
 
 def _prod_others(x: np.ndarray, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +305,8 @@ def _prod_others(x: np.ndarray, k: int, q: int) -> tuple[np.ndarray, np.ndarray]
     n = len(x)
     full = np.empty(n, dtype=np.int64)
     head = np.empty(n, dtype=np.int64)
-    for s in range(0, n, _DIFF_COLS):
-        cols = np.arange(s, min(s + _DIFF_COLS, n))
+    for s in range(0, n, _BLOCK):
+        cols = np.arange(s, min(s + _BLOCK, n))
         d = x[cols] - x[:, None]
         d %= q
         d[cols, cols - s] = 1
@@ -349,17 +377,42 @@ def _berlekamp_massey(
         # rev[top - 1 + i] is term k - i
         disc = np.einsum("ij,ij->j", lam[: k + 1], rev[top - 1 :]) % q
         disc[k >= length] = 0
-        grow = (disc != 0) & (el <= k // 2)
-        live = lam[: k + 2]
-        upd = live - disc * binv % q * xb[top:]
-        np.copyto(xb[top:], live, where=grow)
-        np.remainder(upd, q, out=live)
-        if grow.any():
-            el[grow] = k + 1 - el[grow]
-            binv[grow] = inv[disc[grow]]
-            limit = int(np.minimum(el + half, length).max())
+        if disc.any():  # a silent step changes nothing (module docstring)
+            grow = (disc != 0) & (el <= k // 2)
+            live = lam[: k + 2]
+            upd = live - disc * binv % q * xb[top:]
+            np.copyto(xb[top:], live, where=grow)
+            np.remainder(upd, q, out=live)
+            if grow.any():
+                el[grow] = k + 1 - el[grow]
+                binv[grow] = inv[disc[grow]]
+                limit = int(np.minimum(el + half, length).max())
         k += 1
     return lam.T, el
+
+
+def _erasure_locator(
+    locators: np.ndarray, era: np.ndarray, b: np.ndarray, q: int
+) -> np.ndarray:
+    """Gamma = prod (1 - x_i X) over the erased positions i of each row of
+    `era` (b[r] of them in row r), ascending coefficients in columns.
+
+    Built coefficient-major, one vector step per factor, and reduced only
+    every p = floor(62 / log2(q + 1)) - 1 factors (module docstring)."""
+    m, bmax = len(b), int(b.max())
+    gamma = np.zeros((bmax + 1, m), dtype=np.int64)
+    gamma[0] = 1
+    if bmax:
+        row, col = np.nonzero(era)  # row-major: each row's in order
+        xs = np.zeros((bmax, m), dtype=np.int64)  # 0 past a row's erasures
+        xs[np.arange(len(row)) - (np.cumsum(b) - b)[row], row] = locators[col]
+        period = int(62 // math.log2(q + 1)) - 1
+        for j in range(bmax):
+            gamma[1 : j + 2] -= xs[j] * gamma[: j + 1]
+            if j % period == period - 1:
+                gamma[1 : j + 2] %= q
+        gamma %= q
+    return gamma.T
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.ndarray:

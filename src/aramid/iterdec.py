@@ -15,6 +15,14 @@ last decode; the first visit of each side is unconditional. This is
 output-equivalent to visiting every vertex each round, because the component
 decoders are pure functions of the sub-block; tests/iterdec_reference.py
 holds that all-vertex schedule as the oracle.
+
+The schedule also gives membership. A vertex is dirty when an incident edge
+changed since its last decode, and bad when that decode failed. A decode
+that succeeds leaves a codeword of the component code (or of the coset) in
+the sub-block, so a vertex that is neither dirty nor bad holds one. After
+round 2 no edge is erased, so the word is in the code exactly when the
+sub-blocks of the dirty and bad vertices of both sides have zero syndromes,
+and only those are checked.
 """
 
 from __future__ import annotations
@@ -172,18 +180,20 @@ def decode_phi(
     z_er = np.zeros(n * delta, dtype=bool)
     known = ~y.erased
     if known.any():
-        z.reshape(n, delta)[known] = cp.sys_encode(y.values[known] % q)
+        z.reshape(n, delta)[known] = cp.sys_encode(y.values[known])
     z_er.reshape(n, delta)[y.erased] = True
 
-    # the first visit of each side decodes every vertex
+    # the first visit of each side decodes every vertex; bad marks the
+    # vertices whose last decode failed
     dirty = np.ones((2, n), dtype=bool)
+    bad = np.zeros((2, n), dtype=bool)
     report = DecodeReport(result=None, rounds_run=0, component_calls=0)
 
     def in_code() -> bool:
-        if z_er.any():
-            return False
-        for comp, gather, shift in sides:
-            blocks = z[gather] if shift is None else z[gather] - shift
+        # a vertex neither dirty nor bad holds a codeword (module docstring)
+        for (comp, gather, shift), check in zip(sides, dirty | bad):
+            rows = np.flatnonzero(check)
+            blocks = z[gather[rows]] if shift is None else z[gather[rows]] - shift[rows]
             if np.any(comp.syndromes(blocks)):
                 return False
         return True
@@ -199,9 +209,13 @@ def decode_phi(
         gather = side_gather[work]
         blocks = z[gather]
         masks = z_er[gather]
-        shift = 0 if side_shifts is None else side_shifts[work]
-        out, ok = comp.decode_ee(blocks - shift, masks)
-        out = (out + shift) % q
+        if side_shifts is None:
+            out, ok = comp.decode_ee(blocks, masks)
+        else:
+            shift = side_shifts[work]
+            out, ok = comp.decode_ee(blocks - shift, masks)
+            out = (out + shift) % q
+        bad[side, work] = ~ok
         diff = ((out != blocks) | masks) & ok[:, None]
         if diff.any():
             # the sub-blocks of one side are disjoint, so one scatter writes

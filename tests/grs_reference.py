@@ -62,9 +62,11 @@ def min_distance_brute(code, limit: int = 10**6) -> int:
 
 def tables(q: int, k: int, eval_points, col_mults) -> dict:
     """The tables named in TABLES for the code [len(eval_points), k] over
-    GF(q) with the given points and nonzero multipliers: int64 but for the
-    redundancy block P of the systematic generator [I | P], which is
-    float64, the dtype the encoder multiplies by."""
+    GF(q) with the given points and nonzero multipliers. The three that the
+    kernel multiplies by are float64, the dtype of its products: the
+    redundancy block P of the systematic generator [I | P], the transposed
+    parity check H.T (length x (d-1)) and the inverse powers x_i^-m
+    ((d x length)); the others are int64."""
     pts = np.asarray(eval_points, dtype=np.int64) % q
     mults = np.asarray(col_mults, dtype=np.int64) % q
     n = len(pts)
@@ -99,8 +101,8 @@ def tables(q: int, k: int, eval_points, col_mults) -> dict:
         "_locators": x,
         "_dual_mults": dual,
         "_forney": (-x * mults % q) * prod % q,
-        "_parity": parity,
-        "_inv_pow": inv_pow,
+        "_parity": np.ascontiguousarray(parity.T, dtype=np.float64),
+        "_inv_pow": inv_pow.astype(np.float64),
         "_redundancy": sys_gen[:, k:].astype(np.float64),
     }
 
@@ -157,7 +159,7 @@ def decode_ee(code, values, erased=None, syndromes=None):
     dpsi = [(m * c) % q for m, c in enumerate(psi)][1:]  # formal derivative
     corrected = filled.copy()
     for i in roots:
-        inv_pows = [int(v) for v in code._inv_pow[:, i]]
+        inv_pows = [int(v) for v in code._inv_pow[:, i]]  # exact floats
         num = 0
         for m, c in enumerate(omega):
             num = (num + c * inv_pows[m]) % q
@@ -198,7 +200,7 @@ def find_roots(code, psi: list[int]) -> list[int]:
     """Positions i with psi(x_i^{-1}) = 0 via the inverse-power table."""
     q = code.field.q
     deg = len(psi) - 1
-    vals = (np.array(psi, dtype=np.int64) @ code._inv_pow[: deg + 1]) % q
+    vals = (np.array(psi, dtype=np.int64) @ code._inv_pow[: deg + 1].astype(np.int64)) % q
     return [int(i) for i in np.flatnonzero(vals == 0)]
 
 

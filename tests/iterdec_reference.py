@@ -6,6 +6,14 @@ batched component call per round. The component decoders are pure functions
 of the sub-block, so the schedule must change no output; tests compare the
 two on success, result and rounds run.
 
+The oracle also counts the calls the schedule should make. A vertex is due
+on its side's first visit and whenever one of its edges was written (a new
+value or a resolved erasure) since its last decode; a vertex that is not due
+would decode an unchanged sub-block to the same result, so every write the
+oracle makes is one the schedule makes too. It counts the revisits: decodes
+of a vertex whose previous decode failed, made due again by a write from the
+other side.
+
 Given the clean edge word, the oracle also counts after each erasure-free
 round how many sub-blocks of that round's side are still wrong, the
 sequence the contraction lemma says shrinks on each side.
@@ -13,19 +21,26 @@ sequence the contraction lemma says shrinks on each side.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from aramid import linalg
 from aramid.tanner import PhiWord
 
 
-def decode_all_vertices(code, y, params, cosets=None, truth=None):
-    """Decode y with every vertex visited each round.
+@dataclass
+class OracleRun:
+    result: PhiWord | None
+    rounds_run: int
+    component_calls: int = 0
+    revisits: int = 0
+    error_counts: list = field(default_factory=list)  # (round, wrong sub-blocks)
 
-    Returns (result, rounds_run, error_counts): the decoded PhiWord or None,
-    the last round run, and the (round, wrong sub-blocks) pairs, filled only
-    when `truth` (the clean edge word) is given.
-    """
+
+def decode_all_vertices(code, y, params, cosets=None, truth=None) -> OracleRun:
+    """Decode y with every vertex visited each round. The error counts are
+    filled only when `truth` (the clean edge word) is given."""
     graph = code.graph
     n, delta, q = graph.n, graph.delta, code.field.q
     cp, cd = code.c_prime, code.c_double
@@ -44,26 +59,41 @@ def decode_all_vertices(code, y, params, cosets=None, truth=None):
     z[known] = cp.sys_encode(y.values[known] % q)
     erased[y.erased] = True
     flat, flat_er = z.reshape(-1), erased.reshape(-1)
+    # the vertex of each edge on the left (0) and right (1) side
+    owner = np.empty((2, n * delta), dtype=np.int64)
+    owner[0] = np.arange(n * delta) // delta
+    owner[1, right] = np.arange(n)[:, None]
+    due = np.ones((2, n), dtype=bool)
+    failed = np.zeros((2, n), dtype=bool)
 
-    counts = []
-    rounds = 0
+    run = OracleRun(None, 0)
     for i in range(2, params.nu + 1):
-        rounds = i
-        if i % 2 == 0:
+        run.rounds_run = i
+        side = 1 if i % 2 == 0 else 0
+        run.component_calls += int(due[side].sum())
+        run.revisits += int((due[side] & failed[side]).sum())
+        before, before_er = flat.copy(), flat_er.copy()
+        if side:
             out, ok = cd.decode_ee(flat[right], flat_er[right])
             flat[right[ok]] = out[ok]
             flat_er[right[ok]] = False
-            if i == 2:
-                erased[:] = False  # unresolved erasures stay zero-filled
-            wrong = None if truth is None else flat[right] != truth[right]
         else:
             out, ok = left_code.decode_ee((z - shift) % q)
             z[ok] = (out[ok] + shift[ok]) % q
-            wrong = None if truth is None else z != truth.reshape(n, delta)
-        if wrong is not None and not erased.any():
-            counts.append((i, int(np.count_nonzero(wrong.any(axis=1)))))
+        failed[side] = ~ok
+        due[side] = False
+        written = (flat != before) | (flat_er != before_er)
+        due[1 - side, owner[1 - side, written]] = True
+        if i == 2:
+            for s in (0, 1):
+                due[s, owner[s, flat_er]] = True
+            erased[:] = False  # unresolved erasures stay zero-filled
+        if truth is not None and not erased.any():
+            wrong = flat[right] != truth[right] if side else z != truth.reshape(n, delta)
+            run.error_counts.append((i, int(np.count_nonzero(wrong.any(axis=1)))))
         if i % 2 == 1 and not erased.any():
             left_ok = not np.any((left_code.syndromes(z) - s_mat) % q)
             if left_ok and not np.any(cd.syndromes(flat[right])):
-                return PhiWord.clean(cp.sys_project(z)), rounds, counts
-    return None, rounds, counts
+                run.result = PhiWord.clean(cp.sys_project(z))
+                return run
+    return run

@@ -606,10 +606,16 @@ def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
             "lt instance g1: shifts must be ints, got [0, 1]",
         ),
         (lambda obj: obj["design"].update(q=36), "lt instance design: modulus 36 is not prime"),
+        # checked before the graph would allocate its n-long arrays
+        (
+            lambda obj: obj["g2"].update(n=10**15),
+            "lt instance g2: n = 1000000000000000 exceeds the design's n = 130",
+        ),
+        (lambda obj: obj["design"].update(q=127), "lt instance design: n = 130 exceeds q = 127"),
     ],
     ids=[
         "design-without-q", "without-g1", "delta1-not-int", "R-zero-denominator", "g1-shape",
-        "q-not-prime",
+        "q-not-prime", "g2-n-huge", "n-above-q",
     ],
 )
 def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog, edit, message):

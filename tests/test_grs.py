@@ -273,7 +273,8 @@ def test_grs_runs_no_elimination(monkeypatch):
 def test_construction_peak_is_its_retained_tables():
     # construction and the first sys_encode: the systematic redundancy block
     # is built first, in closed form, and its int64 temporaries are freed
-    # before the parity and inverse-power tables, which are scaled in place;
+    # before the parity and inverse-power tables, whose int64 powers are
+    # built one block of positions at a time and stored in float64;
     # the difference products run over column blocks, so the n x n matrix
     # (30.5 MiB) is never held. A generator kept beside them, or an RREF of
     # one at the first encode, reads above 1.3x

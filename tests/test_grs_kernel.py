@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aramid.gf import PrimeField
-from aramid.grs import GrsCode, _berlekamp_massey, _inverses, _mul_trunc
+from aramid.grs import GrsCode, _berlekamp_massey, _erasure_locator, _inverses, _mul_trunc
 
 # (q, length, k, first evaluation point); 0 forces the locator shift
 BATTERY_CODES = [
@@ -23,6 +23,7 @@ BATTERY_CODES = [
     (131, 60, 52, 1),
     (7, 6, 2, 1),
     (7, 6, 2, 0),
+    (65521, 40, 10, 65490),
 ]
 
 
@@ -259,6 +260,67 @@ def test_berlekamp_massey_stop_rule_on_arbitrary_sequences(q):
 
 
 @pytest.mark.parametrize("q", [7, 131, 65521])
+def test_berlekamp_massey_batch_with_silent_steps(q):
+    # Each row is zeros, then a short LFSR from a nonzero term, then junk
+    # past its own length, so the batch has steps with no discrepancy on any
+    # row before, between and after the steps where registers grow. Some
+    # rows stay silent past half their length l and then grow beyond it
+    # (L > floor(l/2)). Row 0, of 2h terms, has a discrepancy only at step
+    # h - 1, which makes its L = h and keeps the loop running through every
+    # row's length, so each row must get the full loop's register.
+    rng = np.random.default_rng([q, 19])
+    width, h = 32, 16
+    grown = 0
+    for _ in range(40):
+        m = int(rng.integers(2, 9))
+        length = rng.integers(4, width + 1, size=m)
+        length[0] = width
+        zeta = rng.integers(0, q, size=(m, width))
+        zeta[0] = 0
+        zeta[0, h - 1] = int(rng.integers(1, q))
+        zeta[0, 2 * h - 1] = zeta[0, h - 1] ** 2 % q
+        for r in range(1, m):
+            l = int(length[r])
+            zeros = int(rng.integers(l // 2, l)) if rng.random() < 0.5 else int(rng.integers(1, 4))
+            zeros = min(zeros, l - 1)
+            terms = lfsr_terms(rng, q, int(rng.integers(1, 4)), l - zeros)
+            terms[0] = int(rng.integers(1, q))
+            zeta[r, :zeros] = 0
+            zeta[r, zeros:l] = terms
+        lam, el = _berlekamp_massey(zeta, length, q)
+        for r in range(m):
+            want, want_el = ref.berlekamp_massey(zeta[r, : length[r]].tolist(), q)
+            assert el[r] == want_el, r
+            assert lam[r, : len(want)].tolist() == want and not lam[r, len(want) :].any()
+            grown += 2 * want_el > length[r]
+            if 2 * want_el <= length[r]:  # within the radius it also stops alone
+                lam1, el1 = _berlekamp_massey(zeta[r : r + 1], length[r : r + 1], q)
+                assert el1[0] == want_el and lam1[0, : len(want)].tolist() == want
+    assert grown >= 20
+
+
+@pytest.mark.parametrize("q", [7, 131, 65521])
+def test_erasure_locator_matches_reference(q):
+    # up to 24 erasures per row on locators spread over the field: twelve
+    # reduction periods at q = 65521 (one per 2 factors), three at q = 131
+    # (one per 7); rows of one batch have different erasure counts
+    rng = np.random.default_rng([q, 20])
+    n = min(q - 1, 60)
+    code = GrsCode(PrimeField(q), 1, rng.choice(np.arange(1, q), size=n, replace=False))
+    for _ in range(20):
+        m = int(rng.integers(1, 9))
+        b = rng.integers(0, min(n, 24) + 1, size=m)
+        era = np.zeros((m, n), dtype=bool)
+        for r in range(m):
+            era[r, rng.choice(n, size=b[r], replace=False)] = True
+        got = _erasure_locator(code._locators, era, b, q)
+        assert got.shape == (m, int(b.max()) + 1)
+        for r in range(m):
+            want = ref.locator_poly(code, np.flatnonzero(era[r]))
+            assert got[r, : len(want)].tolist() == want and not got[r, len(want) :].any()
+
+
+@pytest.mark.parametrize("q", [7, 131, 65521])
 def test_mul_trunc_matches_reference_for_any_widths(q):
     # either operand may be the wider one, and the truncation width may cut
     # into both, fall between them or lie past the full product
@@ -319,6 +381,10 @@ def test_tables_match_loop_construction(q):
             assert got.dtype == want[name].dtype, name
             assert got.shape == want[name].shape, name
             assert np.array_equal(got, want[name]), (name, k, len(pts))
+        # H.T is the operand of every syndrome product, used as it is stored
+        assert code._parity.flags.c_contiguous
+        assert np.array_equal(code.parity_check(), want["_parity"].T)
+        assert code.parity_check().dtype == np.int64
 
 
 def test_tables_match_loop_construction_long_code():

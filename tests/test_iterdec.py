@@ -157,48 +157,95 @@ def test_contraction_witness(mid):
         x = code.psi(z)
         t = int(params.sigma * n)
         y = corrupt_phi(rng, x, t, 0, code.field.q)
-        result, _, counts = decode_all_vertices(code, y, params, truth=z)
-        assert result is not None
+        run = decode_all_vertices(code, y, params, truth=z)
+        assert run.result is not None
         assert np.array_equal(decode_phi(code, y, params).result.values, x)
         for parity in (0, 1):
-            seq = [c for (i, c) in counts if i % 2 == parity]
+            seq = [c for (i, c) in run.error_counts if i % 2 == parity]
             assert all(a >= b for a, b in zip(seq, seq[1:]))
 
 
-def assert_matches_oracle(code, params, x, rng, cosets=None):
-    """Corrupt x with a budget up to 3x the radius, decode it with both
-    schedules and compare; returns whether the pattern left the radius."""
+def assert_matches_oracle(code, params, y, cosets=None):
+    """Decode y with both schedules and compare the result, the rounds run
+    and the component calls; returns the oracle's run."""
+    rep = decode_phi(code, y, params, cosets=cosets)
+    run = decode_all_vertices(code, y, params, cosets=cosets)
+    assert rep.success == (run.result is not None)
+    if rep.success:
+        assert np.array_equal(rep.result.values, run.result.values)
+    assert rep.rounds_run == run.rounds_run
+    assert rep.component_calls == run.component_calls
+    return run
+
+
+def corrupt_up_to(rng, code, params, x, factor):
+    """x with t errors and rho erasures drawn for a budget of factor times
+    the radius; returns the word and whether it left the radius."""
     n = code.n
-    budget = int(3 * params.sigma * n)
+    budget = int(factor * params.sigma * n)
     t = int(rng.integers(0, budget + 1))
     rho = int(rng.integers(0, min(budget, n - t) + 1))
     y = corrupt_phi(rng, x, t, rho, code.field.q)
-    rep = decode_phi(code, y, params, cosets=cosets)
-    result, rounds, _ = decode_all_vertices(code, y, params, cosets=cosets)
-    assert rep.success == (result is not None)
-    if rep.success:
-        assert np.array_equal(rep.result.values, result.values)
-    assert rep.rounds_run == rounds
-    assert rep.component_calls <= n * (rounds - 1)
-    return t + rho / 2 > params.sigma * n
+    return y, t + rho / 2 > params.sigma * n
 
 
 def test_scheduled_matches_unscheduled(mid, coset):
     """The dirty-vertex schedule against the all-vertex oracle, on the plain
-    instance and on the coset variant that ltenc D4 runs."""
+    instance and on the coset variant that ltenc D4 runs: result, rounds and
+    component calls. Up to 3x the radius, some words have a vertex whose
+    decode fails and that a write from the other side makes dirty again, in
+    words that end decoded and in words that end failed, so bad and dirty
+    vertices both take part in the membership check."""
     code, params = mid
-    rng0 = np.random.default_rng(34)
-    beyond = 0
-    for trial in range(100):
-        x = code.psi(random_codeword(code, rng0))
-        beyond += assert_matches_oracle(code, params, x, trial_rng(902, trial))
     c_code, c0, c_params = coset
-    rng0 = np.random.default_rng(39)
-    for trial in range(100):
-        x, s = coset_word(c_code, c0, rng0)
-        rng = trial_rng(903, trial)
-        beyond += assert_matches_oracle(c_code, c_params, x, rng, CosetSide(c0, s))
+    rng0, rng1 = np.random.default_rng(34), np.random.default_rng(39)
+    plain = [(code.psi(random_codeword(code, rng0)), None) for _ in range(100)]
+    cosets = [coset_word(c_code, c0, rng1) for _ in range(100)]
+    beyond = 0
+    for inst, words, seed in (
+        ((code, params), plain, 902),
+        ((c_code, c_params), cosets, 903),
+    ):
+        revisited = {True: 0, False: 0}  # by whether the word decoded
+        for trial, (x, s) in enumerate(words):
+            y, out = corrupt_up_to(trial_rng(seed, trial), *inst, x, 3)
+            side = None if s is None else CosetSide(c0, s)
+            run = assert_matches_oracle(*inst, y, side)
+            beyond += out
+            if run.revisits:
+                revisited[run.result is not None] += 1
+        assert min(revisited.values()) >= 1, revisited
     assert beyond >= 100
+
+
+class _Miscorrecting(GrsCode):
+    """A component decoder that maps one block, and only that one, to
+    another codeword, as a bounded-distance decoder may beyond its radius;
+    still a pure function of the block."""
+
+    def __init__(self, code, block, wrong):
+        super().__init__(code.field, code.k, code.eval_points, code.col_mults)
+        self.block, self.wrong = block, wrong
+
+    def decode_ee(self, words, erased=None):
+        out, ok = super().decode_ee(words, erased)
+        hit = np.all(words == self.block, axis=1)
+        out[hit], ok[hit] = self.wrong, True
+        return out, ok
+
+
+def test_membership_checks_dirty_vertices(mid):
+    """A left decode that succeeds to a wrong codeword leaves right vertices
+    dirty and non-codewords while no vertex is bad: the membership check
+    must read them. Every later left round makes the same miscorrection, so
+    the word fails with both schedules."""
+    code, params = mid
+    z = random_codeword(code, np.random.default_rng(40))
+    block = z.reshape(code.n, -1)[0]
+    wrong = (block + code.c_prime.sys_encode(np.arange(1, code.c_prime.k + 1))) % code.field.q
+    fake = TannerCode(code.graph, _Miscorrecting(code.c_prime, block, wrong), code.c_double)
+    run = assert_matches_oracle(fake, params, PhiWord.clean(code.psi(z)))
+    assert run.result is None and run.rounds_run == params.nu
 
 
 def test_clustered_support_fixture(mid):
