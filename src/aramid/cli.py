@@ -1,21 +1,26 @@
 """Experiment harness: build instances, run seeded channels, verify bounds.
 
 Instances are canonical JSON (sorted keys, fixed indentation) and trial logs
-are CSV, so identical seeds reproduce byte-identical files. Exit codes:
-0 success, 1 contract violation detected, 2 usage error.
+are CSV, so identical seeds reproduce byte-identical files. Every input
+file is checked against the table of its kind (`BUILD_CONFIG`,
+`PLAIN_INSTANCE`, `LT_INSTANCE`, `RUNS_REPORT`) before anything is built
+from it. Exit codes: 0 success, 1 contract violation detected, 2 usage
+error, 3 internal error (a bug; the traceback is logged at debug level).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
 import json
 import logging
 import math
+import operator
 import os
 import sys
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .bigraph import (
     circulant_bipartite,
     gamma,
     ramanujan_bound,
-    validate_degree,
 )
 from .channel import corrupt_inner_rows, corrupt_pairs, corrupt_phi, trial_rng
 from .gf import PrimeField
@@ -55,6 +59,7 @@ class UsageError(ValueError):
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 BRUTE_EDGE_LIMIT = 256  # generator/enumeration oracles only below this size
 BRUTE_WORD_LIMIT = 10**6
@@ -64,14 +69,155 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
 def write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
+    _write_text(path, canonical_json(obj))
 
 
 def read_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value in `path`; a file that cannot be read or is not JSON
+    is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+# -- input tables: each maps a key to its Rule, or a part to the part's table. ---------
+# Cross-key rules (delta <= n, k <= delta, q prime, shifts in [0, n), connectivity)
+# stay in the constructors that `_load_part` wraps, and no rule repeats them.
+
+
+class Ref(str):
+    """A limit read from the input, at the path "part.key"."""
+
+
+class Rule(NamedTuple):
+    """A key's JSON types and range: each bound is (operator, limit), where a
+    `Ref` limit names a key that its table checks earlier."""
+
+    kinds: tuple
+    bounds: tuple = ()
+    required: bool = True
+
+
+_OPS = {
+    "equal to": operator.eq, "one of": lambda value, limit: value in limit,
+    "above": operator.gt, "at least": operator.ge, "below": operator.lt, "at most": operator.le,
+}
+_INT, _NUM = (int,), (int, float)
+_NATURAL = (("at least", 0),)
+
+# the integer options of the commands, where given
+ARGUMENTS = {
+    "--seed": Rule(_INT, _NATURAL, required=False),
+    "--trials": Rule(_INT, (("at least", 1),), required=False),
+    "--errors": Rule(_INT, _NATURAL, required=False),
+    "--erasures": Rule(_INT, _NATURAL, required=False),
+}
+
+BUILD_MODE = {"mode": Rule((str,), (("one of", ("plain", "lt")),), required=False)}
+BUILD_CONFIG = {
+    "plain": {
+        **dict.fromkeys(("n", "delta", "q", "k_prime", "k_double"), Rule(_INT)),
+        "seed": Rule(_INT, _NATURAL),
+        "graph": Rule((str,), (("equal to", "circulant"),), required=False),
+        "gamma_target": Rule((int, float, type(None)), required=False),
+        "anneal_iters": Rule(_INT, _NATURAL, required=False),
+        # sigma = sigma_frac * beta must lie in (0, beta)
+        "sigma_frac": Rule(_NUM, (("above", 0), ("below", 1)), required=False),
+    },
+    "lt": {
+        "n": Rule(_INT),
+        "R": Rule((list, str, int, float)),
+        **dict.fromkeys(("eps", "kappa", "mu"), Rule(_NUM)),
+        "seed": Rule(_INT, _NATURAL),
+        "anneal_iters": Rule(_INT, _NATURAL, required=False),
+    },
+}
+_GRAPH = {"n": Rule(_INT), "shifts": Rule((list,))}
+_GRS = {"k": Rule(_INT), "eval_points": Rule((list,)), "col_mults": Rule((list,))}
+PLAIN_INSTANCE = {
+    "mode": Rule((str,), (("equal to", "plain"),)),
+    "field": {"q": Rule(_INT)},
+    "graph": _GRAPH,
+    "c_prime": _GRS,
+    "c_double": _GRS,
+    # a weak instance stores no sigma and so has no decode params
+    "derived": {"gamma": Rule(_NUM), "weak": Rule((bool,)), "sigma": Rule(_NUM, required=False)},
+}
+# each graph's n is bounded by the design's, and that by q (the mediator's
+# GRS length bound), before any graph is allocated
+_LT_GRAPH = {**_GRAPH, "n": Rule(_INT, (("at most", Ref("design.n")),))}
+_JSON_KINDS = {"Fraction": (list,), "int": _INT, "float": _NUM, "bool": (bool,)}
+LT_INSTANCE = {
+    "mode": Rule((str,), (("equal to", "lt"),)),
+    "design": {
+        **{f.name: Rule(_JSON_KINDS[f.type]) for f in dataclasses.fields(LtDesign)},
+        "q": Rule(_INT, (("at least", Ref("design.n")),)),
+    },
+    "g1": _LT_GRAPH,
+    "g2": _LT_GRAPH,
+    "derived": {"gamma1": Rule(_NUM), "gamma2": Rule(_NUM)},
+}
+RUNS_REPORT = {"max_calls": Rule(_INT), "omega_n_bound": Rule(_NUM)}
+
+
+def validate(obj, table: dict, where: str) -> None:
+    """Raise a UsageError naming the part, the key and the rule unless `obj`
+    is a JSON object that holds every required key of `table`, each with a
+    value of the rule's types inside its bounds, and each part a JSON object
+    that satisfies its own table. JSON true and false count as bool only,
+    not as int."""
+
+    def check(part, rules: dict, at: str) -> None:
+        if not isinstance(part, dict):
+            raise UsageError(f"{at} must be a JSON object, got {type(part).__name__}")
+        for key, rule in rules.items():
+            if key not in part:
+                if isinstance(rule, dict) or rule.required:
+                    raise UsageError(f"{at} lacks {key!r}")
+                continue
+            value = part[key]
+            if isinstance(rule, dict):
+                check(value, rule, f"{at} {key}")
+                continue
+            kinds = rule.kinds
+            if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
+                names = " or ".join(kind.__name__ for kind in kinds)
+                raise UsageError(f"{at} {key} must be {names}, got {value!r}")
+            for op, limit in rule.bounds:
+                shown, bound = repr(limit), limit
+                if isinstance(limit, Ref):
+                    part_name, ref_key = limit.split(".")
+                    bound = obj[part_name][ref_key]
+                    shown = f"{limit} = {bound!r}"
+                if not _OPS[op](value, bound):
+                    raise UsageError(f"{at} {key} must be {op} {shown}, got {value!r}")
+
+    check(obj, table, where)
+
+
+def _load_part(where: str, build, *args):
+    """build(*args) on checked input; an error it raises for values no table
+    can rule out (a shift outside [0, n), a disconnected graph, a modulus
+    that is not a prime in range, a component code that cannot exist, an R
+    that is not a fraction) is a usage error that names the part. A
+    `DesignError` keeps its own exit code."""
+    try:
+        return build(*args)
+    except DesignError:
+        raise
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def grs_to_json(code: GrsCode) -> dict:
@@ -93,21 +239,15 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
     n = cfg["n"]
     delta = cfg["delta"]
     q = cfg["q"]
-    seed = cfg["seed"]
-    kind = cfg.get("graph", "circulant")
-    if kind != "circulant":
-        raise UsageError(f"build graph must be 'circulant', got {kind!r}")
-    try:
-        validate_degree(n, delta)
-        field = PrimeField(q)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"build {exc}") from None
-    graph = anneal_circulant_bipartite(
-        n, delta, seed=seed, gamma_target=cfg.get("gamma_target"),
-        iters=cfg.get("anneal_iters", 30000),
+    field = _load_part("build", PrimeField, q)
+    graph = _load_part(
+        "build", anneal_circulant_bipartite,
+        n, delta, cfg["seed"], cfg.get("gamma_target"), cfg.get("anneal_iters", 30000),
     )
-    cp = _component_code(field, cfg, "k_prime")
-    cd = _component_code(field, cfg, "k_double")
+    cp, cd = (
+        _load_part(f"build {key}", GrsCode, field, cfg[key], range(1, delta + 1))
+        for key in ("k_prime", "k_double")
+    )
     code = TannerCode(graph, cp, cd)
     prof = gamma(graph)
     theta, delta_rel = code.theta, code.delta_rel
@@ -150,15 +290,6 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
     }
 
 
-def _component_code(field: PrimeField, cfg: dict, key: str) -> GrsCode:
-    """The [delta, cfg[key]] GRS component on the points 1..delta; a
-    dimension the code cannot have is a usage error."""
-    try:
-        return GrsCode(field, cfg[key], range(1, cfg["delta"] + 1))
-    except ValueError as exc:
-        raise UsageError(f"build {key}: {exc}") from None
-
-
 def _check_stored(derived: dict, key: str, measured: float) -> None:
     """Refuse a stored spectral ratio that the measured one does not match."""
     if not math.isclose(derived[key], measured, rel_tol=1e-9, abs_tol=1e-12):
@@ -167,25 +298,11 @@ def _check_stored(derived: dict, key: str, measured: float) -> None:
         )
 
 
-def _load_part(where: str, build, *args):
-    """build(*args) for a stored part of an instance; a TypeError or
-    ValueError it raises (a shift that is not an int or not in [0, n), a
-    disconnected graph, a modulus that is not a prime in range, a component
-    code that cannot exist) is a usage error that names the part. Only
-    constructors that raise no `DesignError` are passed here."""
-    try:
-        return build(*args)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{where}: {exc}") from None
-
-
 def load_plain_instance(obj: dict):
-    """Rebuild a plain instance; the stored gamma and sigma are checked
-    against the spectral ratio measured on the stored graph. A missing key,
-    a value of the wrong JSON type, a malformed graph, a modulus that is not
-    a prime in range or a component code that cannot exist is a usage
-    error."""
-    _check_parts(obj, _PLAIN_PARTS, "plain instance")
+    """Rebuild a plain instance that `PLAIN_INSTANCE` admits; the stored
+    gamma and sigma are checked against the spectral ratio measured on the
+    stored graph. Decode params exist where a sigma is stored."""
+    validate(obj, PLAIN_INSTANCE, "plain instance")
     field = _load_part("plain instance field", PrimeField, obj["field"]["q"])
     graph = _load_part("plain instance graph", BipartiteRegularGraph.from_json, obj["graph"])
     cp = _load_part("plain instance c_prime", grs_from_json, field, obj["c_prime"])
@@ -195,14 +312,14 @@ def load_plain_instance(obj: dict):
     measured = gamma(graph).gamma
     _check_stored(derived, "gamma", measured)
     params = None
-    if not derived["weak"]:
-        _check_keys(derived, ("sigma",), {"sigma": _NUM}, "plain instance derived")
+    if "sigma" in derived:
         sigma = derived["sigma"]
         beta = beta_bound(code.theta, code.delta_rel, measured)
         if not 0 < sigma < beta:
             raise ContractError(f"stored sigma {sigma!r} is outside (0, beta = {beta!r})")
-        params = decode_params(
-            code.theta, code.delta_rel, measured, sigma, code.n, graph.delta
+        params = _load_part(
+            "plain instance derived", decode_params,
+            code.theta, code.delta_rel, measured, sigma, code.n, graph.delta,
         )
     return code, params, derived
 
@@ -216,10 +333,7 @@ def _run_trials(args, header, trial, fields) -> dict:
     success; `fields(rows)` returns the command's own report fields."""
     rows = [trial(trial_rng(args.seed, idx), idx) for idx in range(args.trials)]
     base = args.out.removesuffix(".json").removesuffix(".csv")
-    with open(base + ".csv", "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_text(base + ".csv", "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
     report = {
         "instance": os.path.basename(args.instance),
         "seed": args.seed,
@@ -231,25 +345,9 @@ def _run_trials(args, header, trial, fields) -> dict:
     return report
 
 
-def _read_instance(args, mode: str) -> dict:
-    """Read `--instance`; a file that is not a JSON object or is of
-    another mode is a usage error."""
-    instance = read_json(args.instance)
-    if not isinstance(instance, dict):
-        raise UsageError(
-            f"{args.command} instance must be a JSON object, got {type(instance).__name__}"
-        )
-    if instance.get("mode") != mode:
-        raise UsageError(
-            f"{args.command} expects an instance of mode {mode!r}, "
-            f"got {instance.get('mode')!r}"
-        )
-    return instance
-
-
 def _load_decodable(args):
     """Load a plain instance with decode params; lt and weak ones are refused."""
-    code, params, derived = load_plain_instance(_read_instance(args, "plain"))
+    code, params, derived = load_plain_instance(read_json(args.instance))
     if params is None:
         raise UsageError("weak instance (no decode params); rebuild without --allow-weak")
     return code, params, derived
@@ -258,80 +356,19 @@ def _load_decodable(args):
 # -- subcommands ----------------------------------------------------------------------
 
 
-# the keys each build mode reads without a default
-_BUILD_KEYS = {
-    "plain": ("n", "delta", "q", "k_prime", "k_double", "seed"),
-    "lt": ("n", "R", "eps", "kappa", "mu", "seed"),
-}
-_INT = (int,)
-_NUM = (int, float)
-# the JSON types of the numeric build keys, wherever a config gives them
-_BUILD_TYPES = {
-    **dict.fromkeys(
-        ("n", "delta", "q", "k_prime", "k_double", "seed", "anneal_iters"),
-        _INT,
-    ),
-    **dict.fromkeys(("sigma_frac", "eps", "kappa", "mu"), _NUM),
-    "gamma_target": (int, float, type(None)),
-}
-
-
-def _check_keys(obj, keys, types: dict, where: str) -> None:
-    """Refuse `obj` unless it is a JSON object that holds every key in
-    `keys` and gives each key of `types` it holds a value of those types.
-    JSON true and false count as bool only, not as int."""
-    if not isinstance(obj, dict):
-        raise UsageError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    missing = [key for key in keys if key not in obj]
-    if missing:
-        raise UsageError(f"{where} lacks {', '.join(map(repr, missing))}")
-    for key, kinds in types.items():
-        value = obj.get(key)
-        if key in obj and (
-            isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds)
-        ):
-            names = " or ".join(kind.__name__ for kind in kinds)
-            raise UsageError(f"{where} {key} must be {names}, got {value!r}")
-
-
-def _check_parts(obj, parts: dict, where: str) -> None:
-    """`_check_keys` on `obj` and on each of its `parts`. A part that stores
-    matchings, as graphs in earlier versions' files do, must be rebuilt."""
-    _check_keys(obj, parts, {}, where)
-    for part, types in parts.items():
-        if isinstance(obj[part], dict) and "matchings" in obj[part]:
-            raise UsageError(f"{where} {part} stores matchings, not shifts; rebuild it")
-        _check_keys(obj[part], types, types, f"{where} {part}")
-
-
 def cmd_build(args) -> int:
     cfg = read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise UsageError(f"build config must be a JSON object, got {type(cfg).__name__}")
+    validate(cfg, BUILD_MODE, "build config")
+    mode = cfg.get("mode", "plain")
     if args.seed is not None:
         cfg["seed"] = args.seed
-    mode = cfg.get("mode", "plain")
-    if mode not in _BUILD_KEYS:
-        raise UsageError(f"build unknown mode {mode!r}")
-    _check_keys(cfg, _BUILD_KEYS[mode], _BUILD_TYPES, f"build {mode} config")
-    for key in ("anneal_iters", "seed"):
-        if cfg.get(key, 0) < 0:
-            raise UsageError(f"build {key} must not be negative")
-    if mode == "plain" and not 0 < cfg.get("sigma_frac", 0.9) < 1:
-        raise UsageError(f"build sigma_frac must lie in (0, 1), got {cfg['sigma_frac']!r}")
+    validate(cfg, BUILD_CONFIG[mode], f"build {mode} config")
     if mode == "plain":
         instance = build_plain_instance(cfg, args.allow_weak)
     else:
-        try:
-            rate = fraction_tuple(cfg["R"])
-        except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"build R {cfg['R']!r}: {exc}") from None
-        design = lt_design(
-            R=rate,
-            eps=cfg["eps"],
-            kappa=cfg["kappa"],
-            mu=cfg["mu"],
-            n=cfg["n"],
+        rate = _load_part(f"build R {cfg['R']!r}", fraction_tuple, cfg["R"])
+        design = _load_part(
+            "build", lt_design, rate, cfg["eps"], cfg["kappa"], cfg["mu"], cfg["n"]
         )
         code = build_lt_code(design, cfg["seed"], cfg.get("anneal_iters", 40000))
         instance = {
@@ -350,10 +387,7 @@ def cmd_build(args) -> int:
                 "omega": code.params_d4.omega,
                 "radius": code.radius,
                 "rate": [design.rate.numerator, design.rate.denominator],
-                "mediator_mu": [
-                    code.mediator.mu.numerator,
-                    code.mediator.mu.denominator,
-                ],
+                "mediator_mu": [code.mediator.mu.numerator, code.mediator.mu.denominator],
                 "relaxed": design.relaxed,
             },
         }
@@ -362,64 +396,24 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def fraction_tuple(x):
-    from fractions import Fraction
-
-    return Fraction(x[0], x[1]) if isinstance(x, (list, tuple)) else Fraction(x)
-
-
-_GRAPH_PART = {"n": _INT, "shifts": (list,)}  # a graph is its shift list
-# the parts of an lt instance and the JSON types of the keys each must hold;
-# the design's come from the LtDesign field annotations
-_LT_PARTS = {
-    "design": {
-        f.name: {"Fraction": (list,), "int": _INT, "float": _NUM, "bool": (bool,)}[f.type]
-        for f in dataclasses.fields(LtDesign)
-    },
-    "g1": _GRAPH_PART,
-    "g2": _GRAPH_PART,
-    "derived": {"gamma1": _NUM, "gamma2": _NUM},
-}
-_GRS_PART = {"k": _INT, "eval_points": (list,), "col_mults": (list,)}
-# the parts of a plain instance and the JSON types of the keys each must hold
-_PLAIN_PARTS = {
-    "field": {"q": _INT},
-    "graph": _GRAPH_PART,
-    "c_prime": _GRS_PART,
-    "c_double": _GRS_PART,
-    "derived": {"gamma": _NUM, "weak": (bool,)},
-}
+def fraction_tuple(x) -> Fraction:
+    """A JSON [numerator, denominator] list, or a number or string, as a Fraction."""
+    return Fraction(*x) if isinstance(x, list) else Fraction(x)
 
 
 def load_lt_instance(obj: dict) -> LtCode:
-    """Rebuild an lt instance; the design fixes its mediator, the GRS bank.
-
-    A missing key, a value of the wrong JSON type, an R that is not a
-    fraction, a q that is not a prime in range, an n above q (the mediator's
-    GRS length bound), a graph whose n exceeds the design's or a malformed
-    graph is a usage error; the two bounds on n are checked before any graph
-    is allocated, so a graph allocates at most q entries per shift. The
-    stored gamma1 and gamma2 are checked against the spectral ratios
-    measured on the stored graphs.
+    """Rebuild an lt instance that `LT_INSTANCE` admits; the design fixes its
+    mediator, the GRS bank. The design's q is checked to be a prime in range
+    before any graph is allocated, so a graph allocates at most q entries per
+    shift. The stored gamma1 and gamma2 are checked against the spectral
+    ratios measured on the stored graphs.
     """
-    _check_parts(obj, _LT_PARTS, "lt instance")
-    try:
-        design = LtDesign.from_json(obj["design"])
-    except (TypeError, ZeroDivisionError) as exc:  # e.g. R = [1, 0]
-        raise UsageError(f"lt instance design: {exc}") from None
-    # checked before LtCode, which builds the field again: the DesignErrors
-    # that LtCode raises must keep exit 1
+    validate(obj, LT_INSTANCE, "lt instance")
+    design = _load_part("lt instance design", LtDesign.from_json, obj["design"])
     _load_part("lt instance design", PrimeField, design.q)
-    if design.n > design.q:
-        raise UsageError(f"lt instance design: n = {design.n} exceeds q = {design.q}")
-    for part in ("g1", "g2"):
-        if obj[part]["n"] > design.n:  # a smaller n is refused by LtCode
-            raise UsageError(
-                f"lt instance {part}: n = {obj[part]['n']} exceeds the design's n = {design.n}"
-            )
     g1 = _load_part("lt instance g1", BipartiteRegularGraph.from_json, obj["g1"])
     g2 = _load_part("lt instance g2", BipartiteRegularGraph.from_json, obj["g2"])
-    code = LtCode(design, g1, g2)
+    code = _load_part("lt instance", LtCode, design, g1, g2)
     _check_stored(obj["derived"], "gamma1", code.gamma1)
     _check_stored(obj["derived"], "gamma2", code.gamma2)
     return code
@@ -469,35 +463,25 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep_mixing_and_expansion(graph) -> tuple[int, int]:
-    vals = (0.0, 0.5, 1.0)
-    checked = conforming = 0
-    for left in itertools.product(vals, repeat=graph.n):
-        for right in itertools.product(vals, repeat=graph.n):
-            check_mixing_lemma(graph, left, right)
-            checked += 1
-            if gamma(graph).gamma > 0:
-                if check_expansion_lemma(graph, left, right, 1.0) is not None:
-                    conforming += 1
-    return checked, conforming
-
-
-def _sweep_degree_sum(graph) -> int:
+def _sweep_lemmas(graph) -> None:
+    """The mixing, expansion and degree-sum checks on every small test vector."""
     n = graph.n
-    checked = 0
+    vals = (0.0, 0.5, 1.0)
+    for left in itertools.product(vals, repeat=n):
+        for right in itertools.product(vals, repeat=n):
+            check_mixing_lemma(graph, left, right)
+            if gamma(graph).gamma > 0:
+                check_expansion_lemma(graph, left, right, 1.0)
     for smask in range(1 << n):
         for tmask in range(1 << n):
-            if smask == 0 and tmask == 0:
-                continue
-            left = [i for i in range(n) if smask >> i & 1]
-            right = [i for i in range(n) if tmask >> i & 1]
-            check_degree_sum(graph, left, right)
-            checked += 1
-    return checked
+            if smask or tmask:
+                left = [i for i in range(n) if smask >> i & 1]
+                right = [i for i in range(n) if tmask >> i & 1]
+                check_degree_sum(graph, left, right)
 
 
 def cmd_verify_bounds(args) -> int:
-    code, params, derived = load_plain_instance(_read_instance(args, "plain"))
+    code, params, derived = load_plain_instance(read_json(args.instance))
     graph = code.graph
     results = {}
 
@@ -505,20 +489,15 @@ def cmd_verify_bounds(args) -> int:
     prof = gamma(graph)
     results["lemma_a1_eigenstructure"] = "pass"
 
-    if graph.num_edges <= BRUTE_EDGE_LIMIT:
-        dim = code.dim
-        if code.field.q**dim <= BRUTE_WORD_LIMIT and dim > 0:
-            w = brute_min_phi_weight(code, BRUTE_WORD_LIMIT)
-            bound = math.ceil(
-                code.n * min_dist_bound(code.theta, code.delta_rel, prof.gamma)
-                - 1e-12
-            )
-            results["theorem1_min_phi_weight"] = (
-                "pass" if w >= bound else f"FAIL ({w} < {bound})"
-            )
+    dim = code.dim
+    if graph.num_edges <= BRUTE_EDGE_LIMIT and 0 < dim and code.field.q**dim <= BRUTE_WORD_LIMIT:
+        w = brute_min_phi_weight(code, BRUTE_WORD_LIMIT)
+        bound = math.ceil(
+            code.n * min_dist_bound(code.theta, code.delta_rel, prof.gamma) - 1e-12
+        )
+        results["theorem1_min_phi_weight"] = "pass" if w >= bound else f"FAIL ({w} < {bound})"
     if graph.n <= 4:
-        _sweep_mixing_and_expansion(graph)
-        _sweep_degree_sum(graph)
+        _sweep_lemmas(graph)
         results["mixing_lemma_exhaustive"] = "pass"
         results["degree_sum_exhaustive"] = "pass"
 
@@ -526,13 +505,13 @@ def cmd_verify_bounds(args) -> int:
         ("k33", circulant_bipartite(3, [0, 1, 2])),
         ("cycle8", circulant_bipartite(4, [0, 1])),
     ):
-        _sweep_mixing_and_expansion(fixture)
-        _sweep_degree_sum(fixture)
+        _sweep_lemmas(fixture)
         results[f"mixing_lemma_{name}"] = "pass"
         results[f"degree_sum_{name}"] = "pass"
 
     if args.runs:
         rep = read_json(args.runs)
+        validate(rep, RUNS_REPORT, "runs report")
         ok = rep["max_calls"] <= rep["omega_n_bound"]
         results["omega_n_audit"] = (
             "pass"
@@ -548,16 +527,15 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_lt_run(args) -> int:
-    code = load_lt_instance(_read_instance(args, "lt"))
+    code = load_lt_instance(read_json(args.instance))
     d = code.design
     radius = code.radius
     t_fixed, rho_fixed = args.errors, args.erasures or 0
-    if t_fixed is not None:
-        if 2 * t_fixed + rho_fixed > radius or t_fixed + rho_fixed > d.n:
-            raise UsageError(
-                f"t = {t_fixed}, rho = {rho_fixed} leave the contract "
-                f"2t + rho <= {radius}, t + rho <= n = {d.n}"
-            )
+    if t_fixed is not None and (2 * t_fixed + rho_fixed > radius or t_fixed + rho_fixed > d.n):
+        raise UsageError(
+            f"t = {t_fixed}, rho = {rho_fixed} leave the contract "
+            f"2t + rho <= {radius}, t + rho <= n = {d.n}"
+        )
     mu_n = float(code.mediator.mu) * d.n
 
     def trial(rng, idx):
@@ -619,7 +597,8 @@ def cmd_gmd_run(args) -> int:
             "ladder_bound": concat.ladder_length,
             "zyablov_point": {
                 "rate": inner.rate * rate_bound_phi(code.r, code.R),
-                "distance": inner.rel_dist * derived["theorem1_bound"],
+                "distance": inner.rel_dist
+                * min_dist_bound(code.theta, code.delta_rel, params.gamma),
             },
         }
 
@@ -672,16 +651,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "trials", 1) < 1:
-            raise UsageError(f"{args.command} --trials must be at least 1")
-        if getattr(args, "erasures", None) is not None and args.errors is None:
+        given = {f"--{key}": value for key, value in vars(args).items() if value is not None}
+        validate(given, ARGUMENTS, args.command)
+        if "--erasures" in given and "--errors" not in given:
             raise UsageError(
                 f"{args.command} --erasures needs --errors; "
                 "without it both are drawn per trial"
             )
-        for name in ("errors", "erasures"):
-            if (getattr(args, name, None) or 0) < 0:
-                raise UsageError(f"{args.command} --{name} must not be negative")
         return args.fn(args)
     except UsageError as exc:
         log.error("%s", exc)
@@ -689,6 +665,10 @@ def main(argv=None) -> int:
     except (ContractError, DisconnectedGraphError, GammaTargetError, DesignError) as exc:
         log.error("%s", exc)
         return EXIT_VIOLATION
+    except Exception as exc:  # a bug, not a verdict on the input or the code
+        log.error("internal error: %s: %s", type(exc).__name__, exc)
+        log.debug("traceback of the internal error", exc_info=True)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

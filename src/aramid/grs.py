@@ -157,23 +157,19 @@ class GrsCode:
 
     # -- decoding -----------------------------------------------------------
 
-    def decode_ee(
-        self, words, erased=None
-    ) -> tuple[np.ndarray, np.ndarray] | np.ndarray | None:
+    def decode_ee(self, words, erased=None) -> tuple[np.ndarray, np.ndarray]:
         """Batched error-erasure decoding: correct any row with 2a + b < d.
 
         `words` is a stack (m, length) with an optional bool mask `erased`
         of the same shape (or one (length,) mask shared by every row).
         Returns (decoded, ok): where ok[r] holds, decoded[r] is the
         unique codeword within 2a + b < d of row r; other rows hold the
-        zero-filled received word. A single word (length,) returns its
-        codeword, or None when none can be certified inside the radius.
+        zero-filled received word.
         """
         q = self.field.q
-        words = np.asarray(words, dtype=np.int64)
-        if words.ndim not in (1, 2) or words.shape[-1] != self.length:
-            raise ValueError(f"word length must be {self.length}")
-        values = words.reshape(-1, self.length) % q
+        values = np.asarray(words, dtype=np.int64) % q
+        if values.ndim != 2 or values.shape[1] != self.length:
+            raise ValueError(f"words must be a stack of shape (m, {self.length})")
         if erased is None:
             era = np.zeros(values.shape, dtype=bool)
         else:
@@ -188,8 +184,6 @@ class GrsCode:
             dec, good = self._solve(out[rows], era[rows], b[rows], synd[rows])
             out[rows] = dec
             ok[rows] = good
-        if words.ndim == 1:
-            return out[0] if ok[0] else None
         return out, ok
 
     def _solve(self, filled, era, b, synd):

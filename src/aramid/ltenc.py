@@ -71,8 +71,10 @@ class LtDesign:
     """Integer parameters of one construction instance.
 
     The exact identities (syndrome width = rm * R * delta2, equal component
-    rates) are enforced in rational arithmetic. `relaxed` marks designs whose
-    delta1 sits below the asymptotic alpha_R / eps^3 requirement.
+    rates) are enforced in rational arithmetic, and the stage radius
+    sigma_stage must be (1 - R - eps) / 2 as `lt_design` computes it.
+    `relaxed` marks designs whose delta1 sits below the asymptotic
+    alpha_R / eps^3 requirement.
     """
 
     R: Fraction
@@ -101,6 +103,9 @@ class LtDesign:
             raise DesignError("component rates R1 and R2 differ")
         if not self.delta2 < self.delta1:
             raise DesignError("delta2 must be smaller than delta1")
+        # the end-to-end radius reads R and eps; the stages certify sigma_stage
+        if self.sigma_stage != (1 - float(self.R) - self.eps) / 2:
+            raise DesignError("sigma_stage must equal (1 - R - eps) / 2")
 
     @property
     def syndrome_width(self) -> int:
@@ -370,6 +375,8 @@ class LtCode:
         return math.floor((1 - float(self.design.R) - self.design.eps) * self.n)
 
     def encode_trace(self, eta) -> LtTrace:
+        """Encode eta, the (n, R*delta1) information blocks indexed by right
+        vertices; the codeword is the trace's x."""
         d1, d2 = self.design.delta1, self.design.delta2
         c = self.t1.encode_rate1(eta)  # E1
         s = self.c0.syndromes(self.t1.left_blocks(c))  # E2
@@ -377,10 +384,6 @@ class LtCode:
         d = self.t2.encode_rate1(w)  # E4
         x = np.hstack([c.reshape(self.n, d1), d.reshape(self.n, d2)])
         return LtTrace(x=x, c=c, s=s, w=w, d=d)
-
-    def encode(self, eta) -> np.ndarray:
-        """eta: (n, R*delta1) information blocks indexed by right vertices."""
-        return self.encode_trace(eta).x
 
     def decode(
         self,

@@ -13,6 +13,9 @@ redundancy block from an RREF of the monomial generator.
 `encode` evaluates a message's polynomial through the monomial generator
 G[j, i] = v_i * a_i^j; `all_codewords` and `min_distance_brute` enumerate a
 tiny code through it.
+
+`decode_word` runs the batched kernel on a stack of one word and returns
+its codeword or None, the form of the answer `decode_ee` gives here.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ def encode(code, msg) -> np.ndarray:
     if msg.shape[-1] != code.k:
         raise ValueError(f"message length must be {code.k}, got {msg.shape[-1]}")
     return msg @ monomial_generator(q, code.k, code.eval_points, code.col_mults) % q
+
+
+def decode_word(code, values, erased=None):
+    """`code.decode_ee` on one word: its codeword, or None when the kernel
+    certifies none inside the radius."""
+    out, ok = code.decode_ee(np.asarray(values)[None], erased)
+    return out[0] if ok[0] else None
 
 
 def all_codewords(code, limit: int = 10**6) -> np.ndarray:

@@ -1,12 +1,19 @@
+import copy
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aramid.bigraph import DisconnectedGraphError, GammaTargetError
 from aramid.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -19,6 +26,7 @@ from aramid.cli import (
     read_json,
     write_json,
 )
+from aramid.ltenc import DesignError
 
 SMALL_CFG = {
     "mode": "plain",
@@ -163,7 +171,7 @@ def test_build_negative_anneal_iters_is_usage_error(tmp_path, caplog, cfg):
     write_json(str(cfg_path), dict(cfg, anneal_iters=-1))
     rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
     assert rc == EXIT_USAGE
-    assert "anneal_iters must not be negative" in caplog.text
+    assert f"build {cfg['mode']} config anneal_iters must be at least 0, got -1" in caplog.text
     assert not out.exists()
 
 
@@ -177,7 +185,8 @@ def test_build_negative_seed_is_usage_error(tmp_path, caplog, cfg, where):
     argv = ["build", "--config", str(cfg_path), "--out", str(out)]
     rc = run_cli(*argv, *(["--seed", "-3"] if where == "flag" else []))
     assert rc == EXIT_USAGE
-    assert "build seed must not be negative" in caplog.text
+    key = f"{cfg['mode']} config seed" if where == "config" else "--seed"
+    assert f"build {key} must be at least 0, got -3" in caplog.text
     assert not out.exists()
 
 
@@ -189,7 +198,8 @@ def test_build_sigma_frac_outside_unit_interval_is_usage_error(tmp_path, caplog,
     write_json(str(cfg_path), dict(SMALL_CFG, sigma_frac=frac))
     rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
     assert rc == EXIT_USAGE
-    assert f"build sigma_frac must lie in (0, 1), got {frac!r}" in caplog.text
+    rule = "below 1" if frac >= 1 else "above 0"
+    assert f"build plain config sigma_frac must be {rule}, got {frac!r}" in caplog.text
     assert not out.exists()
 
 
@@ -197,8 +207,8 @@ def test_build_sigma_frac_outside_unit_interval_is_usage_error(tmp_path, caplog,
     "change, message",
     [
         ({"delta": 49}, "1 <= delta <= n"),
-        ({"graph": "bogus"}, "build graph must be 'circulant', got 'bogus'"),
-        ({"graph": "random"}, "build graph must be 'circulant', got 'random'"),
+        ({"graph": "bogus"}, "build plain config graph must be equal to 'circulant', got 'bogus'"),
+        ({"graph": "random"}, "build plain config graph must be equal to 'circulant', got 'random'"),
         ({"q": 36}, "modulus 36 is not prime"),
         ({"k_prime": 40}, "k_prime: dimension must satisfy 0 < k <= 24, got 40"),
         ({"k_double": 0}, "k_double: dimension must satisfy 0 < k <= 24, got 0"),
@@ -230,8 +240,10 @@ def _without(cfg, key):
         ([SMALL_CFG], "build config must be a JSON object, got list"),
         (_without(SMALL_CFG, "n"), "build plain config lacks 'n'"),
         (dict(LT_CFG, R="x"), "build R 'x': Invalid literal for Fraction"),
+        (dict(SMALL_CFG, mode="x"), "build config mode must be one of ('plain', 'lt'), got 'x'"),
+        (dict(SMALL_CFG, mode=[]), "build config mode must be str, got []"),
     ],
-    ids=["json-list", "plain-without-n", "lt-R-not-a-fraction"],
+    ids=["json-list", "plain-without-n", "lt-R-not-a-fraction", "unknown-mode", "mode-a-list"],
 )
 def test_build_malformed_config_is_usage_error(tmp_path, caplog, cfg, message):
     cfg_path = tmp_path / "cfg.json"
@@ -435,6 +447,7 @@ def test_trials_below_one_is_usage_error(command, instance, trials, request, tmp
         ["--errors", "-1"],
         ["--errors", "-1", "--erasures", "9"],
         ["--errors", "2", "--erasures", "-1"],
+        ["--seed", "-1"],  # numpy's seeding would refuse it with a bare ValueError
     ],
 )
 @pytest.mark.parametrize(
@@ -448,7 +461,8 @@ def test_negative_counts_are_usage_errors(
         "--trials", "3", *counts, "--out", str(tmp_path / "rep"),
     )
     assert rc == EXIT_USAGE
-    assert "must not be negative" in caplog.text
+    flag = counts[counts.index("-1") - 1]
+    assert f"{command} {flag} must be at least 0, got -1" in caplog.text
     assert list(tmp_path.iterdir()) == []
 
 
@@ -605,17 +619,24 @@ def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
             lambda obj: obj["g1"].update(shifts=[[0, 1]]),
             "lt instance g1: shifts must be ints, got [0, 1]",
         ),
-        (lambda obj: obj["design"].update(q=36), "lt instance design: modulus 36 is not prime"),
+        (
+            lambda obj: obj["design"].update(q=36),
+            "lt instance design q must be at least design.n = 130, got 36",
+        ),
+        (lambda obj: obj["design"].update(q=133), "lt instance design: modulus 133 is not prime"),
         # checked before the graph would allocate its n-long arrays
         (
             lambda obj: obj["g2"].update(n=10**15),
-            "lt instance g2: n = 1000000000000000 exceeds the design's n = 130",
+            "lt instance g2 n must be at most design.n = 130, got 1000000000000000",
         ),
-        (lambda obj: obj["design"].update(q=127), "lt instance design: n = 130 exceeds q = 127"),
+        (
+            lambda obj: obj["design"].update(q=127),
+            "lt instance design q must be at least design.n = 130, got 127",
+        ),
     ],
     ids=[
         "design-without-q", "without-g1", "delta1-not-int", "R-zero-denominator", "g1-shape",
-        "q-not-prime", "g2-n-huge", "n-above-q",
+        "q-not-prime", "q-not-prime-above-n", "g2-n-huge", "n-above-q",
     ],
 )
 def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog, edit, message):
@@ -630,6 +651,24 @@ def test_lt_run_malformed_instance_is_usage_error(lt_instance, tmp_path, caplog,
     assert rc == EXIT_USAGE
     assert message in caplog.text
     assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("eps", 0.6), ("R", [2, 5]), ("sigma_stage", 0.2)])
+def test_lt_design_off_its_stage_radius_exits_1(lt_instance, tmp_path, caplog, key, value):
+    # lt-run's radius reads R and eps, the stage checks read sigma_stage
+    obj = read_json(lt_instance)
+    obj["design"][key] = value
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    with pytest.raises(DesignError, match="sigma_stage"):
+        load_lt_instance(obj)
+    rc = run_cli(
+        "lt-run", "--instance", str(edited), "--seed", "11", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_VIOLATION
+    assert "sigma_stage must equal (1 - R - eps) / 2" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
 
 
 def _shorten(part, *keys):
@@ -722,7 +761,8 @@ def test_instance_not_a_json_object_is_usage_error(command, tmp_path, caplog):
     if command != "verify-bounds":
         argv += ["--seed", "1", "--trials", "3"]
     assert run_cli(*argv) == EXIT_USAGE
-    assert f"{command} instance must be a JSON object, got list" in caplog.text
+    mode = "lt" if command == "lt-run" else "plain"
+    assert f"{mode} instance must be a JSON object, got list" in caplog.text
     assert not (tmp_path / "rep").exists() and not (tmp_path / "rep.csv").exists()
 
 
@@ -810,7 +850,7 @@ def test_matchings_file_is_usage_error(command, instance, request, tmp_path, cap
     if command != "verify-bounds":
         argv += ["--seed", "7", "--trials", "3"]
     assert run_cli(*argv) == EXIT_USAGE
-    message = f"{obj['mode']} instance {parts[0]} stores matchings, not shifts; rebuild it"
+    message = f"{obj['mode']} instance {parts[0]} lacks 'shifts'"
     assert message in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json"]
 
@@ -842,7 +882,7 @@ def test_verify_bounds_on_lt_instance_is_usage_error(lt_instance, tmp_path, capl
     out = tmp_path / "bounds.json"
     rc = run_cli("verify-bounds", "--instance", lt_instance, "--out", str(out))
     assert rc == EXIT_USAGE
-    assert "verify-bounds expects an instance of mode 'plain', got 'lt'" in caplog.text
+    assert "plain instance mode must be equal to 'plain', got 'lt'" in caplog.text
     assert not out.exists()
 
 
@@ -856,6 +896,25 @@ def test_gmd_run(small_instance, tmp_path):
     rep = json.loads((tmp_path / "gmd.json").read_text())
     assert rep["success_rate"] == 1.0
     assert rep["max_outer_calls"] <= rep["ladder_bound"]
+
+
+def test_gmd_run_reads_no_stored_theorem1_bound(small_instance, tmp_path):
+    """The Zyablov distance comes from the gamma measured on load, so a file
+    without the stored bound gives the same report, byte for byte."""
+    obj = read_json(small_instance)
+    stored = obj["derived"].pop("theorem1_bound")
+    for name, inst in (("kept", read_json(small_instance)), ("dropped", obj)):
+        (tmp_path / name).mkdir()
+        write_json(str(tmp_path / name / "inst.json"), inst)
+        rc = run_cli(
+            "gmd-run", "--instance", str(tmp_path / name / "inst.json"), "--seed", "13",
+            "--trials", "3", "--out", str(tmp_path / name / "rep"),
+        )
+        assert rc == EXIT_OK
+    kept = (tmp_path / "kept" / "rep.json").read_bytes()
+    assert (tmp_path / "dropped" / "rep.json").read_bytes() == kept
+    length, _, dmin = json.loads(kept)["inner"]
+    assert json.loads(kept)["zyablov_point"]["distance"] == dmin / length * stored
 
 
 def test_gmd_run_csv_deterministic(small_instance, tmp_path):
@@ -885,3 +944,186 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 0
+
+
+# -- unreadable files, unwritable outputs, internal errors --------------------------
+
+
+def _argv(command, path, out):
+    if command == "build":
+        return ["build", "--config", path, "--out", out]
+    return [command, "--instance", path, "--seed", "1", "--trials", "2", "--out", out]
+
+
+@pytest.mark.parametrize("command", ["build", "run", "lt-run"])
+@pytest.mark.parametrize(
+    "content", [None, b"{not json", b"\xff\xfe"], ids=["missing", "not-json", "not-utf8"]
+)
+def test_unreadable_input_file_is_usage_error(command, content, tmp_path, caplog):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert run_cli(*_argv(command, str(path), str(tmp_path / "out"))) == EXIT_USAGE
+    assert f"cannot read {path}: " in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["in.json"])
+
+
+@pytest.mark.parametrize("command", ["build", "run", "gmd-run"])
+def test_out_into_missing_directory_is_usage_error(command, small_instance, tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    write_json(str(cfg), SMALL_CFG)
+    path = str(cfg) if command == "build" else small_instance
+    out = tmp_path / "missing" / "rep.json"
+    assert run_cli(*_argv(command, path, str(out))) == EXIT_USAGE
+    written = out if command == "build" else out.with_suffix(".csv")
+    assert f"cannot write {written}: " in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"omega_n_bound": 5.0}, "runs report lacks 'max_calls'"),
+        ({"max_calls": "7", "omega_n_bound": 5.0}, "runs report max_calls must be int, got '7'"),
+        ([7, 5.0], "runs report must be a JSON object, got list"),
+    ],
+    ids=["without-max-calls", "max-calls-a-string", "json-list"],
+)
+def test_malformed_runs_report_is_usage_error(weak_instance, tmp_path, caplog, report, message):
+    runs = tmp_path / "runs.json"
+    write_json(str(runs), report)
+    out = tmp_path / "bounds.json"
+    rc = run_cli(
+        "verify-bounds", "--instance", weak_instance, "--runs", str(runs), "--out", str(out)
+    )
+    assert rc == EXIT_USAGE
+    assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["", "debug"], ids=["default", "debug"])
+def test_internal_error_exits_3_with_one_line(tmp_path, level):
+    """An exception no rule names is a bug: exit 3, one error line, and the
+    traceback only at debug level."""
+    inst = tmp_path / "inst.json"
+    write_json(str(inst), {})
+    script = (
+        "import sys\n"
+        "from aramid import cli\n"
+        "def boom(obj):\n"
+        "    raise RuntimeError('forced internal error')\n"
+        "cli.load_plain_instance = boom\n"
+        f"sys.exit(cli.main({_argv('run', str(inst), str(tmp_path / 'rep'))!r}))\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "ARAMID_LOG"}
+    if level:
+        env["ARAMID_LOG"] = level
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == EXIT_INTERNAL
+    assert "internal error: RuntimeError: forced internal error" in proc.stderr
+    if level:
+        assert "Traceback" in proc.stderr
+    else:
+        assert proc.stderr.splitlines() == ["internal error: RuntimeError: forced internal error"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+# -- fuzz: mutated configs and instance files ---------------------------------------
+
+# the exceptions through which a command may exit 1 on a mutated input
+_VERDICTS = (ContractError, DesignError, DisconnectedGraphError, GammaTargetError)
+# a replacement of every JSON type; a mutation draws one of another type
+_OTHER_TYPES = [None, True, "x", [], {}, 7, 0.5]
+
+
+def _json_type(value):
+    return type(value) if not isinstance(value, (int, float)) or isinstance(value, bool) else float
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path in a JSON object, to parts and values alike."""
+    for key, value in obj.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+def _out_of_range(value):
+    """Values just past the ends of a value's range: below zero, zero, one
+    more and twice a number, the other bool, an unknown string, and a list
+    emptied, cut short or with its first entry repeated."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, (int, float)):
+        return [-1, 0, value + 1, 2 * value]
+    if isinstance(value, list):
+        return [[], value[:-1], value + value[:1]]
+    if isinstance(value, dict):
+        return [{}]
+    return ["bogus"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(small_instance, lt_instance):
+    """Each fuzzed input with the commands that read it; the configs anneal
+    briefly so that a mutated build stays fast."""
+    return {
+        "plain config": (dict(SMALL_CFG, anneal_iters=300), ["build"]),
+        "lt config": (dict(LT_CFG, anneal_iters=300), ["build"]),
+        "plain instance": (read_json(small_instance), ["run", "gmd-run"]),
+        "lt instance": (read_json(lt_instance), ["lt-run"]),
+    }
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_input_exits_cleanly(fuzz_inputs, data):
+    """Drop a key, change its JSON type, push its value out of range or
+    switch the mode: no command may crash or exit 3, a usage error writes no
+    file, and exit 1 comes only from a contract or design verdict."""
+    kind = data.draw(st.sampled_from(sorted(fuzz_inputs)))
+    base, commands = fuzz_inputs[kind]
+    obj = copy.deepcopy(base)
+    mutation = data.draw(st.sampled_from(["drop", "type", "range", "mode"]))
+    if mutation == "mode":
+        obj["mode"] = "lt" if obj.get("mode", "plain") == "plain" else "plain"
+    else:
+        *parents, key = data.draw(st.sampled_from(list(_key_paths(obj))))
+        part = obj
+        for parent in parents:
+            part = part[parent]
+        if mutation == "drop":
+            del part[key]
+        elif mutation == "type":
+            other = [v for v in _OTHER_TYPES if _json_type(v) is not _json_type(part[key])]
+            part[key] = data.draw(st.sampled_from(other))
+        else:
+            part[key] = data.draw(st.sampled_from(_out_of_range(part[key])))
+    command = data.draw(st.sampled_from(commands))
+    records = _Records()
+    log = logging.getLogger("aramid")
+    log.addHandler(records)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.json")
+            write_json(path, obj)
+            rc = run_cli(*_argv(command, path, os.path.join(tmp, "out")))
+            written = sorted(os.listdir(tmp))
+    finally:
+        log.removeHandler(records)
+    assert rc in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE)
+    if rc == EXIT_USAGE:
+        assert written == ["in.json"]
+    if rc == EXIT_VIOLATION:
+        assert any(r.args and isinstance(r.args[0], _VERDICTS) for r in records.records)

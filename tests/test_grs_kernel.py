@@ -149,7 +149,7 @@ def test_kernel_rejects_erasures_at_distance():
     out, ok = code.decode_ee(c, erased)
     assert ok.tolist() == [True, False]
     assert np.array_equal(out[0], c[0])
-    assert code.decode_ee(c[1], erased[1]) is None
+    assert ref.decode_word(code, c[1], erased[1]) is None
 
 
 def test_kernel_zero_evaluation_point_shifts_locators():
@@ -173,13 +173,15 @@ def test_kernel_single_word_contract():
     c = ref.encode(code, [2, 3])
     y = c.copy()
     y[[0, 1, 2]] = (y[[0, 1, 2]] + 1) % 7  # beyond the radius
-    got = code.decode_ee(y)
+    got = ref.decode_word(code, y)
     assert got is None or not code.syndromes(got).any()
     y = c.copy()
     y[4] = (y[4] + 3) % 7
-    assert np.array_equal(code.decode_ee(y), c)
+    assert np.array_equal(ref.decode_word(code, y), c)
     with pytest.raises(ValueError):
-        code.decode_ee(np.zeros(5, dtype=np.int64))
+        code.decode_ee(np.zeros((1, 5), dtype=np.int64))
+    with pytest.raises(ValueError):
+        code.decode_ee(c)  # one word is a stack of one
 
 
 # (q, length, k): the radius edge with erasures, on the desk component shapes

@@ -177,7 +177,7 @@ def test_lt_encode_shapes_and_rate(desk_lt):
     d = code.design
     rng = np.random.default_rng(56)
     eta = rng.integers(0, d.q, size=(d.n, d.k1))
-    x = code.encode(eta)
+    x = code.encode_trace(eta).x
     assert x.shape == (d.n, d.delta1 + d.delta2)
     # measured rate: |eta| / |x| field elements, exact rational arithmetic
     assert Fraction(eta.size, x.size) == d.rate == Fraction(
@@ -189,12 +189,13 @@ def test_lt_encode_zero_and_linearity(desk_lt):
     code = desk_lt
     d = code.design
     q = d.q
-    assert not np.any(code.encode(np.zeros((d.n, d.k1), dtype=np.int64)))
+    assert not np.any(code.encode_trace(np.zeros((d.n, d.k1), dtype=np.int64)).x)
     rng = np.random.default_rng(57)
     e1 = rng.integers(0, q, size=(d.n, d.k1))
     e2 = rng.integers(0, q, size=(d.n, d.k1))
     assert np.array_equal(
-        code.encode((e1 + e2) % q), (code.encode(e1) + code.encode(e2)) % q
+        code.encode_trace((e1 + e2) % q).x,
+        (code.encode_trace(e1).x + code.encode_trace(e2).x) % q,
     )
 
 
@@ -251,7 +252,7 @@ def test_lt_half_erased_pairs(desk_lt):
     d = code.design
     rng = np.random.default_rng(61)
     eta = rng.integers(0, d.q, size=(d.n, d.k1))
-    x = code.encode(eta)
+    x = code.encode_trace(eta).x
     er1 = np.zeros(d.n, dtype=bool)
     er2 = np.zeros(d.n, dtype=bool)
     er1[rng.choice(d.n, size=5, replace=False)] = True  # first halves missing
@@ -265,7 +266,7 @@ def test_lt_failure_stage_named(desk_lt):
     d = code.design
     rng = np.random.default_rng(62)
     eta = rng.integers(0, d.q, size=(d.n, d.k1))
-    x = code.encode(eta)
+    x = code.encode_trace(eta).x
     # corrupt far beyond the radius
     values, er1, er2 = corrupt_pairs(
         np.random.default_rng(63), x, t=d.n // 2 + 10, rho=0, q=d.q
@@ -315,7 +316,7 @@ def test_lt_report_is_deterministic(desk_lt):
     d = code.design
     rng = trial_rng(65, 0)
     eta = rng.integers(0, d.q, size=(d.n, d.k1))
-    x = code.encode(eta)
+    x = code.encode_trace(eta).x
     values, er1, er2 = corrupt_pairs(trial_rng(65, 1), x, 5, 6, d.q)
     r1 = code.decode(values, er1, er2)
     r2 = code.decode(values, er1, er2)
