@@ -7,10 +7,11 @@ mediator code (E3) and carried on a second, thinner graph code on G2 (E4).
 Decoding runs the stages in reverse: one parallel C2 round (D2), a mediator
 decode (D3), and coset iterative decoding of (G1, C0(h_u) : C1) (D4).
 
-The stage radii are certified at build time from measured spectral ratios:
-the D4 parameters must satisfy the iterative-decoder hypothesis with theta
-taken from C0, and the D2/D3 chain must give the mediator fewer than mu*n
-wrong symbols whenever 2t + rho <= (1 - R - eps)*n.
+One stage rule certifies the stage radii: D4 must meet the iterative
+decoder's hypothesis with theta from C0 (`_stage_checks`, on gamma1), and the
+D2/D3 chain must leave the mediator fewer than mu*n wrong symbols whenever
+2t + rho <= (1 - R - eps)*n (`_mediator_check`, on gamma2). `lt_design`
+applies it at the annealing targets and `LtCode` on the measured ratios.
 """
 
 from __future__ import annotations
@@ -106,18 +107,12 @@ class LtDesign:
         # the end-to-end radius reads R and eps; the stages certify sigma_stage
         if self.sigma_stage != (1 - float(self.R) - self.eps) / 2:
             raise DesignError("sigma_stage must equal (1 - R - eps) / 2")
+        if not self.sigma_stage > 0:
+            raise DesignError(f"decoding radius (1-R-eps) is empty: eps={self.eps}, R={self.R}")
 
     @property
     def syndrome_width(self) -> int:
         return self.delta1 - self.k0
-
-    @property
-    def r0(self) -> Fraction:
-        return Fraction(self.k0, self.delta1)
-
-    @property
-    def rm(self) -> Fraction:
-        return Fraction(self.km, self.n)
 
     @property
     def theta0(self) -> Fraction:
@@ -137,19 +132,21 @@ class LtDesign:
         return cls(**obj)
 
 
-def _stage_checks(
-    n: int,
-    delta1: int,
-    k1: int,
-    d0: int,
-    gamma1: float,
-    sigma_stage: float,
-) -> bool:
+def _stage_checks(delta1: int, k1: int, d0: int, gamma1: float, sigma_stage: float) -> bool:
+    """Stage D4: the decoder hypothesis sqrt(theta0*delta1) > 2*gamma1 > 0,
+    and beta above sigma_stage by the stage margin. Monotone in gamma1."""
     theta0 = d0 / delta1
     delta1_rel = (delta1 - k1 + 1) / delta1
-    if math.sqrt(theta0 * delta1_rel) <= 2 * gamma1:
+    if not 0 < 2 * gamma1 < math.sqrt(theta0 * delta1_rel):
         return False
     return beta_bound(theta0, delta1_rel, gamma1) > STAGE_MARGIN * sigma_stage
+
+
+def _mediator_check(delta2: int, k2: int, mu_med: float, gamma2: float, sigma_stage: float) -> bool:
+    """Stages D2/D3: the single C2 round leaves the mediator a fraction tau
+    of wrong symbols below a margin under its radius mu_med. Monotone in
+    gamma2."""
+    return tau_bound(sigma_stage, (delta2 - k2 + 1) / delta2, gamma2) < 0.85 * mu_med
 
 
 def _search_k2(
@@ -176,9 +173,7 @@ def _search_k2(
             continue
         if kappa_floor is not None and Fraction(km, n) < kappa_floor:
             continue
-        g2t = anneal_target(n, delta2)
-        delta2_rel = (delta2 - k2 + 1) / delta2
-        if tau_bound(sigma_stage, delta2_rel, g2t) < 0.85 * mu_med:
+        if _mediator_check(delta2, k2, mu_med, anneal_target(n, delta2), sigma_stage):
             return k2, delta2, km
     return None
 
@@ -240,7 +235,7 @@ def lt_design(
             k1 = delta1 * Rf.numerator // Rf.denominator
             d0 = math.ceil(kappa * eps * delta1)
             if d0 >= 2 and _stage_checks(
-                n, delta1, k1, d0, anneal_target(n, delta1), sigma_stage
+                delta1, k1, d0, anneal_target(n, delta1), sigma_stage
             ):
                 hit = _search_k2(
                     n, d0 - 1, k1, Rf, sigma_stage, Fraction(kappa).limit_denominator(1000), mu
@@ -256,7 +251,7 @@ def lt_design(
             continue
         g1t = anneal_target(n, delta1)
         for d0 in range(2, delta1):
-            if not _stage_checks(n, delta1, k1, d0, g1t, sigma_stage):
+            if not _stage_checks(delta1, k1, d0, g1t, sigma_stage):
                 continue
             hit = _search_k2(n, d0 - 1, k1, Rf, sigma_stage, None, 0.0)
             if hit is not None:
@@ -352,18 +347,23 @@ class LtCode:
         self.mediator = InterleavedGrsMediator(self.field, design.n, design.k2, design.km)
         self.gamma1 = gamma(g1).gamma
         self.gamma2 = gamma(g2).gamma
+        # lt_design's stage rule on the measured ratios; passing it also meets
+        # every hypothesis that decode_params checks
+        d = design
+        d4 = _stage_checks(d.delta1, d.k1, d.delta1 - d.k0 + 1, self.gamma1, d.sigma_stage)
+        d3 = _mediator_check(d.delta2, d.k2, float(self.mediator.mu), self.gamma2, d.sigma_stage)
+        for stage, holds, name, measured, target in (
+            ("D4", d4, "gamma1", self.gamma1, d.gamma1_target),
+            ("D2/D3", d3, "gamma2", self.gamma2, d.gamma2_target),
+        ):
+            if not holds:
+                raise DesignError(
+                    f"stage {stage} fails on the measured {name} = {measured:.6f} "
+                    f"(target {target:.6f})"
+                )
         self.params_d4 = decode_params(
-            float(design.theta0),
-            self.c1.rel_dist,
-            self.gamma1,
-            design.sigma_stage,
-            design.n,
-            design.delta1,
+            float(d.theta0), self.c1.rel_dist, self.gamma1, d.sigma_stage, d.n, d.delta1
         )
-        tb = tau_bound(design.sigma_stage, self.c2.rel_dist, self.gamma2)
-        mu = float(self.mediator.mu)
-        if tb >= mu:
-            raise DesignError(f"stage-2 bound {tb:.4f} reaches the mediator radius {mu:.4f}")
 
     @property
     def n(self) -> int:
@@ -435,19 +435,9 @@ class LtCode:
 
 
 def build_lt_code(design: LtDesign, seed: int, anneal_iters: int = 40000) -> LtCode:
-    """Anneal both graphs to their spectral targets and assemble the code."""
-    g1 = anneal_circulant_bipartite(
-        design.n,
-        design.delta1,
-        seed=seed,
-        gamma_target=design.gamma1_target,
-        iters=anneal_iters,
-    )
-    g2 = anneal_circulant_bipartite(
-        design.n,
-        design.delta2,
-        seed=seed + 1,
-        gamma_target=design.gamma2_target,
-        iters=anneal_iters,
-    )
+    """Anneal both graphs, each stopping early at its design target, and
+    assemble the code, which certifies its stages on the measured ratios."""
+    n, iters = design.n, anneal_iters
+    g1 = anneal_circulant_bipartite(n, design.delta1, seed, design.gamma1_target, iters)
+    g2 = anneal_circulant_bipartite(n, design.delta2, seed + 1, design.gamma2_target, iters)
     return LtCode(design, g1, g2)

@@ -6,6 +6,7 @@ Every tolerance is pinned here; the radius criteria are zero-tolerance.
 
 import itertools
 import math
+from fractions import Fraction
 
 import grs_reference
 import numpy as np
@@ -223,7 +224,7 @@ def test_criterion_6_construction_end_to_end(lt_desk):
     d = code.design
     assert d.relaxed
     assert d.n * d.syndrome_width == d.km * d.k2  # exact identity
-    assert (1 - d.r0) * d.delta1 == d.rm * d.R * d.delta2
+    assert (1 - Fraction(d.k0, d.delta1)) * d.delta1 == Fraction(d.km, d.n) * d.R * d.delta2
     radius = code.radius
     mu_n = float(code.mediator.mu) * d.n
     failures = 0

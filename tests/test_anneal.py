@@ -1,5 +1,6 @@
 """The shift-set annealer: golden outputs, a differential test against the
-rescanning reference loop, and its refusals."""
+rescanning reference loop, and its refusals. A missed gamma target is not a
+refusal: the search returns its best graph."""
 
 import hashlib
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from aramid.bigraph import (
     DisconnectedGraphError,
-    GammaTargetError,
     _circulant_gcd,
     anneal_circulant_bipartite,
     circulant_bipartite,
@@ -79,14 +79,10 @@ def test_anneal_matches_reference_loop(case):
         with pytest.raises(DisconnectedGraphError):
             anneal_circulant_bipartite(n, delta, seed=seed, gamma_target=target, iters=iters)
         return
-    best = gamma(circulant_bipartite(n, want)).gamma
-    if target is not None and best > target:
-        with pytest.raises(GammaTargetError) as exc:
-            anneal_circulant_bipartite(n, delta, seed=seed, gamma_target=target, iters=iters)
-        assert exc.value.best == best
-        return
+    # a missed target stops nothing: the search returns the reference's best
     g = anneal_circulant_bipartite(n, delta, seed=seed, gamma_target=target, iters=iters)
     assert _shifts(g).tolist() == want
+    assert gamma(g).gamma == gamma(circulant_bipartite(n, want)).gamma
 
 
 def test_disconnected_shift_set_is_not_a_missed_target():
@@ -96,15 +92,6 @@ def test_disconnected_shift_set_is_not_a_missed_target():
         anneal_circulant_bipartite(10, 1, seed=0, gamma_target=5.0)
     with pytest.raises(DisconnectedGraphError, match=msg.format(50)):
         anneal_circulant_bipartite(10, 1, seed=0, iters=50)
-
-
-def test_gamma_target_error_counts_moves_made():
-    with pytest.raises(GammaTargetError, match="after 500 attempts") as exc:
-        anneal_circulant_bipartite(48, 24, seed=101, gamma_target=0.01, iters=500)
-    assert exc.value.best > 0.01
-    # delta == n leaves nothing to swap, so no move is made whatever iters is
-    with pytest.raises(GammaTargetError, match="after 0 attempts"):
-        anneal_circulant_bipartite(12, 12, seed=4, gamma_target=-1.0, iters=100)
 
 
 def test_anneal_refuses_negative_iters():

@@ -4,12 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from anneal_reference import anneal_shifts
 from bigraph_reference import biadjacency
 from memtrace import traced_peak
 
 from aramid.bigraph import (
     BipartiteRegularGraph,
-    GammaTargetError,
     anneal_circulant_bipartite,
     check_degree_sum,
     check_expansion_lemma,
@@ -135,9 +135,10 @@ def test_gamma_fft_path_memory_is_linear():
 
 
 def test_gamma_target_unreachable_reports_best():
-    with pytest.raises(GammaTargetError) as exc:
-        anneal_circulant_bipartite(30, 4, seed=6, gamma_target=0.01, iters=50)
-    assert 0 < exc.value.best < 1
+    # the target only stops the search early; a missed one returns the best graph
+    g = anneal_circulant_bipartite(30, 4, seed=6, gamma_target=0.01, iters=50)
+    assert g.shifts.tolist() == anneal_shifts(30, 4, 6, gamma_target=0.01, iters=50)
+    assert 0.01 < gamma(g).gamma < 1
 
 
 def test_annealed_circulant_hits_low_gamma():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aramid.bigraph import DisconnectedGraphError, GammaTargetError
+from aramid.bigraph import DisconnectedGraphError
 from aramid.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -140,6 +140,7 @@ def test_build_is_byte_deterministic(tmp_path):
 
 
 def test_build_unreachable_gamma_target_reports_best(tmp_path, caplog):
+    # a plain config's gamma_target is the user's requirement, so a miss is refused
     cfg = dict(SMALL_CFG, gamma_target=0.01, anneal_iters=500)
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "inst.json"
@@ -147,7 +148,8 @@ def test_build_unreachable_gamma_target_reports_best(tmp_path, caplog):
     rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
     assert rc == EXIT_VIOLATION
     assert "best measured gamma" in caplog.text
-    assert "after 500 attempts" in caplog.text
+    assert "gamma target 0.01 not reached within anneal_iters = 500" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", [5.0, None])
@@ -586,6 +588,42 @@ def test_lt_run_gates_the_radius(lt_instance, tmp_path):
     assert rc == EXIT_OK  # 2t + rho = 26 is the radius itself
 
 
+def test_lt_build_certifies_on_measured_gamma(tmp_path):
+    """At 300 moves the g2 search misses its target (gamma2 about 0.1437
+    against 0.1426), but the stage rule holds on the measured ratios, so the
+    build is kept and decodes at the full radius 2t + rho = 26."""
+    cfg, inst = tmp_path / "cfg.json", tmp_path / "lt.json"
+    write_json(str(cfg), dict(LT_CFG, anneal_iters=300))
+    assert run_cli("build", "--config", str(cfg), "--out", str(inst)) == EXIT_OK
+    obj = read_json(str(inst))
+    assert obj["derived"]["gamma2"] > obj["design"]["gamma2_target"]
+    assert obj["derived"]["radius"] == 26
+    for counts in ([], ["--errors", "13"]):
+        rc = run_cli(
+            "lt-run", "--instance", str(inst), "--seed", "11", "--trials", "10",
+            *counts, "--out", str(tmp_path / "rep"),
+        )
+        assert rc == EXIT_OK
+        assert json.loads((tmp_path / "rep.json").read_text())["success_rate"] == 1.0
+
+
+def test_lt_run_uncertified_graph_exits_1(lt_instance, tmp_path, caplog):
+    # consecutive shifts give a connected g1 whose gamma1 fails stage D4
+    obj = read_json(lt_instance)
+    obj["g1"]["shifts"] = list(range(obj["design"]["delta1"]))
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    rc = run_cli(
+        "lt-run", "--instance", str(edited), "--seed", "11", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_VIOLATION
+    target = obj["design"]["gamma1_target"]
+    assert "stage D4 fails on the measured gamma1 = " in caplog.text
+    assert f"(target {target:.6f})" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
+
+
 @pytest.mark.parametrize("key", ["gamma1", "gamma2"])
 def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
     obj = read_json(lt_instance)
@@ -733,6 +771,23 @@ def test_run_malformed_plain_instance_is_usage_error(
     assert rc == EXIT_USAGE
     assert message in caplog.text
     assert not (tmp_path / "rep.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["eval_points", "col_mults"])
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "string"])
+def test_grs_entry_not_an_int_is_usage_error(small_instance, tmp_path, caplog, key, value):
+    # refused like a shift of the same type, although numpy would cast it
+    obj = read_json(small_instance)
+    obj["c_prime"][key][0] = value
+    edited = tmp_path / "edited.json"
+    write_json(str(edited), obj)
+    rc = run_cli(
+        "run", "--instance", str(edited), "--seed", "7", "--trials", "3",
+        "--out", str(tmp_path / "rep"),
+    )
+    assert rc == EXIT_USAGE
+    assert f"plain instance c_prime: {key} must be ints, got {value!r}" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
 
 
 @pytest.mark.parametrize("command", ["gmd-run", "verify-bounds"])
@@ -980,6 +1035,16 @@ def test_out_into_missing_directory_is_usage_error(command, small_instance, tmp_
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("blocked", ["rep.csv", "rep.json"])
+def test_failed_output_write_leaves_no_file(small_instance, tmp_path, caplog, blocked):
+    # a directory where one output file goes; the other file is not kept either
+    (tmp_path / blocked).mkdir()
+    assert run_cli(*_argv("run", small_instance, str(tmp_path / "rep"))) == EXIT_USAGE
+    assert f"cannot write {tmp_path / blocked}: " in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == [blocked]
+    assert not any((tmp_path / blocked).iterdir())
+
+
 @pytest.mark.parametrize(
     "report, message",
     [
@@ -1033,7 +1098,7 @@ def test_internal_error_exits_3_with_one_line(tmp_path, level):
 # -- fuzz: mutated configs and instance files ---------------------------------------
 
 # the exceptions through which a command may exit 1 on a mutated input
-_VERDICTS = (ContractError, DesignError, DisconnectedGraphError, GammaTargetError)
+_VERDICTS = (ContractError, DesignError, DisconnectedGraphError)
 # a replacement of every JSON type; a mutation draws one of another type
 _OTHER_TYPES = [None, True, "x", [], {}, 7, 0.5]
 

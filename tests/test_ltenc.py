@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from aramid.grs import GrsCode
 from aramid.ltenc import (
     DesignError,
     InterleavedGrsMediator,
+    LtCode,
     LtDesign,
     build_lt_code,
     lt_design,
@@ -46,7 +48,8 @@ def test_design_exact_identities(desk_design):
     d = desk_design
     assert d.n * d.syndrome_width == d.km * d.k2
     assert Fraction(d.k1, d.delta1) == Fraction(d.k2, d.delta2) == d.R
-    assert (1 - d.r0) * d.delta1 == d.rm * d.R * d.delta2  # exact in Fractions
+    # exact in Fractions: (1 - r0) * delta1 = rm * R * delta2
+    assert (1 - Fraction(d.k0, d.delta1)) * d.delta1 == Fraction(d.km, d.n) * d.R * d.delta2
     assert d.delta2 < d.delta1
     assert d.q > d.delta1 and d.q >= d.n
 
@@ -170,6 +173,30 @@ def test_build_lt_code_stage_hypotheses(desk_lt):
     assert tau_bound(d.sigma_stage, code.c2.rel_dist, code.gamma2) < float(
         code.mediator.mu
     )
+
+
+@pytest.mark.parametrize("side, stage", [(1, "D4"), (2, "D2/D3")])
+def test_lt_code_certifies_measured_gamma(desk_lt, side, stage):
+    """Consecutive shifts give a connected graph whose gamma fails its stage;
+    the error names the stage, the measured gamma and the design's target."""
+    d = desk_lt.design
+    graphs = [desk_lt.g1, desk_lt.g2]
+    degree = d.delta1 if side == 1 else d.delta2
+    graphs[side - 1] = circulant_bipartite(d.n, range(degree))
+    measured = gamma(graphs[side - 1]).gamma
+    target = d.gamma1_target if side == 1 else d.gamma2_target
+    message = f"stage {stage} fails on the measured gamma{side} = {measured:.6f} (target {target:.6f})"
+    with pytest.raises(DesignError, match=re.escape(message)):
+        LtCode(d, *graphs)
+
+
+def test_relaxed_n300_design_fails_stage_d4():
+    """The annealer ends at gamma1 = 0.12885 against the target 0.12842, so
+    beta/sigma = 1.246 falls below STAGE_MARGIN = 1.25; the g2 search meets
+    its target."""
+    d = lt_design(R=Fraction(1, 2), eps=0.3, kappa=0.25, mu=0.05, n=300)
+    with pytest.raises(DesignError, match=r"stage D4 fails on the measured gamma1 = 0\.12885"):
+        build_lt_code(d, seed=501, anneal_iters=40000)
 
 
 def test_lt_encode_shapes_and_rate(desk_lt):
