@@ -13,15 +13,19 @@ row, L being the current register length (Massey's stop rule). The result is
 the one the full loop gives: a row within the radius has a locator of length
 L* <= floor(l/2), and if the current register failed at a later term N' its
 Massey bound would give L* >= N'+1-L > floor(l/2), so it is already final. A
-row beyond the radius fails the certificate (zero syndrome after correction,
-2a + b < d) whatever the loop returns, since passing it puts a codeword
-within the radius.
+row beyond the radius fails the certificate (the target syndrome after
+correction, 2a + b < d) whatever the loop returns, since passing it puts a
+codeword within the radius.
 
 Work that cannot change the result is skipped, so each output is the one
 the full computation gives:
 - a Berlekamp-Massey step whose discrepancy is zero on every row leaves
   Lambda, B, L and B's discrepancy as they are (B is shifted by X on every
   step through its offset alone), so its update is not run;
+- psi = Lambda * Gamma is built only to the certified width w =
+  max(L + b) + 1 over the rows still certified, and Omega and psi' to
+  w - 1: within the radius deg Omega < deg psi = L + b (Forney), and a row
+  beyond it fails the certificate whatever its Omega;
 - error values are computed only at the roots of psi on rows still
   certified, the only positions where a certified row is corrected, and
   the final syndrome check runs only on those rows;
@@ -35,7 +39,10 @@ The tables that the products read are stored once, in float64 (exact, as
 in `linalg._mul_mod`): the transposed parity check H.T, the operand of
 every syndrome product, and the inverse-power table of the Chien search
 and Forney values. Operands the kernel passes between its own steps are
-already reduced mod q; only the public entry points reduce their input.
+already reduced mod q; `decode_ee` reduces its input only when some entry
+lies outside [0, q). A target syndrome t puts a row in the coset
+{v : H v = t}: its errata have syndrome H y - t, and the certificate asks
+H v = t, which is H v = 0 for the code itself.
 """
 
 from __future__ import annotations
@@ -110,7 +117,6 @@ class GrsCode:
         # x_i^-m for m <= d - 1, row m, for Chien search and Forney values
         self._inv_pow = np.empty((nsyn + 1, n), dtype=np.float64)
         _powers(inv[x], q, self._inv_pow)
-        self._right_inv = None
 
     @property
     def rate(self) -> float:
@@ -124,10 +130,6 @@ class GrsCode:
         return f"GrsCode([{self.length},{self.k},{self.dmin}] over GF({self.field.q}))"
 
     # -- encoding ---------------------------------------------------------
-
-    def sys_generator(self) -> np.ndarray:
-        """Generator in systematic form [I | P]: identity on the first k positions."""
-        return np.hstack([np.eye(self.k, dtype=np.int64), self._redundancy.astype(np.int64)])
 
     def sys_encode(self, msg) -> np.ndarray:
         """[m | m P] for a message m (k,) or a stack of them (rows, k)."""
@@ -157,48 +159,54 @@ class GrsCode:
 
     # -- decoding -----------------------------------------------------------
 
-    def decode_ee(self, words, erased=None) -> tuple[np.ndarray, np.ndarray]:
+    def decode_ee(self, words, erased=None, target=None) -> tuple[np.ndarray, np.ndarray]:
         """Batched error-erasure decoding: correct any row with 2a + b < d.
 
         `words` is a stack (m, length) with an optional bool mask `erased`
-        of the same shape (or one (length,) mask shared by every row).
-        Returns (decoded, ok): where ok[r] holds, decoded[r] is the
-        unique codeword within 2a + b < d of row r; other rows hold the
-        zero-filled received word.
+        of the same shape (or one (length,) mask shared by every row), and
+        an optional stack `target` (m, d - 1) of syndromes that puts row r
+        in the coset {v : H v = target[r]} (module docstring). Returns
+        (decoded, ok): where ok[r] holds, decoded[r] is the unique word of
+        row r's coset (of the code without a target) within 2a + b < d of
+        row r; other rows hold the zero-filled received word.
         """
         q = self.field.q
-        values = np.asarray(words, dtype=np.int64) % q
+        values = linalg._as_field(words, q)
         if values.ndim != 2 or values.shape[1] != self.length:
             raise ValueError(f"words must be a stack of shape (m, {self.length})")
-        if erased is None:
-            era = np.zeros(values.shape, dtype=bool)
-        else:
+        era = None
+        if erased is not None and np.any(erased):
             era = np.broadcast_to(np.asarray(erased, dtype=bool), values.shape)
-        out = np.where(era, 0, values)
-        b = era.sum(axis=1)
+        out = values.copy() if era is None else np.where(era, 0, values)
+        b = np.zeros(len(out), dtype=np.int64) if era is None else era.sum(axis=1)
         synd = self._syndromes(out)
+        goal = np.zeros_like(synd) if target is None else linalg._as_field(target, q)
+        if goal.shape != synd.shape:
+            raise ValueError(f"target must be a stack of shape (m, {self.dmin - 1})")
+        if target is not None:
+            synd = (synd - goal) % q
         ok = b < self.dmin
-        # clean rows without erasures are already codewords
+        # clean rows without erasures are already words of their coset
         rows = np.flatnonzero(ok & ((b > 0) | synd.any(axis=1)))
         if len(rows):
-            dec, good = self._solve(out[rows], era[rows], b[rows], synd[rows])
-            out[rows] = dec
-            ok[rows] = good
+            era_rows = None if era is None else era[rows]
+            out[rows], ok[rows] = self._solve(out[rows], era_rows, b[rows], synd[rows], goal[rows])
         return out, ok
 
-    def _solve(self, filled, era, b, synd):
+    def _solve(self, filled, era, b, synd, target):
         """Key equation, Chien search and Forney values for rows with work.
 
         Every step runs on all rows at once; the certificate (deg Lambda = L
-        within the radius, deg psi roots, nonzero Forney denominators, zero
-        syndrome after correction, 2a + b < d) is checked per row. Error
-        values are computed only at the roots of rows still certified, and
-        only those rows get the final syndrome check.
-        """
+        within the radius, deg psi roots, nonzero Forney denominators,
+        syndrome `target` after correction, 2a + b < d) is checked per row.
+        psi, Omega and psi' stop at the certified width, error values are
+        computed only at the roots of rows still certified, and only those
+        rows get the final syndrome check. `era` is None when no row has an
+        erasure."""
         q = self.field.q
         nsyn = self.dmin - 1
         inv = _inverses(q)
-        m = len(b)
+        m, n = filled.shape
 
         gamma = _erasure_locator(self._locators, era, b, q)
         xi = _mul_trunc(gamma, synd, nsyn, q)  # Gamma * S mod X^(d-1)
@@ -211,21 +219,25 @@ class GrsCode:
         deg = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
         ok = (deg == el) & (2 * el <= length)
 
-        # errata locator psi = Lambda * Gamma; deg psi = L + b <= d-1 where ok
-        top = int(el[ok].max()) + 1 if ok.any() else 1
-        lam = np.where(ok[:, None], lam[:, :top], 0)
+        # errata locator psi = Lambda * Gamma, of degree L + b < w where ok
+        w = int((el + b)[ok].max(initial=0)) + 1
+        lam = np.where(ok[:, None], lam[:, : int(el[ok].max(initial=0)) + 1], 0)
         lam[:, 0] = 1
-        psi = _mul_trunc(gamma, lam, nsyn + 1, q)
-        roots = linalg._mul_mod(psi, self._inv_pow, q) == 0
+        psi = _mul_trunc(gamma, lam, w, q)
+        roots = linalg._mul_mod(psi, self._inv_pow[:w], q) == 0
         ok &= roots.sum(axis=1) == el + b
 
         # Forney at the roots r, i of certified rows:
         # e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i)
-        r, i = np.nonzero(roots & ok[:, None])
-        omega = _mul_trunc(lam, xi, nsyn, q)  # psi * S = Lambda * xi mod X^(d-1)
-        dpsi = psi[:, 1:] * np.arange(1, nsyn + 1) % q
-        num = linalg._mul_mod(omega, self._inv_pow[:nsyn], q)[r, i]
-        den = linalg._mul_mod(dpsi, self._inv_pow[:nsyn], q)[r, i]
+        r, i = np.divmod(np.flatnonzero(roots & ok[:, None]), n)
+        omega = _mul_trunc(lam, xi, w - 1, q)  # psi * S = Lambda * xi mod X^(d-1)
+        dpsi = psi[:, 1:] * np.arange(1, w) % q
+        # exact float64 products as in `linalg._mul_mod`, reduced at the roots
+        pows = self._inv_pow[: w - 1]
+        num, den = (
+            linalg._reduce((p.astype(np.float64) @ pows)[r, i], q).astype(np.int64)
+            for p in (omega, dpsi)
+        )
         ok[r[den == 0]] = False
         keep = ok[r]
         r, i = r[keep], i[keep]
@@ -234,38 +246,11 @@ class GrsCode:
         corrected[r, i] = (filled[r, i] - err) % q
 
         rows = np.flatnonzero(ok)
-        ok[rows] = ~self._syndromes(corrected[rows]).any(axis=1)
-        a = np.bincount(r, weights=(err != 0) & ~era[r, i], minlength=m)
+        ok[rows] = ~(self._syndromes(corrected[rows]) != target[rows]).any(axis=1)
+        changed = err != 0 if era is None else (err != 0) & ~era[r, i]
+        a = np.bincount(r, weights=changed, minlength=m)
         ok &= 2 * a + b < self.dmin
         return np.where(ok[:, None], corrected, filled), ok
-
-    def parity_right_inverse(self) -> np.ndarray:
-        """R = [H_S^-1; 0] for S the first d - 1 positions, so that H R = I
-        and R h is a word with syndrome h.
-
-        H_S = V diag(u_S) for the Vandermonde V[l, i] = x_i^l, whose inverse
-        has the Lagrange basis M(X) / ((X - x_i) M'(x_i)) in row i, where
-        M = prod_{t in S} (X - x_t). One synthetic division by X - x_i runs
-        for every i at once, and Horner's rule on its quotient gives M'(x_i).
-        """
-        if self._right_inv is None:
-            q = self.field.q
-            s = self.dmin - 1
-            x = self._locators[:s]
-            # M, leading coefficient first: Gamma = prod (1 - x_t X), ascending
-            m = _erasure_locator(x, np.ones((1, s), dtype=bool), np.array([s]), q)[0]
-            quot = np.empty((s, s), dtype=np.int64)  # row i: M / (X - x_i), leading first
-            c = np.ones(s, dtype=np.int64)
-            deriv = np.zeros(s, dtype=np.int64)  # M'(x_i)
-            for j in range(s):
-                if j:
-                    c = (m[j] + x * c) % q
-                quot[:, j] = c
-                deriv = (deriv * x + c) % q
-            scale = _inverses(q)[self._dual_mults[:s] * deriv % q]
-            self._right_inv = np.zeros((self.length, s), dtype=np.int64)
-            self._right_inv[:s] = quot[:, ::-1] * scale[:, None] % q
-        return self._right_inv
 
 
 def _powers(base: np.ndarray, q: int, out: np.ndarray, first=None) -> None:

@@ -2,13 +2,13 @@
 
 Rounds alternate sides: even rounds decode right sub-blocks with the C''
 error-erasure decoder, odd rounds decode left sub-blocks with C', or in
-cosets of C0 when per-vertex syndromes s_u are supplied (the block is shifted
-by R s_u, decoded in C0 and shifted back). Both sides run the same round
+cosets {v : H0 v = s_u} of C0 when per-vertex syndromes s_u are supplied,
+s_u being the component decoder's target. Both sides run the same round
 step: gather the scheduled sub-blocks by edge id, make one batched
 component-decoder call, scatter the changed symbols and mark the vertices on
-the other side of those edges. Erasures exist at the field level only until
-round 2 completes. A component-decoder failure leaves the sub-block
-unchanged.
+the other side of those edges, read off the edge ids. A whole-space C' is
+decoded only in cosets. Erasures exist at the field level only until round 2
+completes. A component-decoder failure leaves the sub-block unchanged.
 
 A vertex is re-decoded only when one of its incident edges changed since its
 last decode; the first visit of each side is unconditional. This is
@@ -21,8 +21,8 @@ changed since its last decode, and bad when that decode failed. A decode
 that succeeds leaves a codeword of the component code (or of the coset) in
 the sub-block, so a vertex that is neither dirty nor bad holds one. After
 round 2 no edge is erased, so the word is in the code exactly when the
-sub-blocks of the dirty and bad vertices of both sides have zero syndromes,
-and only those are checked.
+sub-blocks of the dirty and bad vertices of both sides have their target
+syndromes (zero outside the cosets), and only those are checked.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .grs import GrsCode
 from .tanner import PhiWord, TannerCode
 
@@ -150,37 +149,33 @@ def decode_phi(
     graph = code.graph
     n, delta = graph.n, graph.delta
     q = code.field.q
-    cp = code.c_prime
     if y.values.shape != (n, code.phi_width) or y.erased.shape != (n,):
         raise ValueError(
             f"phi word must have shape ({n}, {code.phi_width}) with an (n,) mask"
         )
-    left_code, shifts = cp, None
+    left_code, target = code.c_prime, None
     if cosets is not None:
         left_code = cosets.code
         if left_code.length != delta or left_code.field != code.field:
             raise ValueError("coset code must have the graph degree and field")
-        s_mat = np.asarray(cosets.syndromes, dtype=np.int64) % q
-        if s_mat.shape != (n, left_code.dmin - 1):
+        target = np.asarray(cosets.syndromes, dtype=np.int64) % q
+        if target.shape != (n, left_code.dmin - 1):
             raise ValueError(f"coset syndromes must be (n, {left_code.dmin - 1})")
-        # block u lies in C0 + R s_u: decode block - R s_u in C0, then add R s_u
-        shifts = linalg._mul_mod(s_mat, left_code.parity_right_inverse().T, q)
+    elif left_code is None:
+        raise ValueError("a whole-space C' is decoded only in cosets")
 
     # per side (0 = left V', 1 = right V''): the component code, the edge ids
-    # of each vertex's sub-block and the coset shifts (left only); owner[s][e]
-    # is the vertex of edge e on side s
-    edges = np.arange(n * delta)
+    # of each vertex's sub-block and its target syndromes (cosets only)
     sides = (
-        (left_code, edges.reshape(n, delta), shifts),
+        (left_code, np.arange(n * delta).reshape(n, delta), target),
         (code.c_double, graph.right_edges, None),
     )
-    owner = (edges // delta, graph.matchings.T.ravel())
 
     z = np.zeros(n * delta, dtype=np.int64)
     z_er = np.zeros(n * delta, dtype=bool)
     known = ~y.erased
     if known.any():
-        z.reshape(n, delta)[known] = cp.sys_encode(y.values[known])
+        z.reshape(n, delta)[known] = code.unfold(y.values[known])
     z_er.reshape(n, delta)[y.erased] = True
 
     # the first visit of each side decodes every vertex; bad marks the
@@ -189,18 +184,23 @@ def decode_phi(
     bad = np.zeros((2, n), dtype=bool)
     report = DecodeReport(result=None, rounds_run=0, component_calls=0)
 
+    def mark(s: int, eids: np.ndarray) -> None:
+        # edge e = u*delta + slot joins left u to right matchings[slot, u]
+        u = eids // delta
+        dirty[s, u if s == 0 else graph.matchings[eids % delta, u]] = True
+
     def in_code() -> bool:
         # a vertex neither dirty nor bad holds a codeword (module docstring)
-        for (comp, gather, shift), check in zip(sides, dirty | bad):
+        for (comp, gather, goal), check in zip(sides, dirty | bad):
             rows = np.flatnonzero(check)
-            blocks = z[gather[rows]] if shift is None else z[gather[rows]] - shift[rows]
-            if np.any(comp.syndromes(blocks)):
+            synd = comp.syndromes(z[gather[rows]])
+            if np.any(synd if goal is None else synd != goal[rows]):
                 return False
         return True
 
     for i in range(2, params.nu + 1):
         side = 1 if i % 2 == 0 else 0
-        comp, side_gather, side_shifts = sides[side]
+        comp, side_gather, side_target = sides[side]
         report.rounds_run = i
         work = np.flatnonzero(dirty[side])
         report.component_calls += len(work)
@@ -209,12 +209,8 @@ def decode_phi(
         gather = side_gather[work]
         blocks = z[gather]
         masks = z_er[gather]
-        if side_shifts is None:
-            out, ok = comp.decode_ee(blocks, masks)
-        else:
-            shift = side_shifts[work]
-            out, ok = comp.decode_ee(blocks - shift, masks)
-            out = (out + shift) % q
+        goal = None if side_target is None else side_target[work]
+        out, ok = comp.decode_ee(blocks, masks, target=goal)
         bad[side, work] = ~ok
         diff = ((out != blocks) | masks) & ok[:, None]
         if diff.any():
@@ -223,17 +219,17 @@ def decode_phi(
             eids = gather[diff]
             z[eids] = out[diff]
             z_er[eids] = False
-            dirty[1 - side, owner[1 - side][eids]] = True
+            mark(1 - side, eids)
         if i == 2 and z_er.any():
             # unresolved erasures get the identity completion (zero fill);
             # later rounds treat them as plain errors on both sides
             eids = np.flatnonzero(z_er)
             z_er[eids] = False
-            for s in (0, 1):
-                dirty[s, owner[s][eids]] = True
+            mark(0, eids)
+            mark(1, eids)
 
         # nu is odd, so the last round is checked here too
         if i >= 3 and i % 2 == 1 and in_code():
-            report.result = PhiWord.clean(cp.sys_project(z.reshape(n, delta)))
+            report.result = PhiWord.clean(code.fold(z.reshape(n, delta)))
             break
     return report

@@ -85,6 +85,14 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return _reduce(prod, q).astype(np.int64)
 
 
+def _as_field(a, q: int) -> np.ndarray:
+    """a as int64 in [0, q), reduced only when its min or max lies outside."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and (a.min() < 0 or a.max() >= q):
+        a = a % q
+    return a
+
+
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     """x mod q for integers of a float dtype with a p-bit significand, below
     2**p in absolute value (2**24 for float32, 2**53 for float64).

@@ -339,10 +339,9 @@ class LtCode:
         self.c0 = GrsCode(self.field, design.k0, range(1, design.delta1 + 1))
         self.c1 = GrsCode(self.field, design.k1, range(1, design.delta1 + 1))
         self.c2 = GrsCode(self.field, design.k2, range(1, design.delta2 + 1))
-        full1 = GrsCode(self.field, design.delta1, range(1, design.delta1 + 1))
-        full2 = GrsCode(self.field, design.delta2, range(1, design.delta2 + 1))
-        self.t1 = TannerCode(g1, full1, self.c1)
-        self.t2 = TannerCode(g2, full2, self.c2)
+        # the left sides of both graph codes are the whole space (rate 1)
+        self.t1 = TannerCode(g1, None, self.c1)
+        self.t2 = TannerCode(g2, None, self.c2)
         # the design's syndrome identity n*(delta1-k0) = km*k2 fixes the bank's shape
         self.mediator = InterleavedGrsMediator(self.field, design.n, design.k2, design.km)
         self.gamma1 = gamma(g1).gamma
@@ -425,7 +424,7 @@ class LtCode:
         s_mat = s_flat.reshape(n, design.syndrome_width)
 
         # D4: coset iterative decoding of the primary graph code
-        y1 = PhiWord(values[:, :d1].copy(), erased1.copy())
+        y1 = PhiWord(values[:, :d1], erased1)
         rep = decode_phi(self.t1, y1, self.params_d4, cosets=CosetSide(self.c0, s_mat))
         if not rep.success:
             return LtReport(None, "iterative", rep, w_tilde, w_er)

@@ -37,19 +37,19 @@ class TannerCode:
     def __init__(
         self,
         graph: BipartiteRegularGraph,
-        c_prime: GrsCode,
+        c_prime: GrsCode | None,  # None: the whole space F^delta, rate 1
         c_double: GrsCode,
     ):
-        if c_prime.field != c_double.field:
+        if c_prime is not None and c_prime.field != c_double.field:
             raise ValueError("component codes must share the field")
-        if c_prime.length != graph.delta or c_double.length != graph.delta:
+        if any(c.length != graph.delta for c in (c_prime, c_double) if c is not None):
             raise ValueError(
                 f"component code length must equal the degree {graph.delta}"
             )
         self.graph = graph
         self.c_prime = c_prime
         self.c_double = c_double
-        self.field = c_prime.field
+        self.field = c_double.field
         self.n = graph.n
         self.num_edges = graph.num_edges
         self._gen: np.ndarray | None = None
@@ -59,7 +59,7 @@ class TannerCode:
     # rate and relative-distance parameters of the component codes
     @property
     def r(self) -> float:
-        return self.c_prime.rate
+        return 1.0 if self.c_prime is None else self.c_prime.rate
 
     @property
     def R(self) -> float:
@@ -67,7 +67,7 @@ class TannerCode:
 
     @property
     def theta(self) -> float:
-        return self.c_prime.rel_dist
+        return 1 / self.graph.delta if self.c_prime is None else self.c_prime.rel_dist
 
     @property
     def delta_rel(self) -> float:
@@ -76,7 +76,7 @@ class TannerCode:
     @property
     def phi_width(self) -> int:
         """Field symbols per Phi symbol: k' = r*delta."""
-        return self.c_prime.k
+        return self.graph.delta if self.c_prime is None else self.c_prime.k
 
     def __repr__(self) -> str:
         return (
@@ -102,23 +102,34 @@ class TannerCode:
     def membership(self, values) -> bool:
         """True iff every left block is in C' and every right block in C''."""
         values = np.asarray(values, dtype=np.int64)
-        if np.any(self.c_prime.syndromes(self.left_blocks(values))):
+        if self.c_prime is not None and np.any(self.c_prime.syndromes(self.left_blocks(values))):
             return False
         return not np.any(self.c_double.syndromes(self.right_blocks(values)))
 
     # -- folding ---------------------------------------------------------------
+
+    def fold(self, blocks) -> np.ndarray:
+        """Left blocks (rows, delta) to a new array of their Phi symbols."""
+        if self.c_prime is None:
+            return linalg._as_field(np.array(blocks, dtype=np.int64), self.field.q)
+        return self.c_prime.sys_project(blocks)
+
+    def unfold(self, phi_values) -> np.ndarray:
+        """Phi symbols (rows, k') to a new array of their left blocks."""
+        if self.c_prime is None:
+            return linalg._as_field(np.array(phi_values, dtype=np.int64), self.field.q)
+        return self.c_prime.sys_encode(phi_values)
 
     def psi(self, values) -> np.ndarray:
         """Fold a codeword to its (n, k') symbol matrix over Phi."""
         values = np.asarray(values, dtype=np.int64)
         if not self.membership(values):
             raise ValueError("psi requires a codeword of C")
-        return self.c_prime.sys_project(self.left_blocks(values)).copy()
+        return self.fold(self.left_blocks(values))
 
     def psi_inverse(self, phi_values) -> np.ndarray:
         """Unfold a Phi word; raises if the result is not in C."""
-        phi_values = np.asarray(phi_values, dtype=np.int64)
-        blocks = self.c_prime.sys_encode(phi_values)
+        blocks = self.unfold(phi_values)
         values = blocks.reshape(-1)
         if np.any(self.c_double.syndromes(self.right_blocks(values))):
             raise ValueError("phi word does not unfold to a codeword of C")
@@ -147,9 +158,9 @@ class TannerCode:
         if self._gen is None:
             q = self.field.q
             n, delta = self.n, self.graph.delta
-            kp = self.c_prime.k
+            kp = self.phi_width
             h2 = self.c_double.parity_check()
-            gp = self.c_prime.sys_generator()
+            gp = self.unfold(np.eye(kp, dtype=np.int64))  # G' = [I | P]
             m = np.zeros((n * h2.shape[0], n * kp), dtype=np.min_scalar_type(q - 1))
             blocks = m.reshape(n, h2.shape[0], n, kp)
             # matching i adds outer(h2[:, i], gp[:, i]) to block (v, u) of each of
@@ -189,7 +200,7 @@ class TannerCode:
 
         eta has one C''-message row per right vertex; O(n * delta^2) field ops.
         """
-        if self.c_prime.k != self.graph.delta:
+        if self.phi_width != self.graph.delta:
             raise ValueError("encode_rate1 requires rate-1 C'")
         eta = np.asarray(eta, dtype=np.int64) % self.field.q
         if eta.shape != (self.n, self.c_double.k):

@@ -4,7 +4,9 @@ the monomial encoder.
 `decode_ee` is the one-word-at-a-time syndrome decoder (Berlekamp-Massey key
 equation, Chien search, Forney values) that `GrsCode.decode_ee` replaced.
 It reads the code's locators, dual multipliers and inverse-power table and
-returns the unique codeword with 2a + b < d, or None.
+returns the unique codeword (or word of the target syndrome's coset) with
+2a + b < d, or None. It evaluates psi, Omega and psi' over all their
+coefficients, where the kernel stops at the certified width.
 
 `tables` is the loop construction of a code's tables that `GrsCode.__init__`
 replaced: one pass per shift, position, row and degree, and the systematic
@@ -117,8 +119,10 @@ def tables(q: int, k: int, eval_points, col_mults) -> dict:
     }
 
 
-def decode_ee(code, values, erased=None, syndromes=None):
-    """Error-erasure decoding of one word: correct any pattern with 2a + b < d."""
+def decode_ee(code, values, erased=None, target=None):
+    """Error-erasure decoding of one word: correct any pattern with 2a + b < d.
+    With a `target` syndrome t the word is decoded in the coset
+    {v : H v = t}, from the syndrome H y - t of its errata."""
     q = code.field.q
     values = np.asarray(values, dtype=np.int64) % q
     if values.shape != (code.length,):
@@ -138,10 +142,8 @@ def decode_ee(code, values, erased=None, syndromes=None):
     if d == 1:
         return filled.copy()
     nsyn = d - 1
-    if syndromes is None or b > 0:
-        synd = code.syndromes(filled)
-    else:
-        synd = np.asarray(syndromes, dtype=np.int64)
+    goal = np.zeros(nsyn, dtype=np.int64) if target is None else np.asarray(target) % q
+    synd = (code.syndromes(filled) - goal) % q
     if b == 0 and not np.any(synd):
         return filled.copy()
 
@@ -182,7 +184,7 @@ def decode_ee(code, values, erased=None, syndromes=None):
         e = (ev * pow(int(code._dual_mults[i]), q - 2, q)) % q
         corrected[i] = (corrected[i] - e) % q
 
-    if np.any(code.syndromes(corrected)):
+    if np.any(code.syndromes(corrected) != goal):
         return None
     changed = corrected != values
     if erased is not None:

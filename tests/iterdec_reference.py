@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from aramid import linalg
+from linalg_reference import right_inverse_plain
+
 from aramid.tanner import PhiWord
 
 
@@ -43,20 +44,22 @@ def decode_all_vertices(code, y, params, cosets=None, truth=None) -> OracleRun:
     filled only when `truth` (the clean edge word) is given."""
     graph = code.graph
     n, delta, q = graph.n, graph.delta, code.field.q
-    cp, cd = code.c_prime, code.c_double
+    cp, cd = code.c_prime, code.c_double  # cp None: C' is F^delta
     right = graph.right_edges
-    left_code = cp
-    s_mat = np.zeros((n, cp.dmin - 1), dtype=np.int64)
+    left_code, s_mat = cp, 0
     shift = np.zeros((n, delta), dtype=np.int64)
     if cosets is not None:
+        # block u lies in C0 + R s_u for a right inverse R of H0 (H0 R = I):
+        # decode block - R s_u in C0 and add R s_u back
         left_code = cosets.code
         s_mat = np.asarray(cosets.syndromes, dtype=np.int64) % q
-        shift = linalg._mul_mod(s_mat, left_code.parity_right_inverse().T, q)
+        r_inv = right_inverse_plain(left_code.parity_check(), q)
+        shift = s_mat @ r_inv.T % q
 
     z = np.zeros((n, delta), dtype=np.int64)
     erased = np.zeros((n, delta), dtype=bool)
     known = ~y.erased
-    z[known] = cp.sys_encode(y.values[known] % q)
+    z[known] = y.values[known] % q if cp is None else cp.sys_encode(y.values[known] % q)
     erased[y.erased] = True
     flat, flat_er = z.reshape(-1), erased.reshape(-1)
     # the vertex of each edge on the left (0) and right (1) side
@@ -94,6 +97,6 @@ def decode_all_vertices(code, y, params, cosets=None, truth=None) -> OracleRun:
         if i % 2 == 1 and not erased.any():
             left_ok = not np.any((left_code.syndromes(z) - s_mat) % q)
             if left_ok and not np.any(cd.syndromes(flat[right])):
-                run.result = PhiWord.clean(cp.sys_project(z))
+                run.result = PhiWord.clean(z.copy() if cp is None else cp.sys_project(z))
                 return run
     return run

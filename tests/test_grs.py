@@ -144,11 +144,9 @@ def test_exhaustive_error_erasure_contract(rs625):
 
 def coset_decode(code, h, y):
     """Nearest word v with H v = h within 2a < d of y, by the path the
-    iterative decoder takes: shift by a word of syndrome h, decode, unshift."""
-    q = code.field.q
-    t = (code.parity_right_inverse() @ (np.asarray(h, dtype=np.int64) % q)) % q
-    base = ref.decode_word(code, (np.asarray(y, dtype=np.int64) - t) % q)
-    return None if base is None else (base + t) % q
+    iterative decoder takes: h is the kernel's target syndrome."""
+    out, ok = code.decode_ee(np.asarray(y)[None], target=np.asarray(h)[None])
+    return out[0] if ok[0] else None
 
 
 def test_coset_decode_zero_syndrome_matches_plain(rs625):
@@ -234,27 +232,31 @@ def _random_codes(seed, qs, count):
 
 @pytest.mark.parametrize("q", [3, 7, 37, 131, 65521])
 def test_systematic_encoder_and_right_inverse_match_elimination(q):
-    # the closed forms against an RREF of the monomial generator and of
-    # [H | I], the constructions they replaced
+    # the closed-form [I | P] against an RREF of the monomial generator, the
+    # construction it replaced; and the right inverse R of H from an RREF of
+    # [H | I]: the words R s, one per syndrome s, are the words the target
+    # decoder returns unchanged in their cosets
     for code, rng in _random_codes(q, [q], 4):
         n, k = code.length, code.k
         gen = ref.monomial_generator(q, k, code.eval_points, code.col_mults)
         sys_gen, pivots = linalg_reference.rref_plain(gen, q)
         assert pivots == list(range(k))
-        assert np.array_equal(code.sys_generator(), sys_gen)
+        assert np.array_equal(code.sys_encode(np.eye(k, dtype=np.int64)), sys_gen)
         msgs = rng.integers(0, q, size=(5, k))
         msgs[0] = q - 1
         assert np.array_equal(code.sys_encode(msgs), msgs @ sys_gen % q)
         assert np.array_equal(code.sys_encode(msgs[1]), msgs[1] @ sys_gen % q)
-        h = code.parity_check()
-        r = code.parity_right_inverse()
-        assert r.shape == (n, n - k) and r.dtype == np.int64
-        assert np.array_equal(r, linalg_reference.right_inverse_plain(h, q))
-        assert np.array_equal(h @ r % q, np.eye(n - k, dtype=np.int64))
+        r = linalg_reference.right_inverse_plain(code.parity_check(), q)
+        synd = rng.integers(0, q, size=(5, n - k))
+        words = synd @ r.T % q
+        assert np.array_equal(code.syndromes(words), synd)
+        out, ok = code.decode_ee(words, target=synd)
+        assert ok.all() and np.array_equal(out, words)
 
 
 def test_grs_runs_no_elimination(monkeypatch):
-    # construction, encoding, the coset shift and decoding are closed forms
+    # construction, encoding and decoding, in the code and in its cosets,
+    # are closed forms
     def refuse(*args, **kwargs):
         raise AssertionError("grs called linalg.rref")
 
@@ -264,10 +266,13 @@ def test_grs_runs_no_elimination(monkeypatch):
         msgs = rng.integers(0, q, size=(4, k))
         words = code.sys_encode(msgs)
         assert np.array_equal(code.sys_project(words), msgs)
-        assert code.parity_right_inverse().shape == (n, n - k)
         erased = rng.random(words.shape) < 0.2
         out, ok = code.decode_ee(words, erased)
         assert np.array_equal(out[ok], words[ok])
+        noise = rng.integers(0, q, size=words.shape)
+        shifted = (words + noise) % q
+        out, ok = code.decode_ee(shifted, erased, target=code.syndromes(noise))
+        assert np.array_equal(out[ok], shifted[ok])
 
 
 def test_construction_peak_is_its_retained_tables():

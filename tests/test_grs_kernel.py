@@ -6,6 +6,7 @@ every row, inside the radius and beyond it.
 """
 
 import grs_reference as ref
+import linalg_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,130 @@ def test_kernel_single_word_contract():
         code.decode_ee(np.zeros((1, 5), dtype=np.int64))
     with pytest.raises(ValueError):
         code.decode_ee(c)  # one word is a stack of one
+
+
+def test_kernel_reduces_unreduced_input_and_leaves_it_alone():
+    # callers in the package pass reduced words, so the kernel reduces only
+    # when an entry lies outside [0, q); it never writes into its input
+    code = GrsCode(PrimeField(131), k=30, eval_points=range(1, 61))
+    rng = np.random.default_rng(21)
+    words, erased = corrupt(rng, code, 60, code.dmin // 2 + 2)
+    shifted = words + 131 * rng.integers(-3, 4, size=words.shape)
+    for received in (shifted, words):
+        kept = received.copy()
+        for mask in (erased, None):
+            want = code.decode_ee(words, mask)
+            got = code.decode_ee(received, mask)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.array_equal(received, kept)
+    assert not code.decode_ee(words)[1].all()  # some rows were solved
+
+
+# (q, length, k, first evaluation point) for the coset kernel
+COSET_CODES = [(7, 6, 2, 1), (131, 70, 50, 1), (65521, 40, 10, 65490)]
+
+
+@pytest.mark.parametrize("q,n,k,first", COSET_CODES)
+def test_coset_target_matches_shift_path_and_reference(q, n, k, first):
+    """decode_ee with a target syndrome stack against the two paths it
+    replaced: decoding y - R t in the code and adding R t back (R a right
+    inverse of H by elimination), and the scalar decoder with the target."""
+    code = GrsCode(PrimeField(q), k, range(first, first + n))
+    rng = np.random.default_rng([q, n, k, 22])
+    codewords, erased = corrupt(rng, code, 200, code.dmin // 2 + 2)
+    noise = rng.integers(0, q, size=codewords.shape)
+    words = (codewords + noise) % q  # coset words c + noise, corrupted
+    target = code.syndromes(noise)
+    out, ok = code.decode_ee(words, erased, target=target)
+    assert ok.any() and not ok.all()  # both sides of the radius exercised
+    for r in range(len(words)):
+        want = ref.decode_ee(code, words[r], erased[r], target[r])
+        assert ok[r] == (want is not None), r
+        if ok[r]:
+            assert np.array_equal(out[r], want), r
+
+    r_inv = linalg_reference.right_inverse_plain(code.parity_check(), q)
+    shift = target @ r_inv.T % q
+    base, base_ok = code.decode_ee((words - shift) % q, erased)
+    assert np.array_equal(ok, base_ok)
+    assert np.array_equal(out[ok], (base[ok] + shift[ok]) % q)
+    assert np.array_equal(code.syndromes(out[ok]), target[ok])
+    # failed rows hand back the zero-filled received word
+    assert np.array_equal(out[~ok], np.where(erased, 0, words)[~ok])
+    # targets are reduced mod q like the words
+    unreduced = target + q * rng.integers(-2, 3, size=target.shape)
+    again = code.decode_ee(words, erased, target=unreduced)
+    assert np.array_equal(again[0], out) and np.array_equal(again[1], ok)
+    with pytest.raises(ValueError):
+        code.decode_ee(words, erased, target=target[:, 1:])
+
+
+def test_certified_width_on_rows_of_different_degree():
+    """One stack holds clean rows and certified rows whose errata locators
+    have every degree L + b from 1 to 7 = d - 2, so psi is built to width 8 and Omega
+    and psi' to width 7, and rows beyond the radius whose stopped
+    Berlekamp-Massey locator passes the degree and root checks. Those rows
+    have deg Omega = 7 >= deg psi, so only they lose a coefficient to the
+    truncation, and they must still fail, as the full computation of the
+    scalar decoder has them fail, in the code and in a coset."""
+    q = 13
+    code = GrsCode(PrimeField(q), k=4, eval_points=range(1, 13))  # d = 9
+    n, nsyn = code.length, code.dmin - 1
+    h = code.parity_check()
+    rng = np.random.default_rng(23)
+    # (b, a) inside the radius; every row meets the loop's stop rule
+    # N >= min(L + l // 2, l), l = d - 1 - b, by N = 5 terms
+    inside = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1), (7, 0)]
+    _, words, erased = corrupt_exact(rng, code, inside * 4)
+    # beyond it: one error, b erasures and a syndrome change at degrees
+    # b + 5 and up, past the 5 terms the stopped loop reads of the row, so
+    # that it ends at Lambda = 1 - x_p X with its one root
+    extra = []
+    for b in (0, 1, 2) * 4:
+        pos = rng.permutation(n)
+        word = ref.encode(code, rng.integers(0, q, size=code.k))
+        word[pos[b]] = (word[pos[b]] + rng.integers(1, q)) % q
+        change = np.zeros(nsyn, dtype=np.int64)
+        change[b + 5 :] = rng.integers(1, q, size=nsyn - b - 5)
+        keep = pos[b:]  # any d - 1 columns of H are independent
+        fix = linalg_reference.right_inverse_plain(h[:, keep], q) @ change
+        word[keep] = (word[keep] + fix) % q
+        word[pos[:b]] = rng.integers(0, q, size=b)
+        mask = np.zeros(n, dtype=bool)
+        mask[pos[:b]] = True
+        extra.append((word, mask))
+    words = np.vstack([words, [w for w, _ in extra]])
+    erased = np.vstack([erased, [e for _, e in extra]])
+    beyond = np.arange(len(words)) >= len(inside) * 4
+    order = rng.permutation(len(words))
+    words, erased, beyond = words[order], erased[order], beyond[order]
+
+    # the kernel's stopped loop on the rows it solves, and the checks on it
+    b = erased.sum(axis=1)
+    synd = code.syndromes(np.where(erased, 0, words))
+    rows = np.flatnonzero((b > 0) | synd.any(axis=1))
+    zeta = np.zeros((len(rows), nsyn), dtype=np.int64)
+    for j, r in enumerate(rows):
+        gamma = ref.locator_poly(code, np.flatnonzero(erased[r]))
+        xi = ref.poly_mul_trunc(gamma, [int(v) for v in synd[r]], nsyn, q)
+        zeta[j, : nsyn - b[r]] = xi[b[r] :]
+    lam, el = _berlekamp_massey(zeta, nsyn - b[rows], q)
+    passing = np.zeros(len(words), dtype=bool)
+    for j, r in enumerate(rows):
+        poly = [int(v) for v in np.trim_zeros(lam[j], "b")]
+        if len(poly) - 1 == el[j] and 2 * el[j] <= nsyn - b[r]:
+            psi = ref.poly_mul(poly, ref.locator_poly(code, np.flatnonzero(erased[r])), q)
+            passing[r] = len(ref.find_roots(code, psi)) == el[j] + b[r]
+    assert passing[beyond].all()
+    assert {int(el[j] + b[r]) for j, r in enumerate(rows) if not beyond[r]} == set(range(1, 8))
+
+    out, ok = assert_matches_reference(code, words, erased)
+    assert ok[~beyond].all() and not ok[beyond].any()
+    noise = rng.integers(0, q, size=words.shape)
+    target = code.syndromes(noise)
+    got, got_ok = code.decode_ee((words + noise) % q, erased, target=target)
+    assert np.array_equal(got_ok, ok)
+    assert np.array_equal(got[ok], (out[ok] + noise[ok]) % q)
 
 
 # (q, length, k): the radius edge with erasures, on the desk component shapes

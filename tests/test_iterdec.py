@@ -48,10 +48,9 @@ def coset():
     cosets of the [20,10,11] code C0, right blocks in C1 = [20,10,11]."""
     f = PrimeField(23)
     g = anneal_circulant_bipartite(40, 20, seed=103, gamma_target=0.21, iters=30000)
-    full = GrsCode(f, k=20, eval_points=range(1, 21))  # C' = F^delta
     c1 = GrsCode(f, k=10, eval_points=range(1, 21))
     c0 = GrsCode(f, k=10, eval_points=range(1, 21))
-    code = TannerCode(g, full, c1)
+    code = TannerCode(g, None, c1)  # C' = F^delta
     gm = gamma(g).gamma
     beta = beta_bound(c0.rel_dist, c1.rel_dist, gm)
     params = decode_params(
@@ -227,8 +226,8 @@ class _Miscorrecting(GrsCode):
         super().__init__(code.field, code.k, code.eval_points, code.col_mults)
         self.block, self.wrong = block, wrong
 
-    def decode_ee(self, words, erased=None):
-        out, ok = super().decode_ee(words, erased)
+    def decode_ee(self, words, erased=None, target=None):
+        out, ok = super().decode_ee(words, erased, target)
         hit = np.all(words == self.block, axis=1)
         out[hit], ok[hit] = self.wrong, True
         return out, ok
@@ -245,6 +244,20 @@ def test_membership_checks_dirty_vertices(mid):
     wrong = (block + code.c_prime.sys_encode(np.arange(1, code.c_prime.k + 1))) % code.field.q
     fake = TannerCode(code.graph, _Miscorrecting(code.c_prime, block, wrong), code.c_double)
     run = assert_matches_oracle(fake, params, PhiWord.clean(code.psi(z)))
+    assert run.result is None and run.rounds_run == params.nu
+
+
+def test_membership_checks_coset_targets(coset):
+    """A clean coset word whose stated syndrome is wrong at one left vertex:
+    that vertex's decode into the stated coset fails, while every right block
+    is a codeword, so only comparing the left blocks' syndromes with their
+    targets keeps the word from being accepted."""
+    code, c0, params = coset
+    rng = np.random.default_rng(42)
+    x, s = coset_word(code, c0, rng)
+    wrong = s.copy()
+    wrong[0] = (wrong[0] + rng.integers(1, code.field.q, size=s.shape[1])) % code.field.q
+    run = assert_matches_oracle(code, params, PhiWord.clean(x), CosetSide(c0, wrong))
     assert run.result is None and run.rounds_run == params.nu
 
 
@@ -326,6 +339,13 @@ def test_coset_variant_radius(coset):
         assert rep.success, f"trial {trial} (t={t}, rho={rho})"
         assert np.array_equal(rep.result.values, x)
         assert rep.component_calls <= params.omega * n
+
+
+def test_whole_space_left_side_decodes_only_in_cosets(coset):
+    code, c0, params = coset
+    x, _ = coset_word(code, c0, np.random.default_rng(41))
+    with pytest.raises(ValueError, match="decoded only in cosets"):
+        decode_phi(code, PhiWord.clean(x), params)
 
 
 def test_failure_reported_not_silent(mid):

@@ -190,6 +190,23 @@ def test_lt_code_certifies_measured_gamma(desk_lt, side, stage):
         LtCode(d, *graphs)
 
 
+def test_lt_code_builds_no_whole_space_code(desk_lt, monkeypatch):
+    """The rate-1 left sides of both graph codes are F^delta with no GRS code
+    behind them: LtCode builds C0, C1, C2 and the mediator's code only."""
+    built = []
+    real = GrsCode.__init__
+
+    def counting(self, field, k, *args, **kwargs):
+        built.append(k)
+        real(self, field, k, *args, **kwargs)
+
+    monkeypatch.setattr(GrsCode, "__init__", counting)
+    code = LtCode(desk_lt.design, desk_lt.g1, desk_lt.g2)
+    d = code.design
+    assert sorted(built) == sorted([d.k0, d.k1, d.k2, d.km])
+    assert code.t1.c_prime is None and code.t2.c_prime is None
+
+
 def test_relaxed_n300_design_fails_stage_d4():
     """The annealer ends at gamma1 = 0.12885 against the target 0.12842, so
     beta/sigma = 1.246 falls below STAGE_MARGIN = 1.25; the g2 search meets

@@ -131,6 +131,31 @@ def test_psi_identity_when_rate1():
     assert np.array_equal(x, code.left_blocks(z))
 
 
+def test_whole_space_left_side_matches_rate1_grs():
+    """C' = None stands for F^delta: the same code as a rate-1 GRS C', with
+    no code object behind it."""
+    f = PrimeField(7)
+    g = circulant_bipartite(6, [0, 2, 3])
+    comp = GrsCode(f, k=2, eval_points=[1, 2, 3])
+    whole = TannerCode(g, None, comp)
+    full = TannerCode(g, GrsCode(f, k=3, eval_points=[1, 2, 3]), comp)
+    assert (whole.r, whole.theta, whole.phi_width) == (full.r, full.theta, full.phi_width)
+    assert np.array_equal(whole.generator(), full.generator())
+    rng = np.random.default_rng(24)
+    z = whole.encode_rate1(rng.integers(0, 7, size=(6, 2)))
+    assert np.array_equal(z, full.encode_rate1(whole.right_messages(z)))
+    assert whole.membership(z) and full.membership(z)
+    x = whole.psi(z)
+    assert np.array_equal(x, full.psi(z)) and np.array_equal(x, whole.left_blocks(z))
+    assert np.array_equal(whole.psi_inverse(x + 7), z)
+    assert not np.shares_memory(whole.psi_inverse(x), x)
+    bad = z.copy()
+    bad[0] = (bad[0] + 1) % 7
+    assert not whole.membership(bad)
+    with pytest.raises(ValueError):
+        TannerCode(g, None, GrsCode(f, k=2, eval_points=[1, 2, 3, 4]))
+
+
 def test_encode_rate1_repetition_cycle():
     """[2,1,2] C'' over GF(5): both edges at v carry eta_v repeated."""
     f = PrimeField(5)
@@ -322,7 +347,7 @@ def test_encoders_match_int64_products_at_the_top_of_the_field():
 
     grs = GrsCode(f, k=1000, eval_points=range(5, 1205))
     msgs = messages(1000)
-    gen = grs.sys_generator()
+    gen = grs.sys_encode(np.eye(1000, dtype=np.int64))
     assert np.array_equal(grs.sys_encode(msgs), msgs @ gen % q)
     assert np.array_equal(grs.sys_encode(msgs[1]), msgs[1] @ gen % q)
 
