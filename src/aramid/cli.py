@@ -40,7 +40,7 @@ from .channel import corrupt_inner_rows, corrupt_pairs, corrupt_phi, trial_rng
 from .gf import PrimeField
 from .gmd import ConcatCode
 from .grs import GrsCode
-from .iterdec import beta_bound, decode_params, decode_phi
+from .iterdec import beta_bound, decode_params, decode_phi, hypothesis_holds
 from .ltenc import DesignError, LtCode, LtDesign, build_lt_code, lt_design
 from .tanner import TannerCode, brute_min_phi_weight, min_dist_bound, rate_bound_phi
 
@@ -261,8 +261,7 @@ def build_plain_instance(cfg: dict, allow_weak: bool) -> dict:
     )
     code = TannerCode(graph, cp, cd)
     theta, delta_rel = code.theta, code.delta_rel
-    # the decoder hypothesis needs sqrt(theta*delta) > 2*gamma > 0
-    weak = prof.gamma <= 0 or math.sqrt(theta * delta_rel) <= 2 * prof.gamma
+    weak = not hypothesis_holds(theta, delta_rel, prof.gamma)
     if weak and not allow_weak:
         raise ContractError(
             f"instance violates sqrt(theta*delta) > 2*gamma "
@@ -389,13 +388,14 @@ def cmd_build(args) -> int:
         design = _load_part(
             "build", lt_design, rate, cfg["eps"], cfg["kappa"], cfg["mu"], cfg["n"]
         )
-        code = build_lt_code(design, cfg["seed"], cfg.get("anneal_iters", 40000))
+        iters = cfg.get("anneal_iters", 40000)
+        code = build_lt_code(design, cfg["seed"], iters)
         instance = {
             "mode": "lt",
             "config": cfg,
             "design": design.to_json(),
             "seed": cfg["seed"],
-            "anneal_iters": cfg.get("anneal_iters", 40000),
+            "anneal_iters": iters,
             "g1": code.g1.to_json(),
             "g2": code.g2.to_json(),
             "derived": {

@@ -1,6 +1,14 @@
-"""Prime-field arithmetic GF(q)."""
+"""Prime-field arithmetic GF(q).
+
+Field values are int64 arrays with entries in [0, q). A public method that
+takes field values passes them once, at entry, through `PrimeField.elements`,
+so any integer input acts as its residues mod q; the code behind the entry
+takes them as reduced and reduces nothing again.
+"""
 
 from __future__ import annotations
+
+import numpy as np
 
 MAX_MODULUS = 65521  # largest prime below 2**16; keeps products in 32-bit range
 
@@ -41,3 +49,11 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
+
+    def elements(self, a) -> np.ndarray:
+        """a as int64 in [0, q), copied and reduced only when its min or max
+        lies outside; an int64 array in range is returned as it is."""
+        a = np.asarray(a, dtype=np.int64)
+        if a.size and (a.min() < 0 or a.max() >= self.q):
+            a = a % self.q
+        return a

@@ -65,8 +65,8 @@ class ConcatCode:
         return int(np.minimum(2 * d, self.inner.dmin).sum())
 
     def decode(self, received) -> tuple[np.ndarray | None, GmdTrace]:
-        """GMD decoding of an n x len_inner matrix; (message, trace)."""
-        received = np.asarray(received, dtype=np.int64)
+        """GMD decoding of an n x len_inner matrix of field values; (message, trace)."""
+        received = self.inner.field.elements(received)
         if received.shape != (self.n, self.inner.length):
             raise ValueError(f"received must be ({self.n}, {self.inner.length})")
         # rejected rows come back as received and keep their raw symbols

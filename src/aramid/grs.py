@@ -38,9 +38,9 @@ the full computation gives:
 The tables that the products read are stored once, in float64 (exact, as
 in `linalg._mul_mod`): the transposed parity check H.T, the operand of
 every syndrome product, and the inverse-power table of the Chien search
-and Forney values. Operands the kernel passes between its own steps are
-already reduced mod q; `decode_ee` reduces its input only when some entry
-lies outside [0, q). A target syndrome t puts a row in the coset
+and Forney values. The public methods take field values by the one rule of
+`gf`; the kernel's own steps pass values already in [0, q). A target
+syndrome t puts a row in the coset
 {v : H v = t}: its errata have syndrome H y - t, and the certificate asks
 H v = t, which is H v = 0 for the code itself.
 """
@@ -134,14 +134,14 @@ class GrsCode:
     def sys_encode(self, msg) -> np.ndarray:
         """[m | m P] for a message m (k,) or a stack of them (rows, k)."""
         q = self.field.q
-        msg = np.asarray(msg, dtype=np.int64) % q
+        msg = self.field.elements(msg)
         if msg.shape[-1] != self.k:
             raise ValueError(f"message length must be {self.k}, got {msg.shape[-1]}")
         return np.concatenate([msg, linalg._mul_mod(msg, self._redundancy, q)], axis=-1)
 
     def sys_project(self, codeword) -> np.ndarray:
-        """Inverse of sys_encode: projection onto the systematic positions."""
-        return np.asarray(codeword, dtype=np.int64)[..., : self.k] % self.field.q
+        """Inverse of sys_encode: a new array of the systematic positions."""
+        return self.field.elements(codeword)[..., : self.k].copy()
 
     # -- syndromes -------------------------------------------------------
 
@@ -151,11 +151,7 @@ class GrsCode:
 
     def syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndrome rows for one word (shape (n,)) or a batch (m, n)."""
-        return self._syndromes(np.asarray(words, dtype=np.int64) % self.field.q)
-
-    def _syndromes(self, words: np.ndarray) -> np.ndarray:
-        """`syndromes` of words already reduced into [0, q)."""
-        return linalg._mul_mod(words, self._parity, self.field.q)
+        return linalg._mul_mod(self.field.elements(words), self._parity, self.field.q)
 
     # -- decoding -----------------------------------------------------------
 
@@ -165,13 +161,13 @@ class GrsCode:
         `words` is a stack (m, length) with an optional bool mask `erased`
         of the same shape (or one (length,) mask shared by every row), and
         an optional stack `target` (m, d - 1) of syndromes that puts row r
-        in the coset {v : H v = target[r]} (module docstring). Returns
-        (decoded, ok): where ok[r] holds, decoded[r] is the unique word of
-        row r's coset (of the code without a target) within 2a + b < d of
-        row r; other rows hold the zero-filled received word.
+        in the coset {v : H v = target[r]} (module docstring), both of field
+        values (`gf`). Returns (decoded, ok): where ok[r] holds, decoded[r]
+        is the unique word of row r's coset (of the code without a target)
+        within 2a + b < d of row r; other rows hold the zero-filled word.
         """
         q = self.field.q
-        values = linalg._as_field(words, q)
+        values = self.field.elements(words)
         if values.ndim != 2 or values.shape[1] != self.length:
             raise ValueError(f"words must be a stack of shape (m, {self.length})")
         era = None
@@ -179,8 +175,8 @@ class GrsCode:
             era = np.broadcast_to(np.asarray(erased, dtype=bool), values.shape)
         out = values.copy() if era is None else np.where(era, 0, values)
         b = np.zeros(len(out), dtype=np.int64) if era is None else era.sum(axis=1)
-        synd = self._syndromes(out)
-        goal = np.zeros_like(synd) if target is None else linalg._as_field(target, q)
+        synd = linalg._mul_mod(out, self._parity, q)
+        goal = np.zeros_like(synd) if target is None else self.field.elements(target)
         if goal.shape != synd.shape:
             raise ValueError(f"target must be a stack of shape (m, {self.dmin - 1})")
         if target is not None:
@@ -246,7 +242,8 @@ class GrsCode:
         corrected[r, i] = (filled[r, i] - err) % q
 
         rows = np.flatnonzero(ok)
-        ok[rows] = ~(self._syndromes(corrected[rows]) != target[rows]).any(axis=1)
+        synd = linalg._mul_mod(corrected[rows], self._parity, q)
+        ok[rows] = ~(synd != target[rows]).any(axis=1)
         changed = err != 0 if era is None else (err != 0) & ~era[r, i]
         a = np.bincount(r, weights=changed, minlength=m)
         ok &= 2 * a + b < self.dmin

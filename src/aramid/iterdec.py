@@ -58,6 +58,11 @@ class DecodeParams:
         assert self.nu >= 3 and self.nu % 2 == 1
 
 
+def hypothesis_holds(theta: float, delta: float, gamma: float) -> bool:
+    """The decoder hypothesis sqrt(theta*delta) > 2*gamma > 0."""
+    return 0 < 2 * gamma < math.sqrt(theta * delta)
+
+
 def beta_bound(theta: float, delta: float, gamma: float) -> float:
     """Correctable-fraction bound ((delta/2) - gamma*sqrt(delta/theta))/(1-gamma)."""
     return (delta / 2 - gamma * math.sqrt(delta / theta)) / (1 - gamma)
@@ -73,15 +78,15 @@ def decode_params(
 ) -> DecodeParams:
     """Validate the decoder hypothesis and derive beta, nu and omega.
 
-    Requires sqrt(theta*delta) > 2*gamma > 0 and 0 < sigma < beta. nu counts
-    rounds (indices 2..nu); omega*n bounds the component-decoder calls under
-    dirty scheduling.
+    Requires `hypothesis_holds` and 0 < sigma < beta. nu counts rounds
+    (indices 2..nu); omega*n bounds the component-decoder calls under dirty
+    scheduling.
     """
     if not (0 < theta <= 1 and 0 < delta <= 1):
         raise ValueError("relative distances must lie in (0, 1]")
-    if gamma <= 0:
-        raise ValueError(f"hypothesis 2*gamma > 0 fails: gamma = {gamma}")
-    if math.sqrt(theta * delta) <= 2 * gamma:
+    if not hypothesis_holds(theta, delta, gamma):
+        if gamma <= 0:
+            raise ValueError(f"hypothesis 2*gamma > 0 fails: gamma = {gamma}")
         raise ValueError(
             f"hypothesis sqrt(theta*delta) > 2*gamma fails: "
             f"sqrt({theta}*{delta}) = {math.sqrt(theta * delta):.6f} "
@@ -148,7 +153,6 @@ def decode_phi(
     """
     graph = code.graph
     n, delta = graph.n, graph.delta
-    q = code.field.q
     if y.values.shape != (n, code.phi_width) or y.erased.shape != (n,):
         raise ValueError(
             f"phi word must have shape ({n}, {code.phi_width}) with an (n,) mask"
@@ -158,7 +162,7 @@ def decode_phi(
         left_code = cosets.code
         if left_code.length != delta or left_code.field != code.field:
             raise ValueError("coset code must have the graph degree and field")
-        target = np.asarray(cosets.syndromes, dtype=np.int64) % q
+        target = code.field.elements(cosets.syndromes)
         if target.shape != (n, left_code.dmin - 1):
             raise ValueError(f"coset syndromes must be (n, {left_code.dmin - 1})")
     elif left_code is None:

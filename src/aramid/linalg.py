@@ -51,7 +51,7 @@ unsigned input in its own dtype and any other in int64. Each panel step
 converts only the panel's columns, its pivot rows and one band of the
 trailing block at a time, and frees them before the next step allocates its
 own. So beside the input an elimination holds the store, a quarter of a
-float32 array when q <= 256, and O((block + _BAND) * cols) float values.
+float32 array when q <= 256, and O((_BLOCK + _BAND) * cols) float values.
 After it, `rref` drops the store and keeps only R[:rank, free], and
 `nullspace` allocates its (nullity x cols) basis beside that block. An input
 of a narrow unsigned dtype thus adds little: `TannerCode.generator` passes
@@ -83,14 +83,6 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         )
     prod = a.astype(np.float64) @ np.asarray(b, dtype=np.float64)
     return _reduce(prod, q).astype(np.int64)
-
-
-def _as_field(a, q: int) -> np.ndarray:
-    """a as int64 in [0, q), reduced only when its min or max lies outside."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.size and (a.min() < 0 or a.max() >= q):
-        a = a % q
-    return a
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
@@ -243,11 +235,9 @@ def _panel_step(
     return pcols
 
 
-def _echelon(
-    r: np.ndarray, q: int, block: int = _BLOCK
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _echelon(r: np.ndarray, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Eliminate the store r, an unsigned array with entries in [0, q), in
-    place, in panels of `block` columns: (pivot column list, free columns,
+    place, in panels of `_BLOCK` columns: (pivot column list, free columns,
     R[:rank, free]) of its RREF R, the last in the float dtype the
     elimination multiplies in. r is left holding the echelon form U, in which
     each panel's pivot rows hold an identity block in its pivot columns, with
@@ -258,10 +248,10 @@ def _echelon(
     pivots: list[int] = []
     panels: list[tuple[int, int]] = []  # each panel's pivot rows in U
     lead = 0
-    for c0 in range(0, cols, block):
+    for c0 in range(0, cols, _BLOCK):
         if lead == rows:
             break
-        c1 = min(c0 + block, cols)
+        c1 = min(c0 + _BLOCK, cols)
         pcols = _panel_step(r, q, ft, lead, c0, c1)
         k = len(pcols)
         if k:
@@ -277,17 +267,14 @@ def _echelon(
     return pivots, free, solved
 
 
-def rref(a: np.ndarray, q: int, block: int = _BLOCK) -> tuple[list[int], np.ndarray]:
+def rref(a: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
     """Reduced row-echelon form R over GF(q), as (pivot column list,
     R[:rank, free]): the int64 block of R on its non-pivot columns. The rest
     of R is zero but for a unit entry per pivot row in its pivot column.
-
-    `block` >= 1 is the panel width of `_echelon`; a is not modified.
+    a is not modified.
     """
-    if block < 1:
-        raise ValueError(f"block must be at least 1, got {block}")
     r = _load(a, q)
-    pivots, _, solved = _echelon(r, q, block)
+    pivots, _, solved = _echelon(r, q)
     del r
     return pivots, solved.astype(np.int64)
 

@@ -25,7 +25,14 @@ import numpy as np
 from .bigraph import anneal_circulant_bipartite, gamma
 from .gf import MAX_MODULUS, PrimeField, is_prime
 from .grs import GrsCode
-from .iterdec import CosetSide, DecodeReport, beta_bound, decode_params, decode_phi
+from .iterdec import (
+    CosetSide,
+    DecodeReport,
+    beta_bound,
+    decode_params,
+    decode_phi,
+    hypothesis_holds,
+)
 from .tanner import PhiWord, TannerCode
 
 ANNEAL_RATIO = 1.5  # achievable multiple of the interlacing floor, with slack
@@ -133,13 +140,12 @@ class LtDesign:
 
 
 def _stage_checks(delta1: int, k1: int, d0: int, gamma1: float, sigma_stage: float) -> bool:
-    """Stage D4: the decoder hypothesis sqrt(theta0*delta1) > 2*gamma1 > 0,
-    and beta above sigma_stage by the stage margin. Monotone in gamma1."""
+    """Stage D4: the decoder hypothesis on theta0, delta1 and gamma1, and
+    beta above sigma_stage by the stage margin. Monotone in gamma1."""
     theta0 = d0 / delta1
     delta1_rel = (delta1 - k1 + 1) / delta1
-    if not 0 < 2 * gamma1 < math.sqrt(theta0 * delta1_rel):
-        return False
-    return beta_bound(theta0, delta1_rel, gamma1) > STAGE_MARGIN * sigma_stage
+    holds = hypothesis_holds(theta0, delta1_rel, gamma1)
+    return holds and beta_bound(theta0, delta1_rel, gamma1) > STAGE_MARGIN * sigma_stage
 
 
 def _mediator_check(delta2: int, k2: int, mu_med: float, gamma2: float, sigma_stage: float) -> bool:
@@ -285,15 +291,14 @@ class InterleavedGrsMediator:
         self.mu = Fraction((n - km) // 2, n)
 
     def encode(self, s_flat) -> np.ndarray:
-        s_flat = np.asarray(s_flat, dtype=np.int64) % self.field.q
-        if s_flat.shape != (self.km * self.symbol_width,):
+        if np.shape(s_flat) != (self.km * self.symbol_width,):
             raise ValueError(f"message must have {self.km * self.symbol_width} symbols")
-        msgs = s_flat.reshape(self.km, self.symbol_width)
+        msgs = np.reshape(s_flat, (self.km, self.symbol_width))
         return self.code.sys_encode(msgs.T).T.copy()
 
     def decode(self, values, erased=None) -> np.ndarray | None:
         # one stack of width-many streams sharing the erasure mask
-        streams = np.asarray(values, dtype=np.int64).T
+        streams = self.field.elements(values).T
         out, ok = self.code.decode_ee(streams, erased)
         if not ok.all():
             return None
@@ -393,27 +398,20 @@ class LtCode:
         """Decode n received pairs; each half may be erased independently."""
         design = self.design
         n, d1, d2 = self.n, design.delta1, design.delta2
-        q = self.field.q
-        values = np.asarray(values, dtype=np.int64) % q
+        values = self.field.elements(values)
         if values.shape != (n, d1 + d2):
             raise ValueError(f"received word must be (n, {d1 + d2})")
-        erased1 = (
-            np.zeros(n, dtype=bool) if erased1 is None else np.asarray(erased1, bool)
-        )
-        erased2 = (
-            np.zeros(n, dtype=bool) if erased2 is None else np.asarray(erased2, bool)
-        )
+        clear = np.zeros(n, dtype=bool)
+        erased1 = clear if erased1 is None else np.asarray(erased1, bool)
+        erased2 = clear if erased2 is None else np.asarray(erased2, bool)
 
-        # D1: load the thin-graph edge word, erasing per left vertex
-        z2 = values[:, d1:].reshape(-1).copy()
+        # D1: the thin-graph edge word, erased per left vertex (D2 zero-fills)
+        z2 = values[:, d1:].reshape(-1)
         z2_er = np.repeat(erased2, d2)
-        z2[z2_er] = 0
 
         # D2: one parallel error-erasure round of C2 per right vertex
         gather = self.g2.right_edges
-        blocks = z2[gather]
-        masks = z2_er[gather]
-        out, ok = self.c2.decode_ee(blocks, masks)
+        out, ok = self.c2.decode_ee(z2[gather], z2_er[gather])
         w_tilde = np.where(ok[:, None], self.c2.sys_project(out), 0)
         w_er = ~ok
 

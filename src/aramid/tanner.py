@@ -101,7 +101,7 @@ class TannerCode:
 
     def membership(self, values) -> bool:
         """True iff every left block is in C' and every right block in C''."""
-        values = np.asarray(values, dtype=np.int64)
+        values = self.field.elements(values)
         if self.c_prime is not None and np.any(self.c_prime.syndromes(self.left_blocks(values))):
             return False
         return not np.any(self.c_double.syndromes(self.right_blocks(values)))
@@ -111,26 +111,25 @@ class TannerCode:
     def fold(self, blocks) -> np.ndarray:
         """Left blocks (rows, delta) to a new array of their Phi symbols."""
         if self.c_prime is None:
-            return linalg._as_field(np.array(blocks, dtype=np.int64), self.field.q)
+            return self.field.elements(np.array(blocks, dtype=np.int64))
         return self.c_prime.sys_project(blocks)
 
     def unfold(self, phi_values) -> np.ndarray:
         """Phi symbols (rows, k') to a new array of their left blocks."""
         if self.c_prime is None:
-            return linalg._as_field(np.array(phi_values, dtype=np.int64), self.field.q)
+            return self.field.elements(np.array(phi_values, dtype=np.int64))
         return self.c_prime.sys_encode(phi_values)
 
     def psi(self, values) -> np.ndarray:
         """Fold a codeword to its (n, k') symbol matrix over Phi."""
-        values = np.asarray(values, dtype=np.int64)
+        values = self.field.elements(values)
         if not self.membership(values):
             raise ValueError("psi requires a codeword of C")
         return self.fold(self.left_blocks(values))
 
     def psi_inverse(self, phi_values) -> np.ndarray:
         """Unfold a Phi word; raises if the result is not in C."""
-        blocks = self.unfold(phi_values)
-        values = blocks.reshape(-1)
+        values = self.unfold(phi_values).reshape(-1)
         if np.any(self.c_double.syndromes(self.right_blocks(values))):
             raise ValueError("phi word does not unfold to a codeword of C")
         return values
@@ -185,7 +184,7 @@ class TannerCode:
         return self.generator().shape[0]
 
     def encode_generic(self, msg) -> np.ndarray:
-        msg = np.asarray(msg, dtype=np.int64) % self.field.q
+        msg = self.field.elements(msg)
         gen = self.generator()
         if msg.shape[-1] != gen.shape[0]:
             raise ValueError(f"message length must be {gen.shape[0]}")
@@ -193,7 +192,7 @@ class TannerCode:
 
     def msg_from_codeword(self, values) -> np.ndarray:
         self.generator()
-        return np.asarray(values, dtype=np.int64)[..., self._gen_pivots]
+        return self.field.elements(values)[..., self._gen_pivots]
 
     def encode_rate1(self, eta) -> np.ndarray:
         """Per-right-vertex encoding, valid only when C' is the full space.
@@ -202,11 +201,9 @@ class TannerCode:
         """
         if self.phi_width != self.graph.delta:
             raise ValueError("encode_rate1 requires rate-1 C'")
-        eta = np.asarray(eta, dtype=np.int64) % self.field.q
-        if eta.shape != (self.n, self.c_double.k):
+        if np.shape(eta) != (self.n, self.c_double.k):
             raise ValueError(f"eta must be (n, {self.c_double.k})")
-        blocks = self.c_double.sys_encode(eta)
-        return self.scatter_right(blocks)
+        return self.scatter_right(self.c_double.sys_encode(eta))
 
     def right_messages(self, values) -> np.ndarray:
         """Inverse of encode_rate1's per-vertex encoder (systematic projection)."""

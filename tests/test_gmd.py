@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from field_contract import assert_acts_on_residues
 
 from aramid.bigraph import anneal_circulant_bipartite, gamma
 from aramid.channel import corrupt_inner_rows, trial_rng
@@ -104,6 +105,25 @@ def test_never_silent_wrong_accept(concat):
         if got is not None:
             assert np.array_equal(got, msg)
         assert len(trace.attempts) <= concat.ladder_length
+
+
+def test_congruent_input_decodes_as_its_residues(concat):
+    """A clean codeword shifted by multiples of q, negatives included, is
+    accepted at ladder step 0: reliabilities and the weighted distance are
+    taken against the residues, not the raw entries."""
+    q = 29
+    rng = np.random.default_rng(76)
+    msg = rng.integers(0, q, size=concat.outer.dim)
+    mat = concat.encode(msg)
+    shifted = mat + q * rng.integers(-3, 4, size=mat.shape)
+    assert np.any(shifted < 0) and np.any(shifted >= q)
+    got, trace = concat.decode(shifted)
+    assert np.array_equal(got, msg)
+    assert trace.attempts == [(0, "accepted")]
+    budget = int(np.ceil(concat.guaranteed_radius())) - 1
+    rec = corrupt_inner_rows(trial_rng(760, 0), mat, budget, concat.inner.dmin, q)
+    got, trace = assert_acts_on_residues(concat.decode, (rec,), q, rng)
+    assert np.array_equal(got, msg)
 
 
 def test_trace_json(concat):

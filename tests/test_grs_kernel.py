@@ -9,6 +9,7 @@ import grs_reference as ref
 import linalg_reference
 import numpy as np
 import pytest
+from field_contract import assert_acts_on_residues
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,20 +187,26 @@ def test_kernel_single_word_contract():
 
 
 def test_kernel_reduces_unreduced_input_and_leaves_it_alone():
-    # callers in the package pass reduced words, so the kernel reduces only
-    # when an entry lies outside [0, q); it never writes into its input
-    code = GrsCode(PrimeField(131), k=30, eval_points=range(1, 61))
+    # every GrsCode entry point acts on the residues of its words, messages
+    # and targets mod q and never writes into them; sys_project returns a
+    # new array
+    q = 131
+    code = GrsCode(PrimeField(q), k=30, eval_points=range(1, 61))
     rng = np.random.default_rng(21)
     words, erased = corrupt(rng, code, 60, code.dmin // 2 + 2)
-    shifted = words + 131 * rng.integers(-3, 4, size=words.shape)
-    for received in (shifted, words):
-        kept = received.copy()
-        for mask in (erased, None):
-            want = code.decode_ee(words, mask)
-            got = code.decode_ee(received, mask)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-            assert np.array_equal(received, kept)
+    for mask in (erased, None):
+        assert_acts_on_residues(lambda w: code.decode_ee(w, mask), (words,), q, rng)
     assert not code.decode_ee(words)[1].all()  # some rows were solved
+    noise = rng.integers(0, q, size=words.shape)  # coset words c + noise
+    args = ((words + noise) % q, code.syndromes(noise))
+    _, ok = assert_acts_on_residues(
+        lambda w, t: code.decode_ee(w, erased, target=t), args, q, rng
+    )
+    assert ok.any() and not ok.all()
+    msgs = rng.integers(0, q, size=(5, code.k))
+    codewords = assert_acts_on_residues(code.sys_encode, (msgs,), q, rng)
+    assert_acts_on_residues(code.sys_project, (codewords,), q, rng, fresh=True)
+    assert_acts_on_residues(code.syndromes, (words,), q, rng)
 
 
 # (q, length, k, first evaluation point) for the coset kernel

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,16 @@ def _rank(a, q):
 
 
 def assert_rref_matches_plain(a, q, block=linalg._BLOCK):
-    """linalg.rref's (pivots, R[:rank, free]) against the single-pivot
-    oracle's."""
+    """linalg.rref's (pivots, R[:rank, free]), eliminated in panels of
+    `block` columns, against the single-pivot oracle's; returns the
+    pivots."""
     p1, s1 = ref.rref_free(a, q)
-    p2, s2 = linalg.rref(a, q, block)
+    with mock.patch.object(linalg, "_BLOCK", block):
+        p2, s2 = linalg.rref(a, q)
     assert p1 == p2
     assert s2.dtype == np.int64 and s2.shape == s1.shape
     assert np.array_equal(s1, s2)
+    return p2
 
 
 @pytest.mark.parametrize("q", [5, 37, 131, 3, 65521])
@@ -64,8 +69,8 @@ def test_rref_extreme_entries_q65521(block):
     assert_rref_matches_plain(a, q, block)
     # dense pivots in every column: (q-1)J - I has full rank over GF(q)
     b = np.full((120, 130), q - 1, dtype=np.int64) - np.eye(120, 130, dtype=np.int64)
-    assert linalg.rref(b, q, block)[0] == list(range(120))
-    assert_rref_matches_plain(b, q, block)
+    pivots = assert_rref_matches_plain(b, q, block)
+    assert pivots == list(range(120))
     # two identity blocks in a sea of q-1: where the first panel is split,
     # its halves pivot on them, so the left half's T is I and the
     # Schur-complement product and the T combination both read a block of
@@ -82,8 +87,8 @@ def test_rref_extreme_entries_q65521(block):
     d = np.triu(np.full((n, n + 5), q - 1, dtype=np.int64))
     for s in range(0, n, block):
         d[s : s + block, s : s + block] = np.eye(block, dtype=np.int64)
-    assert linalg.rref(d, q, block)[0] == list(range(n))
-    assert_rref_matches_plain(d, q, block)
+    pivots = assert_rref_matches_plain(d, q, block)
+    assert pivots == list(range(n))
 
 
 @pytest.mark.parametrize("q", [2, 65521])
@@ -165,7 +170,8 @@ def test_float32_elimination_never_upcasts(monkeypatch, block):
     a = rng.integers(0, q, size=(120, 40)) @ rng.integers(0, q, size=(40, 150)) % q
     r = linalg._load(a, q)
     assert r.dtype == np.uint8
-    pivots, free, solved = linalg._echelon(r, q, block)
+    with mock.patch.object(linalg, "_BLOCK", block):
+        pivots, free, solved = linalg._echelon(r, q)
     assert len(pivots) == 40
     assert r.dtype == np.uint8 and solved.dtype == np.float32
     assert seen == {np.dtype(np.float32)}
@@ -187,7 +193,8 @@ def test_store_stays_reduced_in_its_unsigned_dtype(q, block, shape):
     r = linalg._load(a, q)
     assert r.dtype == np.min_scalar_type(q - 1)
     assert np.array_equal(r, a)
-    pivots, free, solved = linalg._echelon(r, q, block)
+    with mock.patch.object(linalg, "_BLOCK", block):
+        pivots, free, solved = linalg._echelon(r, q)
     assert r.dtype == np.min_scalar_type(q - 1)
     assert int(r.max()) < q
     want = np.float32 if 260 * (q - 1) ** 2 + q < 2**24 else np.float64
@@ -199,13 +206,6 @@ def test_store_stays_reduced_in_its_unsigned_dtype(q, block, shape):
     # columns, and zero rows below the rank
     assert np.array_equal(np.tril(r[:150][:, pivots]), np.eye(150))
     assert not r[150:].any()
-
-
-def test_rref_refuses_block_below_one():
-    # a panel of width 0 would never advance
-    for block in (0, -1):
-        with pytest.raises(ValueError):
-            linalg.rref(np.eye(3, dtype=np.int64), 7, block=block)
 
 
 def test_rref_refuses_inexact_shapes():
@@ -332,7 +332,8 @@ def test_rref_and_nullspace_leave_their_input_unchanged(dtype):
     a = rng.integers(low, high, size=(300, 280)).astype(dtype)
     keep = a.copy()
     linalg.rref(a, q)
-    linalg.rref(a, q, block=7)
+    with mock.patch.object(linalg, "_BLOCK", 7):
+        linalg.rref(a, q)
     linalg.nullspace(a, q)
     assert a.dtype == dtype and np.array_equal(a, keep)
 

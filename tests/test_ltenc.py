@@ -5,10 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from field_contract import assert_acts_on_residues
+
 from aramid.bigraph import circulant_bipartite, gamma
 from aramid.channel import corrupt_pairs, trial_rng
 from aramid.gf import PrimeField
 from aramid.grs import GrsCode
+from aramid.iterdec import CosetSide, decode_phi
 from aramid.ltenc import (
     DesignError,
     InterleavedGrsMediator,
@@ -19,7 +22,7 @@ from aramid.ltenc import (
     next_prime,
     tau_bound,
 )
-from aramid.tanner import TannerCode, brute_min_phi_weight, min_dist_bound
+from aramid.tanner import PhiWord, TannerCode, brute_min_phi_weight, min_dist_bound
 
 
 @pytest.fixture(scope="session")
@@ -366,3 +369,25 @@ def test_lt_report_is_deterministic(desk_lt):
     r2 = code.decode(values, er1, er2)
     assert np.array_equal(r1.eta, r2.eta)
     assert r1.d4.component_calls == r2.d4.component_calls
+
+
+def test_entry_points_act_on_residues(desk_lt):
+    # the mediator bank, LtCode.decode and the coset stage D4 act on the
+    # residues of their words and syndromes mod q and never write into them
+    code, d = desk_lt, desk_lt.design
+    q = d.q
+    rng = np.random.default_rng(26)
+    s_flat = rng.integers(0, q, size=d.km * d.k2)
+    w = assert_acts_on_residues(code.mediator.encode, (s_flat,), q, rng)
+    erased = np.arange(d.n) < 3
+    assert_acts_on_residues(lambda v: code.mediator.decode(v, erased), (w,), q, rng)
+    eta = rng.integers(0, q, size=(d.n, d.k1))
+    tr = code.encode_trace(eta)
+    values, er1, er2 = corrupt_pairs(rng, tr.x, code.radius // 4, code.radius // 2, q)
+    rep = assert_acts_on_residues(lambda v: code.decode(v, er1, er2), (values,), q, rng)
+    assert np.array_equal(rep.eta, eta)
+
+    def d4(v, s):
+        return decode_phi(code.t1, PhiWord(v, er1), code.params_d4, CosetSide(code.c0, s))
+
+    assert assert_acts_on_residues(d4, (values[:, : d.delta1], tr.s), q, rng).success

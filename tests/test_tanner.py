@@ -7,6 +7,7 @@ import pytest
 import grs_reference
 import linalg_reference as ref
 from bigraph_reference import biadjacency
+from field_contract import assert_acts_on_residues
 from memtrace import traced_peak
 
 from aramid import linalg
@@ -310,6 +311,26 @@ def test_desk_generator_holds_one_dense_copy(desk_code):
     gen, peak = traced_peak(code.generator)
     assert peak < 0.6 * matrix_bytes, f"peak {peak / matrix_bytes:.2f}x the matrix"
     assert np.array_equal(gen, desk_code.generator())
+
+
+def test_entry_points_act_on_residues(k33_code):
+    # TannerCode's entry points act on the residues of their input mod q and
+    # never write into it, with C' a code and with C' the whole space; fold
+    # and unfold return new arrays
+    q = 7
+    rng = np.random.default_rng(25)
+    whole = TannerCode(k33_code.graph, None, k33_code.c_double)
+    msgs = rng.integers(0, q, size=(4, k33_code.dim))
+    z = assert_acts_on_residues(k33_code.encode_generic, (msgs,), q, rng)
+    assert_acts_on_residues(k33_code.msg_from_codeword, (z,), q, rng)
+    eta = rng.integers(0, q, size=(3, 2))
+    z_whole = assert_acts_on_residues(whole.encode_rate1, (eta,), q, rng)
+    for code, word in ((k33_code, z[1]), (whole, z_whole)):
+        phi = assert_acts_on_residues(code.psi, (word,), q, rng)
+        blocks = code.left_blocks(word)
+        folded = assert_acts_on_residues(code.fold, (blocks,), q, rng, fresh=True)
+        assert np.array_equal(folded, phi)
+        assert_acts_on_residues(code.unfold, (phi,), q, rng, fresh=True)
 
 
 def test_phi_word_helpers():
