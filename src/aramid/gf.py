@@ -1,9 +1,12 @@
 """Prime-field arithmetic GF(q).
 
 Field values are int64 arrays with entries in [0, q). A public method that
-takes field values passes them once, at entry, through `PrimeField.elements`,
-so any integer input acts as its residues mod q; the code behind the entry
-takes them as reduced and reduces nothing again.
+takes field values passes each such argument once, at entry, through
+`PrimeField.elements`, so any integer input acts as its residues mod q. What
+runs behind the entry neither reduces nor checks again: a public method is
+`elements` plus one private body (`GrsCode._syndromes`, `_sys_encode`,
+`_sys_project`, `TannerCode._membership`, ...), and package code that holds
+values it has checked or produced itself calls the body, not the method.
 """
 
 from __future__ import annotations
@@ -51,9 +54,10 @@ class PrimeField:
         return f"PrimeField({self.q})"
 
     def elements(self, a) -> np.ndarray:
-        """a as int64 in [0, q), copied and reduced only when its min or max
-        lies outside; an int64 array in range is returned as it is."""
+        """a as int64 in [0, q), copied and reduced only when some entry lies
+        outside; an int64 array in range is returned as it is. One reduction
+        finds both sides: read as uint64, a negative entry is at least 2**63."""
         a = np.asarray(a, dtype=np.int64)
-        if a.size and (a.min() < 0 or a.max() >= self.q):
+        if a.size and a.view(np.uint64).max() >= self.q:
             a = a % self.q
         return a

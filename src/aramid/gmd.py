@@ -55,10 +55,11 @@ class ConcatCode:
         return self.inner.dmin * (2 * self.params.sigma * self.n + 1) / 2
 
     def encode(self, msg) -> np.ndarray:
-        """Outer encode, fold, then inner-encode every symbol row."""
+        """Outer encode, fold, then inner-encode every symbol row; the
+        message and psi's argument are each checked once (`gf`)."""
         z = self.outer.encode_generic(msg)
         phi = self.outer.psi(z)
-        return self.inner.sys_encode(phi)
+        return self.inner._sys_encode(phi)
 
     def weighted_distance(self, a: np.ndarray, b: np.ndarray) -> int:
         d = np.count_nonzero(a != b, axis=1)

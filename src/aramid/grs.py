@@ -39,10 +39,11 @@ The tables that the products read are stored once, in float64 (exact, as
 in `linalg._mul_mod`): the transposed parity check H.T, the operand of
 every syndrome product, and the inverse-power table of the Chien search
 and Forney values. The public methods take field values by the one rule of
-`gf`; the kernel's own steps pass values already in [0, q). A target
-syndrome t puts a row in the coset
-{v : H v = t}: its errata have syndrome H y - t, and the certificate asks
-H v = t, which is H v = 0 for the code itself.
+`gf`; the kernel's own steps, and package code holding values in [0, q),
+call their private bodies `_syndromes`, `_sys_encode` and `_sys_project`. A
+target syndrome t puts a row in the coset {v : H v = t}: its errata have
+syndrome H y - t, and the certificate asks H v = t, which is H v = 0 for
+the code itself.
 """
 
 from __future__ import annotations
@@ -133,15 +134,24 @@ class GrsCode:
 
     def sys_encode(self, msg) -> np.ndarray:
         """[m | m P] for a message m (k,) or a stack of them (rows, k)."""
-        q = self.field.q
         msg = self.field.elements(msg)
         if msg.shape[-1] != self.k:
             raise ValueError(f"message length must be {self.k}, got {msg.shape[-1]}")
-        return np.concatenate([msg, linalg._mul_mod(msg, self._redundancy, q)], axis=-1)
+        return self._sys_encode(msg)
+
+    def _sys_encode(self, msg: np.ndarray) -> np.ndarray:
+        return np.concatenate([msg, linalg._mul_mod(msg, self._redundancy, self.field.q)], axis=-1)
 
     def sys_project(self, codeword) -> np.ndarray:
-        """Inverse of sys_encode: a new array of the systematic positions."""
-        return self.field.elements(codeword)[..., : self.k].copy()
+        """Inverse of sys_encode: a new array of the systematic positions of
+        a word (length,) or a stack of them (rows, length)."""
+        codeword = self.field.elements(codeword)
+        if codeword.shape[-1:] != (self.length,):
+            raise ValueError(f"word length must be {self.length}, got shape {codeword.shape}")
+        return self._sys_project(codeword)
+
+    def _sys_project(self, codeword: np.ndarray) -> np.ndarray:
+        return codeword[..., : self.k].copy()
 
     # -- syndromes -------------------------------------------------------
 
@@ -151,7 +161,10 @@ class GrsCode:
 
     def syndromes(self, words: np.ndarray) -> np.ndarray:
         """Syndrome rows for one word (shape (n,)) or a batch (m, n)."""
-        return linalg._mul_mod(self.field.elements(words), self._parity, self.field.q)
+        return self._syndromes(self.field.elements(words))
+
+    def _syndromes(self, words: np.ndarray) -> np.ndarray:
+        return linalg._mul_mod(words, self._parity, self.field.q)
 
     # -- decoding -----------------------------------------------------------
 
@@ -175,7 +188,7 @@ class GrsCode:
             era = np.broadcast_to(np.asarray(erased, dtype=bool), values.shape)
         out = values.copy() if era is None else np.where(era, 0, values)
         b = np.zeros(len(out), dtype=np.int64) if era is None else era.sum(axis=1)
-        synd = linalg._mul_mod(out, self._parity, q)
+        synd = self._syndromes(out)
         goal = np.zeros_like(synd) if target is None else self.field.elements(target)
         if goal.shape != synd.shape:
             raise ValueError(f"target must be a stack of shape (m, {self.dmin - 1})")
@@ -242,7 +255,7 @@ class GrsCode:
         corrected[r, i] = (filled[r, i] - err) % q
 
         rows = np.flatnonzero(ok)
-        synd = linalg._mul_mod(corrected[rows], self._parity, q)
+        synd = self._syndromes(corrected[rows])
         ok[rows] = ~(synd != target[rows]).any(axis=1)
         changed = err != 0 if era is None else (err != 0) & ~era[r, i]
         a = np.bincount(r, weights=changed, minlength=m)

@@ -293,8 +293,11 @@ class InterleavedGrsMediator:
     def encode(self, s_flat) -> np.ndarray:
         if np.shape(s_flat) != (self.km * self.symbol_width,):
             raise ValueError(f"message must have {self.km * self.symbol_width} symbols")
-        msgs = np.reshape(s_flat, (self.km, self.symbol_width))
-        return self.code.sys_encode(msgs.T).T.copy()
+        return self._encode(self.field.elements(s_flat))
+
+    def _encode(self, s_flat: np.ndarray) -> np.ndarray:
+        msgs = s_flat.reshape(self.km, self.symbol_width)
+        return self.code._sys_encode(msgs.T).T.copy()
 
     def decode(self, values, erased=None) -> np.ndarray | None:
         # one stack of width-many streams sharing the erasure mask
@@ -380,12 +383,13 @@ class LtCode:
 
     def encode_trace(self, eta) -> LtTrace:
         """Encode eta, the (n, R*delta1) information blocks indexed by right
-        vertices; the codeword is the trace's x."""
+        vertices; the codeword is the trace's x. Only eta is checked (`gf`):
+        E2-E4 run on the stage outputs before them."""
         d1, d2 = self.design.delta1, self.design.delta2
         c = self.t1.encode_rate1(eta)  # E1
-        s = self.c0.syndromes(self.t1.left_blocks(c))  # E2
-        w = self.mediator.encode(s.reshape(-1))  # E3
-        d = self.t2.encode_rate1(w)  # E4
+        s = self.c0._syndromes(self.t1.left_blocks(c))  # E2
+        w = self.mediator._encode(s.reshape(-1))  # E3
+        d = self.t2._encode_rate1(w)  # E4
         x = np.hstack([c.reshape(self.n, d1), d.reshape(self.n, d2)])
         return LtTrace(x=x, c=c, s=s, w=w, d=d)
 
@@ -404,6 +408,9 @@ class LtCode:
         clear = np.zeros(n, dtype=bool)
         erased1 = clear if erased1 is None else np.asarray(erased1, bool)
         erased2 = clear if erased2 is None else np.asarray(erased2, bool)
+        for name, mask in (("erased1", erased1), ("erased2", erased2)):
+            if mask.shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},), got {mask.shape}")
 
         # D1: the thin-graph edge word, erased per left vertex (D2 zero-fills)
         z2 = values[:, d1:].reshape(-1)

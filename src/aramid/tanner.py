@@ -101,18 +101,27 @@ class TannerCode:
 
     def membership(self, values) -> bool:
         """True iff every left block is in C' and every right block in C''."""
-        values = self.field.elements(values)
-        if self.c_prime is not None and np.any(self.c_prime.syndromes(self.left_blocks(values))):
+        return self._membership(self.field.elements(values))
+
+    def _membership(self, values: np.ndarray) -> bool:
+        if self.c_prime is not None and np.any(self.c_prime._syndromes(self.left_blocks(values))):
             return False
-        return not np.any(self.c_double.syndromes(self.right_blocks(values)))
+        return not np.any(self.c_double._syndromes(self.right_blocks(values)))
 
     # -- folding ---------------------------------------------------------------
 
     def fold(self, blocks) -> np.ndarray:
         """Left blocks (rows, delta) to a new array of their Phi symbols."""
+        blocks = self.field.elements(blocks)
+        delta = self.graph.delta
+        if blocks.shape[-1:] != (delta,):
+            raise ValueError(f"blocks must have {delta} columns, got shape {blocks.shape}")
+        return self._fold(blocks)
+
+    def _fold(self, blocks: np.ndarray) -> np.ndarray:
         if self.c_prime is None:
-            return self.field.elements(np.array(blocks, dtype=np.int64))
-        return self.c_prime.sys_project(blocks)
+            return blocks.copy()
+        return self.c_prime._sys_project(blocks)
 
     def unfold(self, phi_values) -> np.ndarray:
         """Phi symbols (rows, k') to a new array of their left blocks."""
@@ -123,14 +132,16 @@ class TannerCode:
     def psi(self, values) -> np.ndarray:
         """Fold a codeword to its (n, k') symbol matrix over Phi."""
         values = self.field.elements(values)
-        if not self.membership(values):
+        if not self._membership(values):
             raise ValueError("psi requires a codeword of C")
-        return self.fold(self.left_blocks(values))
+        return self._fold(self.left_blocks(values))
 
     def psi_inverse(self, phi_values) -> np.ndarray:
-        """Unfold a Phi word; raises if the result is not in C."""
+        """Unfold a Phi word; raises if the result is not in C. Its left
+        blocks are words of C' by construction, so only the right ones are
+        checked."""
         values = self.unfold(phi_values).reshape(-1)
-        if np.any(self.c_double.syndromes(self.right_blocks(values))):
+        if np.any(self.c_double._syndromes(self.right_blocks(values))):
             raise ValueError("phi word does not unfold to a codeword of C")
         return values
 
@@ -203,7 +214,10 @@ class TannerCode:
             raise ValueError("encode_rate1 requires rate-1 C'")
         if np.shape(eta) != (self.n, self.c_double.k):
             raise ValueError(f"eta must be (n, {self.c_double.k})")
-        return self.scatter_right(self.c_double.sys_encode(eta))
+        return self._encode_rate1(self.field.elements(eta))
+
+    def _encode_rate1(self, eta: np.ndarray) -> np.ndarray:
+        return self.scatter_right(self.c_double._sys_encode(eta))
 
     def right_messages(self, values) -> np.ndarray:
         """Inverse of encode_rate1's per-vertex encoder (systematic projection)."""

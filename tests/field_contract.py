@@ -3,8 +3,11 @@ call acts on its int64 arguments' residues mod q, and leaves them as they
 were."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
+
+from aramid.gf import PrimeField
 
 
 def same(a, b) -> bool:
@@ -39,3 +42,12 @@ def assert_acts_on_residues(call, args, q, rng, fresh=False):
         if fresh:
             assert not np.shares_memory(got, given[0])
     return want
+
+
+def checks(call, *args) -> int:
+    """How many times call(*args) runs `PrimeField.elements`, the range check
+    that a public entry runs once per field-valued argument."""
+    elements = PrimeField.elements
+    with mock.patch.object(PrimeField, "elements", autospec=True, side_effect=elements) as spy:
+        call(*args)
+    return spy.call_count

@@ -30,3 +30,22 @@ def test_elements_copies_only_values_out_of_range():
     assert np.array_equal(b, kept)
     assert np.array_equal(f.elements(np.array([[36, 5]], dtype=np.uint8)), [[36, 5]])
     assert f.elements([]).shape == (0,)
+
+
+def test_elements_range_check_reads_every_layout():
+    # one unsigned max finds entries on both sides of [0, q): a negative
+    # reads as at least 2**63
+    f = PrimeField(37)
+    for a in (np.array([3, -1, 5]), np.array([-(2**63), 0]), np.array([36, 37])):
+        assert np.array_equal(f.elements(a), a % 37)
+    base = np.arange(48, dtype=np.int64).reshape(6, 8) % 37
+    for view in (base[:, ::3], base.T, base[::-1, 1:]):
+        assert not view.flags.c_contiguous
+        assert f.elements(view) is view
+        shifted = view - 37
+        assert np.array_equal(f.elements(shifted), view)
+    base[2, 3] = -5  # inside base[:, ::3], behind a stride
+    assert np.array_equal(f.elements(base[:, ::3]), base[:, ::3] % 37)
+    for x, want in ((5, 5), (-1, 36), (40, 3), (np.int64(36), 36)):
+        got = f.elements(x)
+        assert got.shape == () and got.dtype == np.int64 and got == want

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from field_contract import assert_acts_on_residues
+from field_contract import assert_acts_on_residues, checks
 
 from aramid.bigraph import anneal_circulant_bipartite, gamma
 from aramid.channel import corrupt_inner_rows, trial_rng
@@ -142,3 +142,10 @@ def test_mismatched_inner_rejected(concat):
     other_field = GrsCode(PrimeField(31), k=12, eval_points=range(1, 25))
     with pytest.raises(ValueError):
         ConcatCode(concat.outer, other_field, concat.params)
+
+
+def test_encode_checks_the_message_and_psi_argument_once(concat):
+    # encode_generic checks the message and psi the outer codeword; the
+    # inner encoder takes psi's output as it is
+    msg = np.random.default_rng(73).integers(0, 29, size=concat.outer.dim)
+    assert checks(concat.encode, msg) == 2

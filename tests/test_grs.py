@@ -218,6 +218,17 @@ def test_wrong_message_length(rs625):
         rs625.sys_encode([1, 2, 3])
 
 
+def test_sys_project_refuses_wrong_word_length():
+    code = GrsCode(PrimeField(37), k=18, eval_points=range(1, 37))
+    rng = np.random.default_rng(24)
+    for bad in ((5,), (3, 40), (36, 3), ()):
+        with pytest.raises(ValueError, match=r"word length must be 36, got shape"):
+            code.sys_project(rng.integers(0, 37, size=bad))
+    msgs = rng.integers(0, 37, size=(3, 18))
+    assert np.array_equal(code.sys_project(code.sys_encode(msgs)), msgs)
+    assert np.array_equal(code.sys_project(code.sys_encode(msgs[0])), msgs[0])
+
+
 def _random_codes(seed, qs, count):
     """count lengths per q, each with random points and nonzero
     multipliers, and k = 1, n - 1, n and one random k for each."""

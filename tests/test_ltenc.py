@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from field_contract import assert_acts_on_residues
+from field_contract import assert_acts_on_residues, checks
 
 from aramid.bigraph import circulant_bipartite, gamma
 from aramid.channel import corrupt_pairs, trial_rng
@@ -391,3 +391,28 @@ def test_entry_points_act_on_residues(desk_lt):
         return decode_phi(code.t1, PhiWord(v, er1), code.params_d4, CosetSide(code.c0, s))
 
     assert assert_acts_on_residues(d4, (values[:, : d.delta1], tr.s), q, rng).success
+
+
+def test_decode_refuses_masks_of_another_shape(desk_lt):
+    # a (n, 2) mask used to be flattened into D2's gather, erasing the wrong
+    # positions, and a short one failed with an IndexError inside D2
+    code = desk_lt
+    n, q = code.n, code.design.q
+    rng = np.random.default_rng(27)
+    x = code.encode_trace(rng.integers(0, q, size=(n, code.design.k1))).x
+    for bad in ((n, 2), (5,)):
+        mask = np.zeros(bad, dtype=bool)
+        mask.flat[:2] = True
+        for key in ("erased1", "erased2"):
+            want = re.escape(f"{key} must have shape ({n},), got {bad}")
+            with pytest.raises(ValueError, match=want):
+                code.decode(x, **{key: mask})
+    assert code.decode(x, np.zeros(n, bool), np.zeros(n, bool)).success
+
+
+def test_encoders_check_their_input_once(desk_lt):
+    # E1 checks eta; E2-E4 run on the stage outputs before them
+    code, d = desk_lt, desk_lt.design
+    rng = np.random.default_rng(28)
+    assert checks(code.encode_trace, rng.integers(0, d.q, size=(d.n, d.k1))) == 1
+    assert checks(code.mediator.encode, rng.integers(0, d.q, size=d.km * d.k2)) == 1

@@ -7,7 +7,7 @@ import pytest
 import grs_reference
 import linalg_reference as ref
 from bigraph_reference import biadjacency
-from field_contract import assert_acts_on_residues
+from field_contract import assert_acts_on_residues, checks
 from memtrace import traced_peak
 
 from aramid import linalg
@@ -331,6 +331,26 @@ def test_entry_points_act_on_residues(k33_code):
         folded = assert_acts_on_residues(code.fold, (blocks,), q, rng, fresh=True)
         assert np.array_equal(folded, phi)
         assert_acts_on_residues(code.unfold, (phi,), q, rng, fresh=True)
+
+
+def test_encode_entries_check_their_input_once(k33_code):
+    # psi and membership check the word once and run the component syndromes
+    # and the fold on it unchecked; psi still refuses a non-codeword
+    rng = np.random.default_rng(29)
+    whole = TannerCode(k33_code.graph, None, k33_code.c_double)
+    msg = rng.integers(0, 7, size=k33_code.dim)
+    assert checks(k33_code.encode_generic, msg) == 1
+    for code in (k33_code, whole):
+        z = code.encode_generic(rng.integers(0, 7, size=code.dim))
+        assert checks(code.psi, z) == 1
+        assert checks(code.membership, z) == 1
+        bad = z.copy()
+        bad[0] = (bad[0] + 1) % 7
+        with pytest.raises(ValueError, match="psi requires a codeword of C"):
+            code.psi(bad)
+        assert not code.membership(bad)
+        with pytest.raises(ValueError, match="blocks must have 3 columns"):
+            code.fold(np.zeros((3, 2), dtype=np.int64))
 
 
 def test_phi_word_helpers():
