@@ -40,12 +40,8 @@ from .tanner import PhiWord, TannerCode
 class DecodeParams:
     """Radius, round count and work bound for the iterative decoder."""
 
-    theta: float
-    delta: float
     gamma: float
     sigma: float
-    n: int
-    degree: int
     beta: float
     base: float  # contraction base theta*delta/(4 gamma^2)
     nu: int
@@ -105,17 +101,7 @@ def decode_params(
     i_t = 2 * max(math.ceil(math.log(warg) / math.log(base)), 0) if warg > 0 else 0
     omega = i_t + (1 + theta / delta) / (1 - (1 / base) ** 2)
     return DecodeParams(
-        theta=theta,
-        delta=delta,
-        gamma=gamma,
-        sigma=sigma,
-        n=n,
-        degree=degree,
-        beta=beta,
-        base=base,
-        nu=nu,
-        i_t=i_t,
-        omega=omega,
+        gamma=gamma, sigma=sigma, beta=beta, base=base, nu=nu, i_t=i_t, omega=omega
     )
 
 
@@ -176,11 +162,9 @@ def decode_phi(
     )
 
     z = np.zeros(n * delta, dtype=np.int64)
-    z_er = np.zeros(n * delta, dtype=bool)
     known = ~y.erased
     if known.any():
         z.reshape(n, delta)[known] = code.unfold(y.values[known])
-    z_er.reshape(n, delta)[y.erased] = True
 
     # the first visit of each side decodes every vertex; bad marks the
     # vertices whose last decode failed
@@ -212,25 +196,24 @@ def decode_phi(
 
         gather = side_gather[work]
         blocks = z[gather]
-        masks = z_er[gather]
+        # erasures exist only in round 2, the first right round: edge e is
+        # erased when its left vertex e // delta is
+        masks = y.erased[gather // delta] if i == 2 else None
         goal = None if side_target is None else side_target[work]
         out, ok = comp.decode_ee(blocks, masks, target=goal)
         bad[side, work] = ~ok
-        diff = ((out != blocks) | masks) & ok[:, None]
+        diff = (out != blocks) & ok[:, None]
         if diff.any():
             # the sub-blocks of one side are disjoint, so one scatter writes
             # the round
             eids = gather[diff]
             z[eids] = out[diff]
-            z_er[eids] = False
             mark(1 - side, eids)
-        if i == 2 and z_er.any():
-            # unresolved erasures get the identity completion (zero fill);
-            # later rounds treat them as plain errors on both sides
-            eids = np.flatnonzero(z_er)
-            z_er[eids] = False
-            mark(0, eids)
-            mark(1, eids)
+        if i == 2:
+            # erasures left in a failed block keep the identity completion
+            # (zero fill) and are plain errors from now on, so its right
+            # vertex is decoded again; the left side is all dirty until round 3
+            dirty[1, work[~ok & masks.any(axis=1)]] = True
 
         # nu is odd, so the last round is checked here too
         if i >= 3 and i % 2 == 1 and in_code():

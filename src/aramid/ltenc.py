@@ -211,58 +211,48 @@ def lt_design(
     sigma_stage = (1 - float(Rf) - eps) / 2
     step = Rf.denominator
 
-    def finish(delta1, d0, k2, delta2, km, relaxed) -> LtDesign:
-        q = next_prime(max(delta1 + 1, n))
-        return LtDesign(
-            R=Rf,
-            eps=eps,
-            kappa=kappa,
-            mu=mu,
-            alpha_R=alpha_R,
-            n=n,
-            q=q,
-            delta1=delta1,
-            delta2=delta2,
-            k0=delta1 - d0 + 1,
-            k1=delta1 * Rf.numerator // Rf.denominator,
-            k2=k2,
-            km=km,
-            sigma_stage=sigma_stage,
-            gamma1_target=anneal_target(n, delta1),
-            gamma2_target=anneal_target(n, delta2),
-            relaxed=relaxed,
-            paper_delta1=paper_delta1,
-        )
-
-    # paper-faithful attempt: theta0 pinned to kappa*eps, kappa and mu honored
-    if paper_delta1 <= min(DELTA1_CAP, n - 2):
-        delta1 = ((paper_delta1 + step - 1) // step) * step
-        if delta1 <= min(DELTA1_CAP, n - 2):
-            k1 = delta1 * Rf.numerator // Rf.denominator
-            d0 = math.ceil(kappa * eps * delta1)
-            if d0 >= 2 and _stage_checks(
-                delta1, k1, d0, anneal_target(n, delta1), sigma_stage
-            ):
-                hit = _search_k2(
-                    n, d0 - 1, k1, Rf, sigma_stage, Fraction(kappa).limit_denominator(1000), mu
-                )
-                if hit is not None:
-                    k2, delta2, km = hit
-                    return finish(delta1, d0, k2, delta2, km, relaxed=False)
-
-    # relaxed search: smallest workable delta1, structural identities intact
-    for delta1 in range(2 * step, min(DELTA1_CAP, n - 2) + 1, step):
+    limit = min(DELTA1_CAP, n - 2)
+    paper = -(-paper_delta1 // step) * step  # rounded up to the step
+    paper_d0 = math.ceil(kappa * eps * paper)
+    # (delta1, its d0 values, kappa floor, mu floor, relaxed): the paper-faithful
+    # candidate first (theta0 pinned to kappa*eps, kappa and mu honored), then
+    # the smallest workable relaxed delta1, structural identities intact
+    candidates = [(d1, range(2, d1), None, 0.0, True) for d1 in range(2 * step, limit + 1, step)]
+    if paper <= limit and paper_d0 >= 2:
+        kappa_floor = Fraction(kappa).limit_denominator(1000)
+        candidates.insert(0, (paper, [paper_d0], kappa_floor, mu, False))
+    for delta1, d0s, kappa_floor, mu_floor, relaxed in candidates:
         k1 = delta1 * Rf.numerator // Rf.denominator
         if k1 < 2:
             continue
         g1t = anneal_target(n, delta1)
-        for d0 in range(2, delta1):
+        for d0 in d0s:
             if not _stage_checks(delta1, k1, d0, g1t, sigma_stage):
                 continue
-            hit = _search_k2(n, d0 - 1, k1, Rf, sigma_stage, None, 0.0)
-            if hit is not None:
-                k2, delta2, km = hit
-                return finish(delta1, d0, k2, delta2, km, relaxed=True)
+            hit = _search_k2(n, d0 - 1, k1, Rf, sigma_stage, kappa_floor, mu_floor)
+            if hit is None:
+                continue
+            k2, delta2, km = hit
+            return LtDesign(
+                R=Rf,
+                eps=eps,
+                kappa=kappa,
+                mu=mu,
+                alpha_R=alpha_R,
+                n=n,
+                q=next_prime(max(delta1 + 1, n)),
+                delta1=delta1,
+                delta2=delta2,
+                k0=delta1 - d0 + 1,
+                k1=k1,
+                k2=k2,
+                km=km,
+                sigma_stage=sigma_stage,
+                gamma1_target=g1t,
+                gamma2_target=anneal_target(n, delta2),
+                relaxed=relaxed,
+                paper_delta1=paper_delta1,
+            )
     raise DesignError(
         f"no relaxed design for R={Rf}, eps={eps}, n={n} within delta1 <= {DELTA1_CAP}"
     )
@@ -278,12 +268,11 @@ class InterleavedGrsMediator:
     errors (and trades erasures at the usual 2a + b rate)."""
 
     def __init__(self, field: PrimeField, n: int, width: int, km: int):
-        if n > field.q:
-            raise DesignError(f"stream length {n} exceeds field size {field.q}")
+        if n >= field.q:  # a length-q GRS code has a zero locator
+            raise DesignError(f"stream length {n} must be below the field size {field.q}")
         if not 0 < km < n:
             raise DesignError("mediator dimension must satisfy 0 < km < n")
-        pts = range(1, n + 1) if n < field.q else range(n)
-        self.code = GrsCode(field, k=km, eval_points=pts)
+        self.code = GrsCode(field, k=km, eval_points=range(1, n + 1))
         self.field = field
         self.n = n
         self.symbol_width = width

@@ -161,9 +161,10 @@ class TannerCode:
         min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance. It
         reads the basis off R[:rank, free], so the peak is the matrix, the
         store (uint8 on the desk, each a quarter of a float32 array) and one
-        panel step's temporaries. The basis's codewords are put in systematic
-        form by a second `linalg.rref` of only dim rows, assembled from its
-        pivots and R[:rank, free].
+        panel step's temporaries. The columns are eliminated in reverse
+        order, so the basis is already in reduced row-echelon form, and G'
+        keeps that form: the generator is the basis mapped through G', and
+        its pivots are its rows' leading columns.
         """
         if self._gen is None:
             q = self.field.q
@@ -180,13 +181,11 @@ class TannerCode:
             for i, right in enumerate(self.graph.matchings):
                 edges = (right, slice(None), np.arange(n))
                 blocks[edges] = (blocks[edges] + np.outer(h2[:, i], gp[:, i])) % q
-            basis = linalg.nullspace(m, q)
-            words = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
-            pivots, solved = linalg.rref(words, q)
-            self._gen = np.zeros((len(pivots), n * delta), dtype=np.int64)
-            self._gen[np.arange(len(pivots)), pivots] = 1
-            self._gen[:, np.setdiff1d(np.arange(n * delta), pivots)] = solved
-            self._gen_pivots = pivots
+            # in reversed column order each basis vector is 1 at its free column, 0 at
+            # the others and nonzero only at pivots before it: flipped back, it is RREF
+            basis = linalg.nullspace(m[:, ::-1], q)[::-1, ::-1]
+            self._gen = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
+            self._gen_pivots = (self._gen != 0).argmax(axis=1).tolist()
             self._gen_float = self._gen.astype(np.float64)
         return self._gen
 

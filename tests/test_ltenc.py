@@ -47,6 +47,17 @@ def test_paper_delta1_infeasible_returns_relaxed(desk_design):
     assert desk_design.relaxed
 
 
+def test_paper_delta1_feasible_returns_paper_faithful():
+    # alpha_R = 8 * 0.5 * max(0.5 / 0.15, 2 / 0.5) = 16, and 16 / 0.48**3 ~ 144.7
+    # fits under the cap: delta1 is paper_delta1 rounded up to the step 2, and
+    # theta0 is pinned to kappa*eps
+    d = lt_design(R=Fraction(1, 2), eps=0.48, kappa=0.5, mu=0.15, n=200)
+    assert not d.relaxed
+    assert (d.paper_delta1, d.delta1, d.delta2, d.k0, d.km, d.q) == (145, 146, 100, 111, 140, 211)
+    assert d.delta1 - d.k0 + 1 == math.ceil(0.5 * 0.48 * 146)
+    assert Fraction(d.km, d.n) >= Fraction(1, 2) and (d.n - d.km) // 2 / d.n >= 0.15
+
+
 def test_design_exact_identities(desk_design):
     d = desk_design
     assert d.n * d.syndrome_width == d.km * d.k2
@@ -143,6 +154,9 @@ def test_mediator_identity_errors():
         InterleavedGrsMediator(f, n=10, width=2, km=12)  # km >= n
     with pytest.raises(DesignError):
         InterleavedGrsMediator(f, n=140, width=2, km=100)  # n > q
+    # a length-q GRS code has a zero locator, so n = q is refused by name
+    with pytest.raises(DesignError, match=r"stream length 131 must be below the field size 131"):
+        InterleavedGrsMediator(f, n=131, width=2, km=60)
 
 
 def test_three_quarter_rate_design_builds_grs_bank():

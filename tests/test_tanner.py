@@ -17,7 +17,7 @@ from aramid.bigraph import (
     circulant_bipartite,
     gamma,
 )
-from aramid.gf import PrimeField
+from aramid.gf import PrimeField, is_prime
 from aramid.grs import GrsCode
 from aramid.tanner import (
     PhiWord,
@@ -269,6 +269,63 @@ def test_generator_matches_per_edge_assembly_with_parallel_edges():
         c2 = GrsCode(f, k=k2, eval_points=range(2, 7))
         code = TannerCode(g, c1, c2)
         assert np.array_equal(code.generator(), _per_edge_generator(code))
+
+
+def _edge_space_generator(code):
+    """Oracle: the RREF generator of C and its pivots, from the nullspace of
+    every vertex constraint over F^E, each component parity check the
+    nullspace of its code's monomial generator, by the single-pivot
+    reference."""
+    q, n, delta = code.field.q, code.n, code.graph.delta
+    rows = []
+    sides = ((code.c_prime, np.arange(n * delta).reshape(n, delta)),
+             (code.c_double, code.graph.right_edges))
+    for comp, gather in sides:
+        if comp is None:
+            continue
+        gen = grs_reference.monomial_generator(q, comp.k, comp.eval_points, comp.col_mults)
+        h = ref.nullspace_plain(gen, q)
+        for eids in gather:
+            block = np.zeros((len(h), n * delta), dtype=np.int64)
+            block[:, eids] = h
+            rows.append(block)
+    basis = ref.nullspace_plain(np.vstack(rows), q)
+    r, pivots = ref.rref_plain(basis, q)
+    return r[: len(pivots)], pivots
+
+
+def test_generator_matches_edge_space_rref_on_random_codes():
+    # primes from 3 to 1009, half of them among the 40 smallest, where
+    # q - 1 bounds delta; shifts drawn with repeats (parallel edges); C' a
+    # random GRS code or the whole space; random points and multipliers
+    primes = [p for p in range(3, 1010) if is_prime(p)]
+    rng = np.random.default_rng(2501)
+    checked = nonzero = parallel = whole = 0
+    while checked < 240:
+        q = int(primes[rng.integers(0, 40)] if rng.random() < 0.5 else rng.choice(primes))
+        n = int(rng.integers(2, 9))
+        delta = int(rng.integers(2, min(n, q - 1, 6) + 1))
+        shifts = rng.integers(0, n, size=delta).tolist()
+        try:
+            graph = BipartiteRegularGraph(n, shifts)
+        except ValueError:  # not connected
+            continue
+        f = PrimeField(q)
+
+        def comp(k):
+            pts = rng.choice(q, size=delta, replace=False)
+            return GrsCode(f, k=k, eval_points=pts, col_mults=rng.integers(1, q, size=delta))
+
+        c_prime = None if rng.random() < 0.25 else comp(int(rng.integers(1, delta + 1)))
+        code = TannerCode(graph, c_prime, comp(int(rng.integers(1, delta + 1))))
+        gen, pivots = _edge_space_generator(code)
+        assert np.array_equal(code.generator(), gen)
+        assert code._gen_pivots == pivots
+        checked += 1
+        nonzero += len(pivots) > 0
+        parallel += len(set(shifts)) < delta
+        whole += c_prime is None
+    assert nonzero >= 100 and parallel >= 50 and whole >= 30
 
 
 @pytest.fixture(scope="module")
