@@ -110,6 +110,6 @@ def corrupt_inner_rows(
             continue
         spent += cost
         pos = rng.choice(width, size=e, replace=False)
-        for p in pos:
-            m[r, p] = (m[r, p] + rng.integers(1, q)) % q
+        # one draw of e offsets takes the stream of e scalar draws
+        m[r, pos] = (m[r, pos] + rng.integers(1, q, size=e)) % q
     return m

@@ -13,15 +13,19 @@ row, L being the current register length (Massey's stop rule). The result is
 the one the full loop gives: a row within the radius has a locator of length
 L* <= floor(l/2), and if the current register failed at a later term N' its
 Massey bound would give L* >= N'+1-L > floor(l/2), so it is already final. A
-row beyond the radius fails the certificate (the target syndrome after
-correction, 2a + b < d) whatever the loop returns, since passing it puts a
-codeword within the radius.
+row beyond the radius fails the certificate whatever the loop returns: deg
+Lambda = L <= l/2, L + b roots of psi = Lambda * Gamma and the target
+syndrome after correction put a codeword within the radius, and imply that
+psi' is nonzero at the (simple) roots and that 2a + b <= 2L + b < d.
 
 Work that cannot change the result is skipped, so each output is the one
 the full computation gives:
 - a Berlekamp-Massey step whose discrepancy is zero on every row leaves
   Lambda, B, L and B's discrepancy as they are (B is shifted by X on every
-  step through its offset alone), so its update is not run;
+  step through its offset alone), so its update is not run; the others make
+  15 numpy calls on degrees up to max L, to a limit recomputed when reached;
+- with no erasure Gamma = 1: xi and the Berlekamp-Massey sequences are S
+  and psi is Lambda, as a product by a monic 1 multiplies nothing;
 - psi = Lambda * Gamma is built only to the certified width w =
   max(L + b) + 1 over the rows still certified, and Omega and psi' to
   w - 1: within the radius deg Omega < deg psi = L + b (Forney), and a row
@@ -189,78 +193,79 @@ class GrsCode:
         out = values.copy() if era is None else np.where(era, 0, values)
         b = np.zeros(len(out), dtype=np.int64) if era is None else era.sum(axis=1)
         synd = self._syndromes(out)
-        goal = np.zeros_like(synd) if target is None else self.field.elements(target)
-        if goal.shape != synd.shape:
-            raise ValueError(f"target must be a stack of shape (m, {self.dmin - 1})")
         if target is not None:
-            synd = (synd - goal) % q
+            target = self.field.elements(target)
+            if target.shape != synd.shape:
+                raise ValueError(f"target must be a stack of shape (m, {self.dmin - 1})")
+            synd = (synd - target) % q
         ok = b < self.dmin
         # clean rows without erasures are already words of their coset
         rows = np.flatnonzero(ok & ((b > 0) | synd.any(axis=1)))
         if len(rows):
             era_rows = None if era is None else era[rows]
-            out[rows], ok[rows] = self._solve(out[rows], era_rows, b[rows], synd[rows], goal[rows])
+            goal = None if target is None else target[rows]
+            out[rows], ok[rows] = self._solve(out[rows], era_rows, b[rows], synd[rows], goal)
         return out, ok
 
     def _solve(self, filled, era, b, synd, target):
         """Key equation, Chien search and Forney values for rows with work.
 
         Every step runs on all rows at once; the certificate (deg Lambda = L
-        within the radius, deg psi roots, nonzero Forney denominators,
-        syndrome `target` after correction, 2a + b < d) is checked per row.
-        psi, Omega and psi' stop at the certified width, error values are
-        computed only at the roots of rows still certified, and only those
-        rows get the final syndrome check. `era` is None when no row has an
-        erasure."""
+        within the radius, deg psi roots, syndrome `target` after
+        correction; module docstring) is checked per row. psi, Omega and
+        psi' stop at the certified width, error values are computed only at
+        the roots of rows still certified, and only those rows get the final
+        syndrome check. `era` is None when no row has an erasure, and
+        `target` None for the code itself (H v = 0)."""
         q = self.field.q
         nsyn = self.dmin - 1
         inv = _inverses(q)
         m, n = filled.shape
 
+        # xi = Gamma * S mod X^(d-1) and the sequences xi[b:]; S if Gamma = 1
         gamma = _erasure_locator(self._locators, era, b, q)
-        xi = _mul_trunc(gamma, synd, nsyn, q)  # Gamma * S mod X^(d-1)
-
-        # Berlekamp-Massey on xi[b:], length d-1-b per row
+        xi = zeta = _mul_trunc(gamma, synd, nsyn, q)
         length = nsyn - b
-        pos = np.minimum(b[:, None] + np.arange(nsyn), nsyn - 1)
-        zeta = np.take_along_axis(xi, pos, axis=1)
+        if gamma.shape[1] > 1:
+            pos = np.minimum(b[:, None] + np.arange(nsyn), nsyn - 1)
+            zeta = xi.ravel()[pos + np.arange(0, m * nsyn, nsyn)[:, None]]
         lam, el = _berlekamp_massey(zeta, length, q)
-        deg = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
-        ok = (deg == el) & (2 * el <= length)
+        ok = (lam[np.arange(m), el] != 0) & (2 * el <= length)  # as deg Lambda <= L
 
         # errata locator psi = Lambda * Gamma, of degree L + b < w where ok
         w = int((el + b)[ok].max(initial=0)) + 1
-        lam = np.where(ok[:, None], lam[:, : int(el[ok].max(initial=0)) + 1], 0)
-        lam[:, 0] = 1
-        psi = _mul_trunc(gamma, lam, w, q)
-        roots = linalg._mul_mod(psi, self._inv_pow[:w], q) == 0
+        lam = lam[:, : int(el[ok].max(initial=0)) + 1]  # rows beyond it are not read
+        psi = _mul_trunc(*sorted((gamma, lam), key=lambda p: p.shape[1]), w, q)
+        roots = _is_zero_mod(psi.astype(np.float64) @ self._inv_pow[:w], q)
         ok &= roots.sum(axis=1) == el + b
 
         # Forney at the roots r, i of certified rows:
-        # e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i)
+        # e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i), psi'(1/x_i) != 0
         r, i = np.divmod(np.flatnonzero(roots & ok[:, None]), n)
         omega = _mul_trunc(lam, xi, w - 1, q)  # psi * S = Lambda * xi mod X^(d-1)
         dpsi = psi[:, 1:] * np.arange(1, w) % q
         # exact float64 products as in `linalg._mul_mod`, reduced at the roots
         pows = self._inv_pow[: w - 1]
         num, den = (
-            linalg._reduce((p.astype(np.float64) @ pows)[r, i], q).astype(np.int64)
-            for p in (omega, dpsi)
+            (p.astype(np.float64) @ pows)[r, i].astype(np.int64) % q for p in (omega, dpsi)
         )
-        ok[r[den == 0]] = False
-        keep = ok[r]
-        r, i = r[keep], i[keep]
-        err = self._forney[i] * num[keep] % q * inv[den[keep]] % q
+        err = self._forney[i] * num % q * inv[den] % q
         corrected = filled.copy()
         corrected[r, i] = (filled[r, i] - err) % q
 
         rows = np.flatnonzero(ok)
-        synd = self._syndromes(corrected[rows])
-        ok[rows] = ~(synd != target[rows]).any(axis=1)
-        changed = err != 0 if era is None else (err != 0) & ~era[r, i]
-        a = np.bincount(r, weights=changed, minlength=m)
-        ok &= 2 * a + b < self.dmin
+        synd = corrected[rows].astype(np.float64) @ self._parity  # H v, exact
+        if target is not None:
+            synd -= target[rows]
+        ok[rows] = _is_zero_mod(synd, q).all(axis=1)
         return np.where(ok[:, None], corrected, filled), ok
+
+
+def _is_zero_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """x == 0 mod q for integers in float64 below 2**53 in absolute value,
+    dividing x in place: exact as in `linalg._reduce`."""
+    x /= q
+    return np.floor(x) == x
 
 
 def _powers(base: np.ndarray, q: int, out: np.ndarray, first=None) -> None:
@@ -341,41 +346,48 @@ def _berlekamp_massey(
     zeta[r, :length[r]]. Returns the connection polynomials (m, width),
     ascending, and the register lengths L.
 
-    Lambda and X*B are held coefficient-major, and step k touches only the
-    degrees below k + 2, since the higher ones are still zero. X*B is shifted
-    by X on every row at every step, so instead of moving its coefficients
-    its constant term sits at row `steps - k` of `xb`. The loop stops once
-    N >= min(L + length//2, length) on every row after N terms (see the
-    module docstring); a row whose own sequence ends earlier stays put.
+    Lambda and X*B/b (b = B's discrepancy) are held coefficient-major, and
+    X*B/b's constant term sits at row `steps - k` of `xb` instead of moving.
+    Both have degree at most max L where the discrepancy is nonzero (Massey
+    1969), so a step reads and updates only those rows: the discrepancy,
+    reduced in place, the grow mask from one logical_and, Lambda and X*B/b
+    in place, and L by np.where when a row grows. The loop stops once N >=
+    min(L + length//2, length) on every row (module docstring), a limit
+    recomputed only when k reaches it, as L only grows. A row past its own
+    length reads zeros and stays put.
     """
     m = len(length)
     inv = _inverses(q)
     steps = int(length.max())
-    rev = np.ascontiguousarray(zeta[:, :steps][:, ::-1].T)
+    rev = np.array(zeta[:, :steps][:, ::-1].T, order="C")
     lam = np.zeros((steps + 2, m), dtype=np.int64)
     lam[0] = 1
-    xb = np.zeros((steps + 2, m), dtype=np.int64)
+    xb = np.zeros((steps + 2, m), dtype=np.int64)  # X*B/b, b = B's discrepancy
     xb[steps + 1] = 1
     el = np.zeros(m, dtype=np.int64)
-    binv = np.ones(m, dtype=np.int64)  # 1/B's discrepancy
     half = length // 2
-    limit = int(half.max())
-    k = 0
-    while k < limit:
+    ends = set(length.tolist())
+    deg = 1  # Lambda's degree is at most max L, so rows from here on are zero
+    k = limit = 0
+    while k < limit or k < (limit := int(np.minimum(el + half, length).max())):
+        if k in ends:  # these rows' sequences end: they read zeros from here
+            rev[:, length == k] = 0
         top = steps - k
         # rev[top - 1 + i] is term k - i
-        disc = np.einsum("ij,ij->j", lam[: k + 1], rev[top - 1 :]) % q
-        disc[k >= length] = 0
-        if disc.any():  # a silent step changes nothing (module docstring)
-            grow = (disc != 0) & (el <= k // 2)
-            live = lam[: k + 2]
-            upd = live - disc * binv % q * xb[top:]
-            np.copyto(xb[top:], live, where=grow)
-            np.remainder(upd, q, out=live)
-            if grow.any():
-                el[grow] = k + 1 - el[grow]
-                binv[grow] = inv[disc[grow]]
-                limit = int(np.minimum(el + half, length).max())
+        disc = np.einsum("ij,ij->j", lam[:deg], rev[top - 1 : top - 1 + deg])
+        disc %= q
+        if np.count_nonzero(disc):  # a silent step changes nothing (module docstring)
+            grow = np.logical_and(el <= k // 2, disc)
+            grew = np.count_nonzero(grow)
+            if grew:
+                el = np.where(grow, k + 1 - el, el)
+                deg = int(el.max()) + 1
+            live, shift = lam[:deg], xb[top : top + deg]
+            shifted = shift * disc  # below q**3 < 2**63, as q <= 65521
+            if grew:
+                np.copyto(shift, live * inv[disc], where=grow)
+            live -= shifted
+            live %= q
         k += 1
     return lam.T, el
 
@@ -384,7 +396,7 @@ def _erasure_locator(
     locators: np.ndarray, era: np.ndarray, b: np.ndarray, q: int
 ) -> np.ndarray:
     """Gamma = prod (1 - x_i X) over the erased positions i of each row of
-    `era` (b[r] of them in row r), ascending coefficients in columns.
+    `era` (b[r] of them in row r; None if b is 0), ascending coefficients.
 
     Built coefficient-major, one vector step per factor, and reduced only
     every p = floor(62 / log2(q + 1)) - 1 factors (module docstring)."""
@@ -392,7 +404,7 @@ def _erasure_locator(
     gamma = np.zeros((bmax + 1, m), dtype=np.int64)
     gamma[0] = 1
     if bmax:
-        row, col = np.nonzero(era)  # row-major: each row's in order
+        row, col = np.divmod(np.flatnonzero(era), era.shape[1])  # row-major
         xs = np.zeros((bmax, m), dtype=np.int64)  # 0 past a row's erasures
         xs[np.arange(len(row)) - (np.cumsum(b) - b)[row], row] = locators[col]
         period = int(62 // math.log2(q + 1)) - 1
@@ -405,12 +417,14 @@ def _erasure_locator(
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, width: int, q: int) -> np.ndarray:
-    """Row-wise polynomial products a[r] * b[r] mod X^width (ascending coeffs),
-    looping over the narrower operand."""
-    if a.shape[1] > b.shape[1]:
-        a, b = b, a
-    out = np.zeros((len(a), width), dtype=np.int64)
-    for j in range(min(a.shape[1], width)):
-        w = min(b.shape[1], width - j)
-        out[:, j : j + w] += a[:, j : j + 1] * b[:, :w]
-    return out % q
+    """Row-wise products a[r] * b[r] mod X^width (ascending coeffs) of a monic a
+    and b in [0, q): one batched product of a's columns with Toeplitz views
+    of b padded by zeros. For a = 1 the product is b, and nothing is multiplied."""
+    m, k = len(b), max(min(a.shape[1], width), 1)
+    pad = np.zeros((m, k - 1 + width), dtype=np.int64)
+    pad[:, k - 1 : k - 1 + min(b.shape[1], width)] = b[:, :width]
+    if k == 1:
+        return pad
+    # a view of pad: toeplitz[r, j, t] = pad[r, k - 1 + j - t] = b[r, j - t]
+    toeplitz = np.ndarray((m, width, k), np.int64, pad, (k - 1) * 8, (pad.strides[0], 8, -8))
+    return (toeplitz @ a[:, :k, None])[..., 0] % q

@@ -139,7 +139,8 @@ def decode_phi(
     """
     graph = code.graph
     n, delta = graph.n, graph.delta
-    if y.values.shape != (n, code.phi_width) or y.erased.shape != (n,):
+    erased = np.asarray(y.erased, dtype=bool)
+    if y.values.shape != (n, code.phi_width) or erased.shape != (n,):
         raise ValueError(
             f"phi word must have shape ({n}, {code.phi_width}) with an (n,) mask"
         )
@@ -162,7 +163,7 @@ def decode_phi(
     )
 
     z = np.zeros(n * delta, dtype=np.int64)
-    known = ~y.erased
+    known = ~erased
     if known.any():
         z.reshape(n, delta)[known] = code.unfold(y.values[known])
 
@@ -198,7 +199,7 @@ def decode_phi(
         blocks = z[gather]
         # erasures exist only in round 2, the first right round: edge e is
         # erased when its left vertex e // delta is
-        masks = y.erased[gather // delta] if i == 2 else None
+        masks = erased[gather // delta] if i == 2 else None
         goal = None if side_target is None else side_target[work]
         out, ok = comp.decode_ee(blocks, masks, target=goal)
         bad[side, work] = ~ok

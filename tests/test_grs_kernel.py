@@ -89,6 +89,22 @@ def test_kernel_matches_reference_battery(q, n, k, first):
 
 
 @pytest.mark.parametrize("q,n,k,first", BATTERY_CODES)
+def test_kernel_errors_only_battery(q, n, k, first):
+    # a stack with no erasure mask, so Gamma = 1: xi and zeta are the
+    # syndromes and psi is Lambda; a in [0, d//2 + 2] errors per row
+    code = GrsCode(PrimeField(q), k, range(first, first + n))
+    rng = np.random.default_rng([q, n, k, first, 26])
+    a_max = min(code.dmin // 2 + 2, n)
+    counts = [(0, int(a)) for a in rng.integers(0, a_max + 1, size=300)]
+    clean, words, _ = corrupt_exact(rng, code, counts)
+    out, ok = assert_matches_reference(code, words, None)
+    assert ok.any() and not ok.all()  # both sides of the radius exercised
+    inside = np.array([2 * a < code.dmin for _, a in counts])
+    assert ok[inside].all() and np.array_equal(out[inside], clean[inside])
+    assert np.array_equal(out[~ok], words[~ok])  # failed rows are handed back
+
+
+@pytest.mark.parametrize("q,n,k,first", BATTERY_CODES)
 def test_kernel_shared_erasure_mask(q, n, k, first):
     code = GrsCode(PrimeField(q), k, range(first, first + n))
     rng = np.random.default_rng([q, k])
@@ -456,20 +472,24 @@ def test_erasure_locator_matches_reference(q):
 
 @pytest.mark.parametrize("q", [7, 131, 65521])
 def test_mul_trunc_matches_reference_for_any_widths(q):
-    # either operand may be the wider one, and the truncation width may cut
-    # into both, fall between them or lie past the full product
+    # the left operand is monic; either operand may be the wider one, and
+    # the truncation width may cut into both, fall between them or lie past
+    # the full product. a = 1 gives b, and two monic operands commute.
     rng = np.random.default_rng(q + 1)
     for _ in range(80):
         m = int(rng.integers(1, 6))
         wa, wb = (int(w) for w in rng.integers(1, 20, size=2))
         width = int(rng.integers(1, wa + wb + 3))
         a = rng.integers(0, q, size=(m, wa))
+        a[:, 0] = 1
         b = rng.integers(0, q, size=(m, wb))
         got = _mul_trunc(a, b, width, q)
-        assert np.array_equal(got, _mul_trunc(b, a, width, q))
         for r in range(m):
             want = ref.poly_mul_trunc(a[r].tolist(), b[r].tolist(), width, q)
             assert got[r].tolist() == want
+        assert np.array_equal(_mul_trunc(a[:, :1], b, width, q)[:, :wb], b[:, :width])
+        b[:, 0] = 1
+        assert np.array_equal(_mul_trunc(a, b, width, q), _mul_trunc(b, a, width, q))
 
 
 @pytest.mark.parametrize("q", [2, 3, 37])

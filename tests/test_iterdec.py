@@ -324,6 +324,26 @@ def test_iterative_matches_ml_on_tiny(tiny):
     assert checked > 100
 
 
+def test_integer_erasure_mask_decodes_as_bool(tiny):
+    """An int64 0/1 mask erases the same vertex as its bool form, whichever
+    vertex it is (inverted as integers it would read -1 and -2 and index
+    rows instead of selecting them)."""
+    code, params = tiny
+    q = code.field.q
+    rng = np.random.default_rng(41)
+    x = code.psi(random_codeword(code, rng))
+    for v in range(code.n):
+        values = x.copy()
+        values[v] = rng.integers(0, q, size=code.phi_width)  # junk under the erasure
+        mask = np.zeros(code.n, dtype=np.int64)
+        mask[v] = 1
+        want = decode_phi(code, PhiWord(values, mask.astype(bool)), params)
+        got = decode_phi(code, PhiWord(values, mask), params)
+        assert want.success and np.array_equal(want.result.values, x)
+        assert got.success and np.array_equal(got.result.values, x)
+        assert (got.rounds_run, got.component_calls) == (want.rounds_run, want.component_calls)
+
+
 def test_coset_variant_radius(coset):
     """Left side decoded into cosets of C0; radius from theta0."""
     code, c0, params = coset
