@@ -12,11 +12,18 @@ erasures, and stops after N terms once N >= min(L + floor(l/2), l) on every
 row, L being the current register length (Massey's stop rule). The result is
 the one the full loop gives: a row within the radius has a locator of length
 L* <= floor(l/2), and if the current register failed at a later term N' its
-Massey bound would give L* >= N'+1-L > floor(l/2), so it is already final. A
-row beyond the radius fails the certificate whatever the loop returns: deg
-Lambda = L <= l/2, L + b roots of psi = Lambda * Gamma and the target
-syndrome after correction put a codeword within the radius, and imply that
-psi' is nonzero at the (simple) roots and that 2a + b <= 2L + b < d.
+Massey bound would give L* >= N'+1-L > floor(l/2), so it is already final.
+
+The certificate asks three things of a row: deg Lambda = L <= l/2; L + b
+roots of psi = Lambda * Gamma among the inverse locators, which are then
+simple, so psi' is nonzero at them; and deg Omega < L + b, where Omega =
+Lambda * xi = psi * S mod X^(d-1) is computed to d - 1 terms. Given the
+roots, the last holds exactly when the Forney word e, the partial fractions
+of Omega / psi, has syndrome S: its syndrome series satisfies S_e psi =
+Omega_e mod X^(d-1) with deg Omega_e < deg psi, and psi(0) = 1 makes psi a
+unit mod X^(d-1). So a certified row is corrected to a word of its coset
+at 2a + b <= 2L + b < d from it, and a row beyond the radius fails the
+certificate whatever the loop returns.
 
 Work that cannot change the result is skipped, so each output is the one
 the full computation gives:
@@ -27,12 +34,10 @@ the full computation gives:
 - with no erasure Gamma = 1: xi and the Berlekamp-Massey sequences are S
   and psi is Lambda, as a product by a monic 1 multiplies nothing;
 - psi = Lambda * Gamma is built only to the certified width w =
-  max(L + b) + 1 over the rows still certified, and Omega and psi' to
-  w - 1: within the radius deg Omega < deg psi = L + b (Forney), and a row
-  beyond it fails the certificate whatever its Omega;
-- error values are computed only at the roots of psi on rows still
-  certified, the only positions where a certified row is corrected, and
-  the final syndrome check runs only on those rows;
+  max(L + b) + 1 over the rows still certified, and psi' to w - 1; the
+  Forney values read Omega to w - 1 terms, all it has on certified rows;
+- error values are computed only at the roots of psi on certified rows,
+  the only positions where a certified row is corrected;
 - the erasure locator Gamma is built in int64 without reducing after each
   factor (1 - x X). With coefficients in [0, q) after a reduction, each
   factor multiplies their bound by at most q, so after p more factors they
@@ -46,8 +51,8 @@ and Forney values. The public methods take field values by the one rule of
 `gf`; the kernel's own steps, and package code holding values in [0, q),
 call their private bodies `_syndromes`, `_sys_encode` and `_sys_project`. A
 target syndrome t puts a row in the coset {v : H v = t}: its errata have
-syndrome H y - t, and the certificate asks H v = t, which is H v = 0 for
-the code itself.
+syndrome S = H y - t, so a certified row is corrected to a word with
+H v = t, which is H v = 0 for the code itself.
 """
 
 from __future__ import annotations
@@ -203,20 +208,19 @@ class GrsCode:
         rows = np.flatnonzero(ok & ((b > 0) | synd.any(axis=1)))
         if len(rows):
             era_rows = None if era is None else era[rows]
-            goal = None if target is None else target[rows]
-            out[rows], ok[rows] = self._solve(out[rows], era_rows, b[rows], synd[rows], goal)
+            out[rows], ok[rows] = self._solve(out[rows], era_rows, b[rows], synd[rows])
         return out, ok
 
-    def _solve(self, filled, era, b, synd, target):
-        """Key equation, Chien search and Forney values for rows with work.
+    def _solve(self, filled, era, b, synd):
+        """Key equation, Chien search and Forney values for rows with work,
+        correcting `filled` in place.
 
         Every step runs on all rows at once; the certificate (deg Lambda = L
-        within the radius, deg psi roots, syndrome `target` after
-        correction; module docstring) is checked per row. psi, Omega and
-        psi' stop at the certified width, error values are computed only at
-        the roots of rows still certified, and only those rows get the final
-        syndrome check. `era` is None when no row has an erasure, and
-        `target` None for the code itself (H v = 0)."""
+        within the radius, deg psi roots, deg Omega < deg psi; module
+        docstring) is checked per row. psi and psi' stop at the certified
+        width, and error values are computed and written only at the roots
+        of rows that pass the certificate. `era` is None when no row has an
+        erasure."""
         q = self.field.q
         nsyn = self.dmin - 1
         inv = _inverses(q)
@@ -238,27 +242,22 @@ class GrsCode:
         psi = _mul_trunc(*sorted((gamma, lam), key=lambda p: p.shape[1]), w, q)
         roots = _is_zero_mod(psi.astype(np.float64) @ self._inv_pow[:w], q)
         ok &= roots.sum(axis=1) == el + b
+        omega = _mul_trunc(lam, xi, nsyn, q)  # psi * S = Lambda * xi mod X^(d-1)
+        ok &= ~np.any(omega.astype(bool) & (np.arange(nsyn) >= (el + b)[:, None]), axis=1)
 
         # Forney at the roots r, i of certified rows:
         # e_i = (-x_i / u_i) * Omega(1/x_i) / psi'(1/x_i), psi'(1/x_i) != 0
         r, i = np.divmod(np.flatnonzero(roots & ok[:, None]), n)
-        omega = _mul_trunc(lam, xi, w - 1, q)  # psi * S = Lambda * xi mod X^(d-1)
         dpsi = psi[:, 1:] * np.arange(1, w) % q
         # exact float64 products as in `linalg._mul_mod`, reduced at the roots
         pows = self._inv_pow[: w - 1]
         num, den = (
-            (p.astype(np.float64) @ pows)[r, i].astype(np.int64) % q for p in (omega, dpsi)
+            (p.astype(np.float64) @ pows)[r, i].astype(np.int64) % q
+            for p in (omega[:, : w - 1], dpsi)
         )
         err = self._forney[i] * num % q * inv[den] % q
-        corrected = filled.copy()
-        corrected[r, i] = (filled[r, i] - err) % q
-
-        rows = np.flatnonzero(ok)
-        synd = corrected[rows].astype(np.float64) @ self._parity  # H v, exact
-        if target is not None:
-            synd -= target[rows]
-        ok[rows] = _is_zero_mod(synd, q).all(axis=1)
-        return np.where(ok[:, None], corrected, filled), ok
+        filled[r, i] = (filled[r, i] - err) % q
+        return filled, ok
 
 
 def _is_zero_mod(x: np.ndarray, q: int) -> np.ndarray:

@@ -19,10 +19,14 @@ holds that all-vertex schedule as the oracle.
 The schedule also gives membership. A vertex is dirty when an incident edge
 changed since its last decode, and bad when that decode failed. A decode
 that succeeds leaves a codeword of the component code (or of the coset) in
-the sub-block, so a vertex that is neither dirty nor bad holds one. After
-round 2 no edge is erased, so the word is in the code exactly when the
-sub-blocks of the dirty and bad vertices of both sides have their target
-syndromes (zero outside the cosets), and only those are checked.
+the sub-block, so a vertex that is neither dirty nor bad holds one. A
+vertex that is bad and not dirty holds none: its last decode failed without
+erasures (a round-2 block that failed with erasures is marked dirty), and a
+word of the code or coset without erasures decodes to itself. After round 2
+no edge is erased, so the word is in the code exactly when no vertex is bad
+and not dirty and the sub-blocks of the dirty vertices of both sides have
+their target syndromes (zero outside the cosets); only those are checked,
+and none when such a bad vertex is found first.
 """
 
 from __future__ import annotations
@@ -179,12 +183,16 @@ def decode_phi(
         dirty[s, u if s == 0 else graph.matchings[eids % delta, u]] = True
 
     def in_code() -> bool:
-        # a vertex neither dirty nor bad holds a codeword (module docstring)
-        for (comp, gather, goal), check in zip(sides, dirty | bad):
+        # a vertex neither dirty nor bad holds a codeword, and one bad but
+        # not dirty holds none (module docstring)
+        if np.any(bad & ~dirty):
+            return False
+        for (comp, gather, goal), check in zip(sides, dirty):
             rows = np.flatnonzero(check)
-            synd = comp.syndromes(z[gather[rows]])
-            if np.any(synd if goal is None else synd != goal[rows]):
-                return False
+            if len(rows):
+                synd = comp.syndromes(z[gather[rows]])
+                if np.any(synd if goal is None else synd != goal[rows]):
+                    return False
         return True
 
     for i in range(2, params.nu + 1):

@@ -12,7 +12,9 @@ store, and its result is reduced and written back. It has three parts:
    found over the rows that hold no pivot yet. Its pivot rows move up and
    are solved for the panel's pivot columns, and only the rows below them
    are updated, on the trailing columns, by BLAS products of `_BAND` rows
-   each, each band converted, updated, reduced and stored in turn.
+   each, each band converted, updated, reduced and stored in turn. A band's
+   left operand is read from the store too: the rows below the pivot rows
+   still hold their panel columns as loaded.
 2. The panel is factored by splitting it recursively (Toledo, "Locality of
    reference in LU decomposition with partial pivoting", SIAM J. Matrix
    Anal. Appl. 1997). The left half's pivots give the right half's Schur
@@ -46,17 +48,26 @@ serves any matrix with fewer than about 2*10**6 rows or columns. Which rows
 become pivots does not change the result: the RREF and its pivot columns
 depend only on the matrix.
 
-An input is reduced mod q and stored one band of `_BAND` rows at a time, an
-unsigned input in its own dtype and any other in int64. Each panel step
-converts only the panel's columns, its pivot rows and one band of the
-trailing block at a time, and frees them before the next step allocates its
-own. So beside the input an elimination holds the store, a quarter of a
-float32 array when q <= 256, and O((_BLOCK + _BAND) * cols) float values.
-After it, `rref` drops the store and keeps only R[:rank, free], and
-`nullspace` allocates its (nullity x cols) basis beside that block. An input
-of a narrow unsigned dtype thus adds little: `TannerCode.generator` passes
-its matrix in the store's own dtype, and its nullspace peaks at the input,
-the store and one panel step's temporaries.
+The store is the elimination's one dense copy of the matrix. By default
+`rref` makes it and leaves its input unchanged: the input is reduced mod q
+and stored one band of `_BAND` rows at a time, an unsigned input in its own
+dtype and any other in int64. With `overwrite_a`, an input that already is
+a store (C-contiguous, writeable, of the store's dtype) is reduced in place
+and eliminated as the store, so its caller gives up its contents; any other
+input is loaded as by default. Each panel step converts the panel's columns
+and factors them, frees them, converts its pivot rows, and then updates the
+trailing block one band at a time, converting only that band's pivot
+columns. So beside the store an elimination holds one panel step's float
+temporaries, O(_BLOCK * (rows + cols) + _BAND * cols) values, of which the
+panel and its factorization's Schur halves are the largest while `_BAND`
+is small against `_BLOCK`. `_BAND` = 64 came from a sweep on the desk's
+1800 x 1800 matrix over GF(37): 32 to 96 rows give the same traced peak,
+128 add 0.2 MiB and 256 add 1.9 MiB, at no measurable change in time.
+After the elimination, `rref` drops the store it made and keeps only
+R[:rank, free], and `nullspace` allocates its (nullity x cols) basis beside
+that block. `TannerCode.generator` builds its matrix as a store and passes
+it with `overwrite_a`, so its nullspace peaks at that one matrix and one
+panel step's temporaries.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ import numpy as np
 
 _BLOCK = 192
 _LEAF = 8
-_BAND = 256  # rows per load band and per trailing-update product
+_BAND = 64  # rows per load band and per trailing-update product
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -181,17 +192,23 @@ def _float_dtype(shape: tuple[int, ...], q: int) -> np.dtype:
     return np.dtype(np.float32 if bound < 2**24 else np.float64)
 
 
-def _load(a, q: int) -> np.ndarray:
-    """a mod q as a new store, in the smallest unsigned dtype that holds
-    q - 1. Each band is reduced before it is stored: an unsigned input in its
-    own dtype, with q as a scalar of that dtype (under NEP 50 a Python int
-    would have to fit it), and left as it is when q exceeds the dtype's
-    range; any other input in int64, so that negative entries and entries
-    above 2**53 stay exact. A shape whose value bound reaches 2**53 is
-    refused before any allocation."""
+def _load(a, q: int, overwrite_a: bool = False) -> np.ndarray:
+    """a mod q as a store, an array of the smallest unsigned dtype that holds
+    q - 1: a itself when `overwrite_a` is set and a already is one
+    (C-contiguous and writeable), reduced in place, and a new array
+    otherwise. Each band is reduced before it is stored: an unsigned input
+    in its own dtype, with q as a scalar of that dtype (under NEP 50 a
+    Python int would have to fit it), and left as it is when q exceeds the
+    dtype's range; any other input in int64, so that negative entries and
+    entries above 2**53 stay exact. A shape whose value bound reaches 2**53
+    is refused before any allocation."""
     a = np.asarray(a)
     _float_dtype(a.shape, q)
-    r = np.empty(a.shape, dtype=np.min_scalar_type(q - 1))
+    dtype = np.min_scalar_type(q - 1)
+    if overwrite_a and a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable:
+        r = a
+    else:
+        r = np.empty(a.shape, dtype=dtype)
     for s in range(0, a.shape[0], _BAND):
         band = a[s : s + _BAND]
         if a.dtype.kind != "u":
@@ -214,23 +231,22 @@ def _panel_step(
     returns, before the next panel's exist."""
     gt = r[lead:, c0:c1].T.astype(ft, order="C")
     prows, pcols, t = _panel(gt, q)
+    del gt
     k = len(pcols)
     if k:
+        x = _reduce(t @ r[lead + prows, c0:].astype(ft), q)
         # the rows the pivot rows displace from lead .. lead+k-1 take their
         # places, so that the rows below are contiguous
-        order = np.arange(r.shape[0] - lead)
         moved = prows[prows >= k]
-        order[moved] = np.setdiff1d(np.arange(k), prows)
-        order[:k] = prows
-        f = gt[pcols[:, None], order[k:]].T
-        del gt  # f is all that the update reads of it
-        x = _reduce(t @ r[lead + prows, c0:].astype(ft), q)
-        r[lead + moved, c0:] = r[lead + order[moved], c0:]
+        r[lead + moved, c0:] = r[lead + np.setdiff1d(np.arange(k), prows), c0:]
         r[lead : lead + k, c0:] = x
         x = x[:, c1 - c0 :]
-        for s in range(0, len(f), _BAND):
-            band = r[lead + k + s : lead + k + s + _BAND, c1:]
-            prod = f[s : s + _BAND] @ x
+        # the rows below the pivots still hold their panel columns as loaded,
+        # the left operand of their update
+        left = c0 + pcols
+        for s in range(lead + k, r.shape[0], _BAND):
+            band = r[s : s + _BAND, c1:]
+            prod = r[s : s + _BAND, left].astype(ft) @ x
             band[...] = _reduce(np.subtract(band, prod, out=prod), q)
     return pcols
 
@@ -267,23 +283,26 @@ def _echelon(r: np.ndarray, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     return pivots, free, solved
 
 
-def rref(a: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
+def rref(a: np.ndarray, q: int, overwrite_a: bool = False) -> tuple[list[int], np.ndarray]:
     """Reduced row-echelon form R over GF(q), as (pivot column list,
     R[:rank, free]): the int64 block of R on its non-pivot columns. The rest
     of R is zero but for a unit entry per pivot row in its pivot column.
-    a is not modified.
+    a is not modified, unless `overwrite_a` is set and a already is a store
+    (C-contiguous, writeable, of the smallest unsigned dtype that holds
+    q - 1): then a is reduced mod q and eliminated in place as the store,
+    and left holding an echelon form of itself.
     """
-    r = _load(a, q)
+    r = _load(a, q, overwrite_a)
     pivots, _, solved = _echelon(r, q)
     del r
     return pivots, solved.astype(np.int64)
 
 
-def nullspace(a: np.ndarray, q: int) -> np.ndarray:
+def nullspace(a: np.ndarray, q: int, overwrite_a: bool = False) -> np.ndarray:
     """Basis of {x : a x = 0} over GF(q), one basis vector per row:
     x_free = I and x_pivots = -R[:rank, free]^T, with R[:rank, free] from
-    `rref`."""
-    pivots, solved = rref(a, q)
+    `rref`, which `overwrite_a` is passed to."""
+    pivots, solved = rref(a, q, overwrite_a)
     cols = np.shape(a)[1]
     free = np.setdiff1d(np.arange(cols), pivots)
     basis = np.zeros((len(free), cols), dtype=np.int64)

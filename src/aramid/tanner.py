@@ -153,18 +153,18 @@ class TannerCode:
         The nullspace of the stacked vertex parity checks is computed in the
         left-block parametrization z = (a_u G')_u, with G' = [I | P] from
         C', which shrinks the elimination to the right-side constraints
-        only. Their (n*(delta - k'')) x (n*k') matrix is held in the
-        smallest unsigned dtype that holds q - 1, the dtype `linalg` keeps
-        its elimination in. `linalg.nullspace` reduces it mod q into a store
-        of that dtype and eliminates the store in place, converting only the
-        values each product reads, to float32 when
+        only. Their (n*(delta - k'')) x (n*k') matrix is built as a `linalg`
+        store, C-contiguous in the smallest unsigned dtype that holds
+        q - 1, and `linalg.nullspace` takes it with `overwrite_a`: it
+        reduces the matrix in place and eliminates it as its store,
+        converting only the values each product reads, to float32 when
         min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance. It
-        reads the basis off R[:rank, free], so the peak is the matrix, the
-        store (uint8 on the desk, each a quarter of a float32 array) and one
-        panel step's temporaries. The columns are eliminated in reverse
-        order, so the basis is already in reduced row-echelon form, and G'
-        keeps that form: the generator is the basis mapped through G', and
-        its pivots are its rows' leading columns.
+        reads the basis off R[:rank, free], so the peak is the matrix (uint8
+        on the desk, an eighth of its float64 bytes) and one panel step's
+        temporaries. The matrix holds its columns in reverse order, so the
+        basis is already in reduced row-echelon form, and G' keeps that
+        form: the generator is the basis mapped through G', and its pivots
+        are its rows' leading columns.
         """
         if self._gen is None:
             q = self.field.q
@@ -173,7 +173,9 @@ class TannerCode:
             h2 = self.c_double.parity_check()
             gp = self.unfold(np.eye(kp, dtype=np.int64))  # G' = [I | P]
             m = np.zeros((n * h2.shape[0], n * kp), dtype=np.min_scalar_type(q - 1))
-            blocks = m.reshape(n, h2.shape[0], n, kp)
+            # m holds the columns in reversed order, written through a view
+            # that indexes them in the original one
+            blocks = m.reshape(n, h2.shape[0], n, kp)[:, :, ::-1, ::-1]
             # matching i adds outer(h2[:, i], gp[:, i]) to block (v, u) of each of
             # its edges u -> v = matchings[i, u]; its v are distinct, so each
             # assignment writes distinct blocks, and parallel edges add up
@@ -183,7 +185,7 @@ class TannerCode:
                 blocks[edges] = (blocks[edges] + np.outer(h2[:, i], gp[:, i])) % q
             # in reversed column order each basis vector is 1 at its free column, 0 at
             # the others and nonzero only at pivots before it: flipped back, it is RREF
-            basis = linalg.nullspace(m[:, ::-1], q)[::-1, ::-1]
+            basis = linalg.nullspace(m, q, overwrite_a=True)[::-1, ::-1]
             self._gen = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
             self._gen_pivots = (self._gen != 0).argmax(axis=1).tolist()
             self._gen_float = self._gen.astype(np.float64)

@@ -371,6 +371,35 @@ def test_kernel_mixes_clean_erased_rows_with_full_error_rows(q, n, k):
     assert ok.all() and np.array_equal(out, clean)
 
 
+@pytest.mark.parametrize("q,n,k,rows", [(7, 6, 2, 3000), (13, 12, 4, 3000)])
+def test_one_row_stacks_beyond_the_radius(q, n, k, rows):
+    # a = (d - 1)//2 .. (d - 1)//2 + 3 errors, one row per stack: Berlekamp-
+    # Massey stops at that row's own Massey limit, so beyond the radius a
+    # locator can pass the degree check and the root count and still be
+    # refused, by deg Omega < deg psi alone; such rows must occur
+    code = GrsCode(PrimeField(q), k, range(1, n + 1))
+    d = code.dmin
+    rng = np.random.default_rng([q, n, k, 9])
+    counts = [(0, int(a)) for a in rng.integers(0, 4, size=rows) + (d - 1) // 2]
+    _, words, _ = corrupt_exact(rng, code, counts)
+    decided_last = 0
+    for word in words:
+        out, ok = code.decode_ee(word[None])
+        want = ref.decode_ee(code, word)
+        assert ok[0] == (want is not None)
+        assert np.array_equal(out[0], word if want is None else want)
+        synd = code.syndromes(word[None])
+        if not ok[0] and synd.any():
+            lam, el = _berlekamp_massey(synd, np.array([d - 1]), q)
+            locator = lam[0, : int(el[0]) + 1].tolist()
+            decided_last += (
+                locator[-1] != 0
+                and 2 * el[0] <= d - 1
+                and len(ref.find_roots(code, locator)) == el[0]
+            )
+    assert decided_last > 0
+
+
 def lfsr_terms(rng, q, span, count):
     """count terms of a random LFSR of length `span`: every term from index
     span on is -sum_i c_i s_(j-i) for a random connection polynomial c."""

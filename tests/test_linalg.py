@@ -308,15 +308,17 @@ def test_nullspace_holds_no_dense_int64_copy():
     # a rank-deficient 1200 x 1200 uint8 matrix over GF(37): the uint8 store
     # is an eighth of the int64 bytes of its shape, one panel step's float32
     # temporaries come on top, and the basis is built from the solved block
-    # R[:rank, free], 0.47x in all; a float32 working array in place of the
-    # store reads 0.76x, and a dense int64 R beside it above 1x
+    # R[:rank, free], 0.31x in all; a float32 copy of each panel's pivot
+    # columns as the trailing update's left operand, in 256-row bands,
+    # reads 0.47x, a float32 working array in place of the store 0.76x, and
+    # a dense int64 R beside it above 1x
     q, n = 37, 1200
     rng = np.random.default_rng(9)
     a = rng.integers(0, q, size=(n, n), dtype=np.uint8)
     a[:, -50:] = (a[:, :50] + a[:, 50:100]) % q
     linalg.nullspace(a[:40, :50], q)  # keeps a first call's lazy imports untraced
     ns, peak = traced_peak(lambda: linalg.nullspace(a, q))
-    assert peak < 0.6 * 8 * a.size, f"peak {peak / (8 * a.size):.2f}x the int64 bytes"
+    assert peak < 0.4 * 8 * a.size, f"peak {peak / (8 * a.size):.2f}x the int64 bytes"
     assert ns.shape == (50, n)
     assert not np.any(a.astype(np.int64) @ ns.T % q)
 
@@ -336,6 +338,72 @@ def test_rref_and_nullspace_leave_their_input_unchanged(dtype):
         linalg.rref(a, q)
     linalg.nullspace(a, q)
     assert a.dtype == dtype and np.array_equal(a, keep)
+
+
+@pytest.mark.parametrize("q", [2, 37, 257, 65521])
+@pytest.mark.parametrize("band", [1, 7])
+@pytest.mark.parametrize("shape", [(60, 45), (45, 60)])
+def test_rref_and_nullspace_match_plain_across_bands(q, band, shape):
+    # rank at most 30, with rows that hold no pivot among the first rows of
+    # the panels: the first 4 rows are zero, and each odd row of the next 26
+    # repeats the row above it, so each panel's pivot rows displace rows
+    # from above them, and the displaced rows need the trailing update. It
+    # reads its left operand from the store, band by band, after the moves
+    rows, cols = shape
+    rng = np.random.default_rng(q + band + rows)
+    a = rng.integers(0, q, size=(rows, 30)) @ rng.integers(0, q, size=(30, cols)) % q
+    a[:4] = 0
+    a[5:30:2] = a[4:29:2]
+    with mock.patch.object(linalg, "_BAND", band):
+        assert_rref_matches_plain(a, q, block=8)
+        assert np.array_equal(linalg.nullspace(a, q), ref.nullspace_plain(a, q))
+
+
+@pytest.mark.parametrize("q", [37, 257])
+def test_overwrite_a_eliminates_a_store_in_place(q):
+    # a C-contiguous, writeable array of the store's dtype (uint8 for q = 37,
+    # uint16 for q = 257) with unreduced entries is reduced and eliminated
+    # in place: the results are the copy's, the array is left reduced and
+    # changed, and no second store is allocated
+    dtype = np.min_scalar_type(q - 1)
+    rng = np.random.default_rng(q)
+    base = rng.integers(0, q, size=(300, 290)) @ rng.integers(0, q, size=(290, 320)) % q
+    a = (base + q * rng.integers(0, 2, size=base.shape)).astype(dtype)
+    assert a.max() >= q
+    want_rref, want_ns = linalg.rref(a, q), linalg.nullspace(a, q)
+    b = a.copy()
+    pivots, solved = linalg.rref(b, q, overwrite_a=True)
+    assert pivots == want_rref[0] and np.array_equal(solved, want_rref[1])
+    assert b.dtype == dtype and b.max() < q and not np.array_equal(b % q, a % q)
+    b = a.copy()
+    assert np.array_equal(linalg.nullspace(b, q, overwrite_a=True), want_ns)
+    _, copied = traced_peak(lambda: linalg.rref(a, q))
+    b = a.copy()
+    _, in_place = traced_peak(lambda: linalg.rref(b, q, overwrite_a=True))
+    assert in_place < copied - 0.9 * a.nbytes
+
+
+@pytest.mark.parametrize("kind", ["int64", "uint16", "non-contiguous", "read-only"])
+def test_overwrite_a_loads_other_inputs_as_usual(kind):
+    # an input that is not a store over GF(37) (another dtype, a reversed
+    # view, a read-only array) is loaded into a new store and left unchanged
+    q = 37
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 255, size=(120, 90), dtype=np.uint8)
+    if kind == "int64":
+        a = a.astype(np.int64) - 100
+    elif kind == "uint16":
+        a = a.astype(np.uint16)
+    elif kind == "non-contiguous":
+        a = a[:, ::-1]
+    else:
+        a.flags.writeable = False
+    keep = a.copy()
+    want_rref, want_ns = linalg.rref(a, q), linalg.nullspace(a, q)
+    pivots, solved = linalg.rref(a, q, overwrite_a=True)
+    assert pivots == want_rref[0] and np.array_equal(solved, want_rref[1])
+    assert np.array_equal(linalg.nullspace(a, q, overwrite_a=True), want_ns)
+    assert a.dtype == keep.dtype and np.array_equal(a, keep)
 
 
 @pytest.mark.parametrize("q", [37, 65521])
