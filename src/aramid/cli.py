@@ -65,7 +65,7 @@ BRUTE_WORD_LIMIT = 10**6
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -129,7 +129,8 @@ BUILD_CONFIG = {
         **dict.fromkeys(("n", "delta", "q", "k_prime", "k_double"), Rule(_INT)),
         "seed": Rule(_INT, _NATURAL),
         "graph": Rule((str,), (("equal to", "circulant"),), required=False),
-        "gamma_target": Rule((int, float, type(None)), required=False),
+        # null for no target; gamma is at most 1, and NaN meets no bound
+        "gamma_target": Rule((*_NUM, type(None)), (("above", 0), ("at most", 1)), required=False),
         "anneal_iters": Rule(_INT, _NATURAL, required=False),
         # sigma = sigma_frac * beta must lie in (0, beta)
         "sigma_frac": Rule(_NUM, (("above", 0), ("below", 1)), required=False),
@@ -173,9 +174,9 @@ RUNS_REPORT = {"max_calls": Rule(_INT), "omega_n_bound": Rule(_NUM)}
 def validate(obj, table: dict, where: str) -> None:
     """Raise a UsageError naming the part, the key and the rule unless `obj`
     is a JSON object that holds every required key of `table`, each with a
-    value of the rule's types inside its bounds, and each part a JSON object
-    that satisfies its own table. JSON true and false count as bool only,
-    not as int."""
+    value of the rule's types inside its bounds (a null that the types admit
+    has none), and each part a JSON object that satisfies its own table.
+    JSON true and false count as bool only, not as int."""
 
     def check(part, rules: dict, at: str) -> None:
         if not isinstance(part, dict):
@@ -193,7 +194,7 @@ def validate(obj, table: dict, where: str) -> None:
             if isinstance(value, bool) != (bool in kinds) or not isinstance(value, kinds):
                 names = " or ".join(kind.__name__ for kind in kinds)
                 raise UsageError(f"{at} {key} must be {names}, got {value!r}")
-            for op, limit in rule.bounds:
+            for op, limit in () if value is None else rule.bounds:
                 shown, bound = repr(limit), limit
                 if isinstance(limit, Ref):
                     part_name, ref_key = limit.split(".")

@@ -2,7 +2,8 @@
 
 Field values are int64 arrays with entries in [0, q). A public method that
 takes field values passes each such argument once, at entry, through
-`PrimeField.elements`, so any integer input acts as its residues mod q. What
+`PrimeField.elements`, so any integer input acts as its residues mod q, and
+an input of any other dtype (float, bool, object) raises TypeError. What
 runs behind the entry neither reduces nor checks again: a public method is
 `elements` plus one private body (`GrsCode._syndromes`, `_sys_encode`,
 `_sys_project`, `TannerCode._membership`, ...), and package code that holds
@@ -55,9 +56,19 @@ class PrimeField:
 
     def elements(self, a) -> np.ndarray:
         """a as int64 in [0, q), copied and reduced only when some entry lies
-        outside; an int64 array in range is returned as it is. One reduction
-        finds both sides: read as uint64, a negative entry is at least 2**63."""
-        a = np.asarray(a, dtype=np.int64)
+        outside; an int64 array in range is returned as it is. Unsigned input
+        is reduced in its own dtype, so that uint64 entries from 2**63 up do
+        not wrap; signed input is reduced in int64, where one reduction finds
+        both sides: read as uint64, a negative entry is at least 2**63. A
+        nonempty input of any other dtype raises TypeError."""
+        a = np.asarray(a)
+        if a.dtype.kind == "u":
+            if a.size and a.max() >= self.q:
+                a = a % np.uint64(self.q)
+            return a.astype(np.int64)
+        if a.dtype.kind != "i" and a.size:
+            raise TypeError(f"field values must have an integer dtype, got {a.dtype}")
+        a = a.astype(np.int64, copy=False)
         if a.size and a.view(np.uint64).max() >= self.q:
             a = a % self.q
         return a

@@ -83,7 +83,7 @@ class GrsCode:
             raise ValueError(f"length {n} exceeds field size {q}")
         if not 0 < k <= n:
             raise ValueError(f"dimension must satisfy 0 < k <= {n}, got {k}")
-        if len(np.unique(pts)) != n:
+        if np.any(np.diff(np.sort(pts)) == 0):
             raise ValueError("evaluation points must be pairwise distinct")
         if len(mults) != n or np.any(mults == 0):
             raise ValueError("column multipliers must be nonzero, one per position")

@@ -207,7 +207,7 @@ def decode_phi(
         blocks = z[gather]
         # erasures exist only in round 2, the first right round: edge e is
         # erased when its left vertex e // delta is
-        masks = erased[gather // delta] if i == 2 else None
+        masks = erased[gather // delta] if i == 2 and erased.any() else None
         goal = None if side_target is None else side_target[work]
         out, ok = comp.decode_ee(blocks, masks, target=goal)
         bad[side, work] = ~ok
@@ -218,7 +218,7 @@ def decode_phi(
             eids = gather[diff]
             z[eids] = out[diff]
             mark(1 - side, eids)
-        if i == 2:
+        if masks is not None:
             # erasures left in a failed block keep the identity completion
             # (zero fill) and are plain errors from now on, so its right
             # vertex is decoded again; the left side is all dirty until round 3

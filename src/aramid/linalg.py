@@ -41,33 +41,29 @@ exactly, and `_reduce` is exact on them, so the elimination is exact in it
 while B < 2**p. Products run in float32 (p = 24) when B < 2**24, so that
 BLAS runs single-precision products (the single-precision path of
 Dumas-Giorgi-Pernet), and in float64 (p = 53) otherwise; `rref` refuses
-B >= 2**53 before any allocation. Every float temporary takes that dtype.
+B >= 2**53 before it reads the store. Every float temporary takes that dtype.
 So float32 serves any matrix over GF(37) with fewer than about 12900 rows
 or columns, and over GF(257) with at most 255; for q <= 65521 float64
 serves any matrix with fewer than about 2*10**6 rows or columns. Which rows
 become pivots does not change the result: the RREF and its pivot columns
 depend only on the matrix.
 
-The store is the elimination's one dense copy of the matrix. By default
-`rref` makes it and leaves its input unchanged: the input is reduced mod q
-and stored one band of `_BAND` rows at a time, an unsigned input in its own
-dtype and any other in int64. With `overwrite_a`, an input that already is
-a store (C-contiguous, writeable, of the store's dtype) is reduced in place
-and eliminated as the store, so its caller gives up its contents; any other
-input is loaded as by default. Each panel step converts the panel's columns
-and factors them, frees them, converts its pivot rows, and then updates the
-trailing block one band at a time, converting only that band's pivot
-columns. So beside the store an elimination holds one panel step's float
-temporaries, O(_BLOCK * (rows + cols) + _BAND * cols) values, of which the
-panel and its factorization's Schur halves are the largest while `_BAND`
-is small against `_BLOCK`. `_BAND` = 64 came from a sweep on the desk's
-1800 x 1800 matrix over GF(37): 32 to 96 rows give the same traced peak,
-128 add 0.2 MiB and 256 add 1.9 MiB, at no measurable change in time.
-After the elimination, `rref` drops the store it made and keeps only
-R[:rank, free], and `nullspace` allocates its (nullity x cols) basis beside
-that block. `TannerCode.generator` builds its matrix as a store and passes
-it with `overwrite_a`, so its nullspace peaks at that one matrix and one
-panel step's temporaries.
+The store is the elimination's one dense copy of the matrix, and its
+caller's: `rref` and `nullspace` take nothing else (a C-contiguous,
+writeable array of the store's dtype), reduce it mod q in place and
+eliminate it, so the caller gives up its contents. Each panel step converts
+the panel's columns and factors them, frees them, converts its pivot rows,
+and then updates the trailing block one band at a time, converting only
+that band's pivot columns. So beside the store an elimination holds one
+panel step's float temporaries, O(_BLOCK * (rows + cols) + _BAND * cols)
+values, of which the panel and its factorization's Schur halves are the
+largest while `_BAND` is small against `_BLOCK`. `_BAND` = 64 came from a
+sweep on the desk's 1800 x 1800 matrix over GF(37): 32 to 96 rows give the
+same traced peak, 128 add 0.2 MiB and 256 add 1.9 MiB, at no measurable
+change in time. After the elimination, `rref` keeps only R[:rank, free],
+and `nullspace` allocates its (nullity x cols) basis beside that block.
+`TannerCode.generator` builds its matrix as a store, so its nullspace peaks
+at that one matrix and one panel step's temporaries.
 """
 
 from __future__ import annotations
@@ -76,7 +72,7 @@ import numpy as np
 
 _BLOCK = 192
 _LEAF = 8
-_BAND = 64  # rows per load band and per trailing-update product
+_BAND = 64  # rows per trailing-update product
 
 
 def _mul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -192,31 +188,29 @@ def _float_dtype(shape: tuple[int, ...], q: int) -> np.dtype:
     return np.dtype(np.float32 if bound < 2**24 else np.float64)
 
 
-def _load(a, q: int, overwrite_a: bool = False) -> np.ndarray:
-    """a mod q as a store, an array of the smallest unsigned dtype that holds
-    q - 1: a itself when `overwrite_a` is set and a already is one
-    (C-contiguous and writeable), reduced in place, and a new array
-    otherwise. Each band is reduced before it is stored: an unsigned input
-    in its own dtype, with q as a scalar of that dtype (under NEP 50 a
-    Python int would have to fit it), and left as it is when q exceeds the
-    dtype's range; any other input in int64, so that negative entries and
-    entries above 2**53 stay exact. A shape whose value bound reaches 2**53
-    is refused before any allocation."""
-    a = np.asarray(a)
-    _float_dtype(a.shape, q)
+def _load(r, q: int) -> None:
+    """Reduce the store r mod q in place, in its own dtype. A shape whose
+    value bound reaches 2**53 raises ValueError, and any r that is not a
+    store over GF(q) (a C-contiguous, writeable array of the smallest
+    unsigned dtype that holds q - 1) raises TypeError, both before r is
+    read."""
+    _float_dtype(np.shape(r), q)
     dtype = np.min_scalar_type(q - 1)
-    if overwrite_a and a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable:
-        r = a
-    else:
-        r = np.empty(a.shape, dtype=dtype)
-    for s in range(0, a.shape[0], _BAND):
-        band = a[s : s + _BAND]
-        if a.dtype.kind != "u":
-            band = np.asarray(band, dtype=np.int64) % q
-        elif q <= np.iinfo(a.dtype).max:
-            band = band % a.dtype.type(q)
-        r[s : s + _BAND] = band
-    return r
+    if not (
+        isinstance(r, np.ndarray)
+        and r.dtype == dtype
+        and r.flags.c_contiguous
+        and r.flags.writeable
+    ):
+        raise TypeError(f"a matrix over GF({q}) must be a C-contiguous, writeable {dtype} array")
+    np.remainder(r, dtype.type(q), out=r)
+
+
+def _free(pivots: list[int], cols: int) -> np.ndarray:
+    """The columns in [0, cols) that are not pivots, in ascending order."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    return np.flatnonzero(free)
 
 
 def _panel_step(
@@ -238,7 +232,7 @@ def _panel_step(
         # the rows the pivot rows displace from lead .. lead+k-1 take their
         # places, so that the rows below are contiguous
         moved = prows[prows >= k]
-        r[lead + moved, c0:] = r[lead + np.setdiff1d(np.arange(k), prows), c0:]
+        r[lead + moved, c0:] = r[lead + _free(prows[prows < k], k), c0:]
         r[lead : lead + k, c0:] = x
         x = x[:, c1 - c0 :]
         # the rows below the pivots still hold their panel columns as loaded,
@@ -275,7 +269,7 @@ def _echelon(r: np.ndarray, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
             panels.append((lead, lead + k))
             lead += k
         r[lead:, c0:c1] = 0
-    free = np.setdiff1d(np.arange(cols), pivots)
+    free = _free(pivots, cols)
     solved = np.empty((lead, len(free)), dtype=ft)
     for s, e in reversed(panels):
         prod = r[s:e, pivots[e:]].astype(ft) @ solved[e:]
@@ -283,28 +277,27 @@ def _echelon(r: np.ndarray, q: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     return pivots, free, solved
 
 
-def rref(a: np.ndarray, q: int, overwrite_a: bool = False) -> tuple[list[int], np.ndarray]:
-    """Reduced row-echelon form R over GF(q), as (pivot column list,
-    R[:rank, free]): the int64 block of R on its non-pivot columns. The rest
-    of R is zero but for a unit entry per pivot row in its pivot column.
-    a is not modified, unless `overwrite_a` is set and a already is a store
-    (C-contiguous, writeable, of the smallest unsigned dtype that holds
-    q - 1): then a is reduced mod q and eliminated in place as the store,
-    and left holding an echelon form of itself.
+def rref(r: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
+    """Reduced row-echelon form R over GF(q) of the store r, as (pivot column
+    list, R[:rank, free]): the int64 block of R on its non-pivot columns. The
+    rest of R is zero but for a unit entry per pivot row in its pivot
+    column. r must be a C-contiguous, writeable array of the smallest
+    unsigned dtype that holds q - 1 (anything else raises TypeError); it is
+    reduced mod q and eliminated in place, and left holding an echelon form
+    of itself.
     """
-    r = _load(a, q, overwrite_a)
+    _load(r, q)
     pivots, _, solved = _echelon(r, q)
-    del r
     return pivots, solved.astype(np.int64)
 
 
-def nullspace(a: np.ndarray, q: int, overwrite_a: bool = False) -> np.ndarray:
-    """Basis of {x : a x = 0} over GF(q), one basis vector per row:
+def nullspace(r: np.ndarray, q: int) -> np.ndarray:
+    """Basis of {x : r x = 0} over GF(q), one basis vector per row:
     x_free = I and x_pivots = -R[:rank, free]^T, with R[:rank, free] from
-    `rref`, which `overwrite_a` is passed to."""
-    pivots, solved = rref(a, q, overwrite_a)
-    cols = np.shape(a)[1]
-    free = np.setdiff1d(np.arange(cols), pivots)
+    `rref`, which eliminates the store r in place."""
+    pivots, solved = rref(r, q)
+    cols = r.shape[1]
+    free = _free(pivots, cols)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = -solved.T % q

@@ -155,8 +155,7 @@ class TannerCode:
         C', which shrinks the elimination to the right-side constraints
         only. Their (n*(delta - k'')) x (n*k') matrix is built as a `linalg`
         store, C-contiguous in the smallest unsigned dtype that holds
-        q - 1, and `linalg.nullspace` takes it with `overwrite_a`: it
-        reduces the matrix in place and eliminates it as its store,
+        q - 1, which `linalg.nullspace` reduces and eliminates in place,
         converting only the values each product reads, to float32 when
         min(rows, cols)*(q-1)**2 + q < 2**24, as on the desk instance. It
         reads the basis off R[:rank, free], so the peak is the matrix (uint8
@@ -185,7 +184,7 @@ class TannerCode:
                 blocks[edges] = (blocks[edges] + np.outer(h2[:, i], gp[:, i])) % q
             # in reversed column order each basis vector is 1 at its free column, 0 at
             # the others and nonzero only at pivots before it: flipped back, it is RREF
-            basis = linalg.nullspace(m, q, overwrite_a=True)[::-1, ::-1]
+            basis = linalg.nullspace(m, q)[::-1, ::-1]
             self._gen = (basis.reshape(-1, n, kp) @ gp % q).reshape(-1, n * delta)
             self._gen_pivots = (self._gen != 0).argmax(axis=1).tolist()
             self._gen_float = self._gen.astype(np.float64)

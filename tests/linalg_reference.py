@@ -32,6 +32,11 @@ def rref_plain(a: np.ndarray, q: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
+def store(a, q: int) -> np.ndarray:
+    """a mod q as a `linalg` store, reduced as Python ints as in `rref_plain`."""
+    return (np.asarray(a).astype(object) % q).astype(np.min_scalar_type(q - 1))
+
+
 def rref_free(a: np.ndarray, q: int) -> tuple[list[int], np.ndarray]:
     """(pivot column list, R[:rank, free]) read off `rref_plain`, the form
     that `linalg.rref` returns."""

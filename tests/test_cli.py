@@ -152,7 +152,7 @@ def test_build_unreachable_gamma_target_reports_best(tmp_path, caplog):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", [5.0, None])
+@pytest.mark.parametrize("target", [1.0, None])
 def test_build_disconnected_circulant_exits_1(tmp_path, caplog, target):
     # one shift per vertex is never connected, whether or not a target is met
     cfg = dict(SMALL_CFG, delta=1, gamma_target=target, anneal_iters=20)
@@ -164,6 +164,37 @@ def test_build_disconnected_circulant_exits_1(tmp_path, caplog, target):
     assert "disconnected circulant graph" in caplog.text
     assert "gamma target" not in caplog.text
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (float("nan"), "must be above 0, got nan"),
+        (float("inf"), "must be at most 1, got inf"),
+        (5.0, "must be at most 1, got 5.0"),
+        (0, "must be above 0, got 0"),
+        (-0.1, "must be above 0, got -0.1"),
+    ],
+    ids=["nan", "infinity", "above-1", "zero", "negative"],
+)
+def test_build_meaningless_gamma_target_is_usage_error(tmp_path, caplog, target, message):
+    # gamma never exceeds 1: a larger target or Infinity stops the annealer
+    # before its first move, and NaN never stops it and is no JSON; the
+    # config file holds them as Python's json writes them (NaN, Infinity),
+    # and --allow-weak lets none of them by
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    cfg_path.write_text(json.dumps(dict(SMALL_CFG, gamma_target=target)))
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out), "--allow-weak")
+    assert rc == EXIT_USAGE
+    assert f"build plain config gamma_target {message}" in caplog.text
+    assert not out.exists()
+
+
+def test_canonical_json_refuses_nan():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            canonical_json({"gamma_target": value})
 
 
 @pytest.mark.parametrize("cfg", [SMALL_CFG, LT_CFG], ids=["plain", "lt"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aramid.gf import MAX_MODULUS, PrimeField, is_prime
+from aramid.grs import GrsCode
 
 
 def test_primality_check():
@@ -49,3 +50,42 @@ def test_elements_range_check_reads_every_layout():
     for x, want in ((5, 5), (-1, 36), (40, 3), (np.int64(36), 36)):
         got = f.elements(x)
         assert got.shape == () and got.dtype == np.int64 and got == want
+
+
+def test_elements_reduces_unsigned_input_in_its_own_dtype():
+    # uint64 entries from 2**63 up would wrap in an int64 cast: 2**64 - 1,
+    # 2**63 and 2**63 + 5 are 1, 1 and 6 mod 7, not 6, 6 and 4
+    f = PrimeField(7)
+    big = [2**64 - 1, 2**63, 2**63 + 5]
+    for a in (np.array(big, dtype=np.uint64), big):
+        got = f.elements(a)
+        assert got.dtype == np.int64 and got.tolist() == [1, 1, 6]
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        a = np.array([[255, 6], [7, 0]], dtype=dtype)
+        assert f.elements(a).tolist() == [[3, 6], [0, 0]]
+    assert PrimeField(257).elements(np.array([255], dtype=np.uint8)).tolist() == [255]
+
+
+@pytest.mark.parametrize(
+    "a, dtype",
+    [
+        ([1.5, 2.9, -0.5], "float64"),
+        (np.array([1.0, np.nan]), "float64"),
+        (np.array([3, 4], dtype=np.float32), "float32"),
+        (np.array([True, False]), "bool"),
+        ([2**64], "object"),
+    ],
+    ids=["fractions", "nan", "integral-float32", "bool", "beyond-uint64"],
+)
+def test_elements_refuses_other_dtypes(a, dtype):
+    # a cast to int64 would truncate 1.7 to 1 and read NaN as some residue;
+    # an empty input of any dtype is still the empty word
+    with pytest.raises(TypeError, match=f"integer dtype, got {dtype}"):
+        PrimeField(7).elements(a)
+    assert PrimeField(7).elements(np.array([], dtype=np.float64)).dtype == np.int64
+
+
+def test_grs_entry_refuses_float_messages():
+    # the entry's one check refuses the floats instead of encoding [1, 2]
+    with pytest.raises(TypeError, match="float64"):
+        GrsCode(PrimeField(7), 2, range(1, 7)).sys_encode([1.7, 2.2])

@@ -261,6 +261,36 @@ def test_membership_checks_coset_targets(coset):
     assert run.result is None and run.rounds_run == params.nu
 
 
+class _Recording(GrsCode):
+    """A component decoder that records the erasure mask of each call."""
+
+    def __init__(self, code):
+        super().__init__(code.field, code.k, code.eval_points, code.col_mults)
+        self.masks = []
+
+    def decode_ee(self, words, erased=None, target=None):
+        self.masks.append(erased)
+        return super().decode_ee(words, erased, target)
+
+
+def test_round_two_masks_only_erased_words(mid):
+    """Erasures exist only in round 2, the first right round: it gets an
+    edge mask when some vertex is erased and none otherwise, as no right
+    round after it does, and the result is the same as without recording."""
+    code, params = mid
+    right = _Recording(code.c_double)
+    recorded = TannerCode(code.graph, code.c_prime, right)
+    rng = np.random.default_rng(44)
+    x = code.psi(random_codeword(code, rng))
+    for rho in (0, 3):
+        right.masks.clear()
+        y = corrupt_phi(rng, x, 2, rho, code.field.q)
+        rep = decode_phi(recorded, y, params)
+        assert np.array_equal(rep.result.values, x)
+        assert right.masks and all(m is None for m in right.masks[1:])
+        assert (right.masks[0] is None) == (rho == 0)
+
+
 def test_clustered_support_fixture(mid):
     """Worst-case-style support: a ball around one vertex still decodes."""
     code, params = mid

@@ -12,7 +12,7 @@ from aramid import linalg
 
 
 def _rank(a, q):
-    return len(linalg.rref(a, q)[0])
+    return len(linalg.rref(ref.store(a, q), q)[0])
 
 
 def assert_rref_matches_plain(a, q, block=linalg._BLOCK):
@@ -21,7 +21,7 @@ def assert_rref_matches_plain(a, q, block=linalg._BLOCK):
     pivots."""
     p1, s1 = ref.rref_free(a, q)
     with mock.patch.object(linalg, "_BLOCK", block):
-        p2, s2 = linalg.rref(a, q)
+        p2, s2 = linalg.rref(ref.store(a, q), q)
     assert p1 == p2
     assert s2.dtype == np.int64 and s2.shape == s1.shape
     assert np.array_equal(s1, s2)
@@ -143,7 +143,7 @@ def test_rref_exact_at_the_float32_boundary(kind, shape, dtype):
         a = np.full(shape, q - 1)
     else:
         a = _unit_lu(rows, cols, q)
-    r = linalg._load(a, q)
+    r = ref.store(a, q)
     assert r.dtype == np.uint16
     assert linalg._echelon(r, q)[2].dtype == dtype
     for block in (1, linalg._BLOCK):
@@ -168,7 +168,7 @@ def test_float32_elimination_never_upcasts(monkeypatch, block):
     q = 37
     rng = np.random.default_rng(3)
     a = rng.integers(0, q, size=(120, 40)) @ rng.integers(0, q, size=(40, 150)) % q
-    r = linalg._load(a, q)
+    r = ref.store(a, q)
     assert r.dtype == np.uint8
     with mock.patch.object(linalg, "_BLOCK", block):
         pivots, free, solved = linalg._echelon(r, q)
@@ -190,7 +190,7 @@ def test_store_stays_reduced_in_its_unsigned_dtype(q, block, shape):
     a = rng.integers(0, q, size=(rows, 150)) @ rng.integers(0, q, size=(150, cols)) % q
     a[:, 3] = 0
     a[:, 7] = a[:, 5]
-    r = linalg._load(a, q)
+    r = ref.store(a, q)
     assert r.dtype == np.min_scalar_type(q - 1)
     assert np.array_equal(r, a)
     with mock.patch.object(linalg, "_BLOCK", block):
@@ -230,7 +230,7 @@ def test_nullspace_annihilates():
     rng = np.random.default_rng(12)
     q = 131
     a = rng.integers(0, q, size=(30, 50), dtype=np.int64)
-    ns = linalg.nullspace(a, q)
+    ns = linalg.nullspace(ref.store(a, q), q)
     assert ns.shape[0] == 50 - _rank(a, q)
     assert not np.any((a @ ns.T) % q)
     assert _rank(ns, q) == ns.shape[0]  # basis is independent
@@ -249,95 +249,26 @@ def test_nullspace_matches_plain_basis(q, shape):
         want[i, fc] = 1
         for row, pc in enumerate(pivots):
             want[i, pc] = (-r[row, fc]) % q
-    assert np.array_equal(linalg.nullspace(a, q), want)
-
-
-@pytest.mark.parametrize("q", [2, 37, 65521])
-def test_rref_and_nullspace_reduce_int64_entries_exactly(q):
-    # a rank-8 matrix over GF(q) plus multiples of q that push every entry
-    # to 2**53 or beyond in absolute value, with either sign; converting to
-    # float64 before reducing mod q would change entries and so the rank
-    rng = np.random.default_rng(q)
-    base = rng.integers(0, q, size=(40, 8)) @ rng.integers(0, q, size=(8, 60)) % q
-    mult = rng.integers(2**53 // q + 1, (2**63 - 1) // q - 1, size=base.shape)
-    a = base + q * mult * rng.choice([-1, 1], size=base.shape)
-    a[0, :3] = [2**63 - 1, -(2**63), -1]
-    assert np.all(np.abs(a[1:]) >= 2**53)
-    assert np.any(a.astype(np.float64) % q != a % q)
-    assert_rref_matches_plain(a, q, block=16)
-    assert np.array_equal(linalg.nullspace(a, q), ref.nullspace_plain(a, q))
-
-
-@pytest.mark.parametrize(
-    "dtype, q",
-    [
-        (np.uint8, 37),
-        (np.uint8, 257),
-        (np.uint8, 65521),
-        (np.uint16, 257),
-        (np.uint16, 65521),
-        (np.uint32, 65521),
-        (np.uint64, 37),
-    ],
-)
-def test_rref_and_nullspace_reduce_unsigned_entries_in_their_dtype(dtype, q):
-    # 20 columns repeat earlier ones mod q, and about half of all entries
-    # are lifted by multiples of q into the top of the dtype's range (219 to
-    # 255 for uint8 and q = 37), so a copy and its column differ as integers.
-    # A q above the range (uint8 with q = 257 or 65521) leaves the entries as
-    # they are and must not be cast to the dtype: NEP 50 refuses that, and
-    # value-based casting wraps it with a DeprecationWarning, an error here
-    # under the suite's filterwarnings setting
-    top = int(np.iinfo(dtype).max)
-    rng = np.random.default_rng(q + top % 1000)
-    a = rng.integers(0, min(q, top + 1), size=(230, 250)).astype(dtype)
-    a[:, -20:] = a[:, :20]
-    if q <= top:
-        lift = rng.random(a.shape) < 0.5
-        a[lift] += dtype(q) * ((dtype(top) - a[lift]) // dtype(q))
-        assert a.max() > top - q and np.any(a % dtype(q) != a)
-    keep = a.copy()
-    assert_rref_matches_plain(a, q)
-    ns = linalg.nullspace(a, q)
-    assert np.array_equal(ns, ref.nullspace_plain(a, q))
-    assert ns.shape[0] >= 20
-    assert a.dtype == dtype and np.array_equal(a, keep)
+    assert np.array_equal(linalg.nullspace(ref.store(a, q), q), want)
 
 
 def test_nullspace_holds_no_dense_int64_copy():
-    # a rank-deficient 1200 x 1200 uint8 matrix over GF(37): the uint8 store
-    # is an eighth of the int64 bytes of its shape, one panel step's float32
-    # temporaries come on top, and the basis is built from the solved block
-    # R[:rank, free], 0.31x in all; a float32 copy of each panel's pivot
-    # columns as the trailing update's left operand, in 256-row bands,
-    # reads 0.47x, a float32 working array in place of the store 0.76x, and
-    # a dense int64 R beside it above 1x
+    # a rank-deficient 1200 x 1200 uint8 store over GF(37), eliminated in
+    # place: beside it an elimination holds one panel step's float32
+    # temporaries, and the basis is built from the solved block
+    # R[:rank, free], 0.18x the int64 bytes of the shape in all; a second
+    # uint8 store adds 0.125x, a float32 working array in its place 0.5x,
+    # and a dense int64 R 1x
     q, n = 37, 1200
     rng = np.random.default_rng(9)
     a = rng.integers(0, q, size=(n, n), dtype=np.uint8)
     a[:, -50:] = (a[:, :50] + a[:, 50:100]) % q
-    linalg.nullspace(a[:40, :50], q)  # keeps a first call's lazy imports untraced
-    ns, peak = traced_peak(lambda: linalg.nullspace(a, q))
-    assert peak < 0.4 * 8 * a.size, f"peak {peak / (8 * a.size):.2f}x the int64 bytes"
+    linalg.nullspace(a[:40, :50].copy(), q)  # keeps a first call's lazy imports untraced
+    r = a.copy()
+    ns, peak = traced_peak(lambda: linalg.nullspace(r, q))
+    assert peak < 0.25 * 8 * a.size, f"peak {peak / (8 * a.size):.2f}x the int64 bytes"
     assert ns.shape == (50, n)
     assert not np.any(a.astype(np.int64) @ ns.T % q)
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
-def test_rref_and_nullspace_leave_their_input_unchanged(dtype):
-    # unreduced and negative int64 entries, and a float64 array already in
-    # [0, q) that an elimination could otherwise take as its own buffer
-    q = 37
-    rng = np.random.default_rng(5)
-    low = -500 if dtype is np.int64 else 0
-    high = 500 if dtype is np.int64 else q
-    a = rng.integers(low, high, size=(300, 280)).astype(dtype)
-    keep = a.copy()
-    linalg.rref(a, q)
-    with mock.patch.object(linalg, "_BLOCK", 7):
-        linalg.rref(a, q)
-    linalg.nullspace(a, q)
-    assert a.dtype == dtype and np.array_equal(a, keep)
 
 
 @pytest.mark.parametrize("q", [2, 37, 257, 65521])
@@ -356,54 +287,59 @@ def test_rref_and_nullspace_match_plain_across_bands(q, band, shape):
     a[5:30:2] = a[4:29:2]
     with mock.patch.object(linalg, "_BAND", band):
         assert_rref_matches_plain(a, q, block=8)
-        assert np.array_equal(linalg.nullspace(a, q), ref.nullspace_plain(a, q))
+        assert np.array_equal(linalg.nullspace(ref.store(a, q), q), ref.nullspace_plain(a, q))
 
 
 @pytest.mark.parametrize("q", [37, 257])
-def test_overwrite_a_eliminates_a_store_in_place(q):
-    # a C-contiguous, writeable array of the store's dtype (uint8 for q = 37,
-    # uint16 for q = 257) with unreduced entries is reduced and eliminated
-    # in place: the results are the copy's, the array is left reduced and
-    # changed, and no second store is allocated
+def test_rref_and_nullspace_eliminate_a_store_in_place(monkeypatch, q):
+    # a store (C-contiguous and writeable, uint8 for q = 37 and uint16 for
+    # q = 257) with entries up to 2q - 1 is reduced mod q and eliminated as
+    # it is: the results are the oracle's on its residues, and the store is
+    # the elimination's own, left reduced and in echelon form
     dtype = np.min_scalar_type(q - 1)
     rng = np.random.default_rng(q)
     base = rng.integers(0, q, size=(300, 290)) @ rng.integers(0, q, size=(290, 320)) % q
     a = (base + q * rng.integers(0, 2, size=base.shape)).astype(dtype)
     assert a.max() >= q
-    want_rref, want_ns = linalg.rref(a, q), linalg.nullspace(a, q)
+    stores = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda r, q: stores.append(r) or echelon(r, q))
     b = a.copy()
-    pivots, solved = linalg.rref(b, q, overwrite_a=True)
-    assert pivots == want_rref[0] and np.array_equal(solved, want_rref[1])
-    assert b.dtype == dtype and b.max() < q and not np.array_equal(b % q, a % q)
+    pivots, solved = linalg.rref(b, q)
+    assert len(stores) == 1 and stores[0] is b
+    want_pivots, want_solved = ref.rref_free(base, q)
+    assert pivots == want_pivots and np.array_equal(solved, want_solved)
+    rank = len(pivots)
+    assert b.dtype == dtype and b.max() < q
+    assert np.array_equal(np.tril(b[:rank][:, pivots]), np.eye(rank)) and not b[rank:].any()
     b = a.copy()
-    assert np.array_equal(linalg.nullspace(b, q, overwrite_a=True), want_ns)
-    _, copied = traced_peak(lambda: linalg.rref(a, q))
-    b = a.copy()
-    _, in_place = traced_peak(lambda: linalg.rref(b, q, overwrite_a=True))
-    assert in_place < copied - 0.9 * a.nbytes
+    assert np.array_equal(linalg.nullspace(b, q), ref.nullspace_plain(base, q))
+    assert stores[1] is b
 
 
-@pytest.mark.parametrize("kind", ["int64", "uint16", "non-contiguous", "read-only"])
-def test_overwrite_a_loads_other_inputs_as_usual(kind):
-    # an input that is not a store over GF(37) (another dtype, a reversed
-    # view, a read-only array) is loaded into a new store and left unchanged
+@pytest.mark.parametrize("kind", ["int64", "uint16", "non-contiguous", "read-only", "list"])
+def test_rref_and_nullspace_refuse_what_is_not_a_store(kind):
+    # over GF(37) a store is a C-contiguous, writeable uint8 array: another
+    # dtype, a reversed view of a store, a read-only store and a list are
+    # refused, and left as they were
     q = 37
     rng = np.random.default_rng(8)
-    a = rng.integers(0, 255, size=(120, 90), dtype=np.uint8)
+    a = rng.integers(0, q, size=(120, 90), dtype=np.uint8)
     if kind == "int64":
-        a = a.astype(np.int64) - 100
+        a = a.astype(np.int64)
     elif kind == "uint16":
         a = a.astype(np.uint16)
     elif kind == "non-contiguous":
         a = a[:, ::-1]
-    else:
+    elif kind == "read-only":
         a.flags.writeable = False
-    keep = a.copy()
-    want_rref, want_ns = linalg.rref(a, q), linalg.nullspace(a, q)
-    pivots, solved = linalg.rref(a, q, overwrite_a=True)
-    assert pivots == want_rref[0] and np.array_equal(solved, want_rref[1])
-    assert np.array_equal(linalg.nullspace(a, q, overwrite_a=True), want_ns)
-    assert a.dtype == keep.dtype and np.array_equal(a, keep)
+    else:
+        a = a.tolist()
+    keep = np.array(a)
+    for fn in (linalg.rref, linalg.nullspace):
+        with pytest.raises(TypeError, match="C-contiguous, writeable uint8 array"):
+            fn(a, q)
+    assert np.array_equal(a, keep)
 
 
 @pytest.mark.parametrize("q", [37, 65521])
@@ -415,7 +351,7 @@ def test_nullspace_rank_deficient_200(q):
     r, pivots = ref.rref_plain(a, q)
     assert len(pivots) == 150
     free = [c for c in range(200) if c not in pivots]
-    ns = linalg.nullspace(a, q)
+    ns = linalg.nullspace(ref.store(a, q), q)
     want = np.zeros((50, 200), dtype=np.int64)
     want[np.arange(50), free] = 1
     want[:, pivots] = -r[:150, free].T % q
