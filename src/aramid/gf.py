@@ -1,6 +1,7 @@
 """Prime-field arithmetic GF(q).
 
-Field values are int64 arrays with entries in [0, q). A public method that
+Field values are int64 arrays with entries in [0, q). A public method or a
+constructor (`GrsCode`'s points and multipliers, kept as copies) that
 takes field values passes each such argument once, at entry, through
 `PrimeField.elements`, so any integer input acts as its residues mod q, and
 an input of any other dtype (float, bool, object) raises TypeError. What

@@ -83,7 +83,7 @@ class ConcatCode:
         for b in range(0, self.inner.dmin + 1, 2):
             erased = np.zeros(self.n, dtype=bool)
             erased[order[:b]] = True
-            y = PhiWord(symbols.copy(), erased)
+            y = PhiWord(symbols, erased)  # decode_phi only reads y
             rep = decode_phi(self.outer, y, self.params)
             if not rep.success:
                 trace.attempts.append((b, "outer_failure"))

@@ -74,11 +74,9 @@ class GrsCode:
     def __init__(self, field: PrimeField, k: int, eval_points, col_mults=None):
         self.field = field
         q = field.q
-        pts = np.asarray(eval_points, dtype=np.int64) % q
-        if col_mults is None:
-            col_mults = np.ones(len(pts), dtype=np.int64)
-        mults = np.asarray(col_mults, dtype=np.int64) % q
+        pts = field.elements(eval_points).copy()
         n = len(pts)
+        mults = np.ones(n, np.int64) if col_mults is None else field.elements(col_mults).copy()
         if n > q:
             raise ValueError(f"length {n} exceeds field size {q}")
         if not 0 < k <= n:

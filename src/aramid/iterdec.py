@@ -226,6 +226,6 @@ def decode_phi(
 
         # nu is odd, so the last round is checked here too
         if i >= 3 and i % 2 == 1 and in_code():
-            report.result = PhiWord.clean(code.fold(z.reshape(n, delta)))
+            report.result = PhiWord.clean(code._fold(z.reshape(n, delta)))
             break
     return report

@@ -403,11 +403,11 @@ class LtCode:
 
         # D1: the thin-graph edge word, erased per left vertex (D2 zero-fills)
         z2 = values[:, d1:].reshape(-1)
-        z2_er = np.repeat(erased2, d2)
 
-        # D2: one parallel error-erasure round of C2 per right vertex
+        # D2: one parallel error-erasure round of C2 per right vertex; edge e
+        # is erased when its left vertex e // d2 is
         gather = self.g2.right_edges
-        out, ok = self.c2.decode_ee(z2[gather], z2_er[gather])
+        out, ok = self.c2.decode_ee(z2[gather], erased2[gather // d2])
         w_tilde = np.where(ok[:, None], self.c2.sys_project(out), 0)
         w_er = ~ok
 

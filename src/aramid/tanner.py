@@ -22,12 +22,13 @@ from .grs import GrsCode
 class PhiWord:
     """A length-n word over Phi (k'-tuples) with per-symbol erasures."""
 
-    values: np.ndarray  # (n, width) int64, erased rows arbitrary
+    values: np.ndarray  # (n, width) field values, erased rows arbitrary
     erased: np.ndarray  # (n,) bool
 
     @classmethod
     def clean(cls, values) -> "PhiWord":
-        values = np.asarray(values, dtype=np.int64)
+        """The word without erasures; `decode_phi` checks its values (`unfold`)."""
+        values = np.asarray(values)
         return cls(values, np.zeros(values.shape[0], dtype=bool))
 
 
@@ -126,7 +127,7 @@ class TannerCode:
     def unfold(self, phi_values) -> np.ndarray:
         """Phi symbols (rows, k') to a new array of their left blocks."""
         if self.c_prime is None:
-            return self.field.elements(np.array(phi_values, dtype=np.int64))
+            return self.field.elements(phi_values).copy()
         return self.c_prime.sys_encode(phi_values)
 
     def psi(self, values) -> np.ndarray:

@@ -254,6 +254,14 @@ def test_rejects_disconnected():
         circulant_bipartite(4, [0, 2])
 
 
+def test_circulant_takes_shifts_by_the_constructor_rule():
+    # a shift is not reduced mod n here either; it lies in [0, n) or is refused
+    with pytest.raises(ValueError, match=re.escape("shift 6 is outside [0, 5)")):
+        circulant_bipartite(5, [0, 6])
+    with pytest.raises(ValueError, match="shifts must be distinct"):
+        circulant_bipartite(5, [1, 0, 1])
+
+
 def _union_find_connected(matchings):
     """Reference check: union-find over left vertices 0..n-1, right n..2n-1."""
     delta, n = matchings.shape

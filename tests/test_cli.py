@@ -223,16 +223,23 @@ def test_build_negative_seed_is_usage_error(tmp_path, caplog, cfg, where):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("frac", [5, 1, 0, -0.5])
-def test_build_sigma_frac_outside_unit_interval_is_usage_error(tmp_path, caplog, frac):
-    # sigma = sigma_frac * beta must lie in (0, beta) for the decode params
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        (dict(SMALL_CFG, sigma_frac=0.5), "sigma_frac"),  # a knob that is gone
+        (dict(SMALL_CFG, anneal_iter=5), "anneal_iter"),  # a typo of anneal_iters
+        (dict(LT_CFG, gamma_target=0.2), "gamma_target"),  # a plain key in an lt config
+    ],
+    ids=["sigma-frac", "typo", "plain-key-in-lt"],
+)
+def test_build_unknown_key_is_usage_error(tmp_path, caplog, cfg, key):
+    # a key outside its mode's table would otherwise be ignored silently
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "inst.json"
-    write_json(str(cfg_path), dict(SMALL_CFG, sigma_frac=frac))
+    write_json(str(cfg_path), cfg)
     rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
     assert rc == EXIT_USAGE
-    rule = "below 1" if frac >= 1 else "above 0"
-    assert f"build plain config sigma_frac must be {rule}, got {frac!r}" in caplog.text
+    assert f"build {cfg['mode']} config has an unknown key {key!r}" in caplog.text
     assert not out.exists()
 
 
@@ -295,10 +302,9 @@ def test_build_malformed_config_is_usage_error(tmp_path, caplog, cfg, message):
         (dict(SMALL_CFG, seed="x"), "build plain config seed must be int, got 'x'"),
         (dict(SMALL_CFG, k_prime="x"), "build plain config k_prime must be int, got 'x'"),
         (dict(SMALL_CFG, gamma_target="x"), "build plain config gamma_target must be int or float"),
-        (dict(SMALL_CFG, sigma_frac="x"), "build plain config sigma_frac must be int or float"),
         (dict(LT_CFG, eps="x"), "build lt config eps must be int or float, got 'x'"),
     ],
-    ids=["anneal-iters", "seed", "k-prime", "gamma-target", "sigma-frac", "lt-eps"],
+    ids=["anneal-iters", "seed", "k-prime", "gamma-target", "lt-eps"],
 )
 def test_build_wrong_type_is_usage_error(tmp_path, caplog, cfg, message):
     cfg_path = tmp_path / "cfg.json"
@@ -562,8 +568,12 @@ def test_verify_bounds_tiny(tmp_path):
     assert rc == EXIT_OK
     results = json.loads(out.read_text())
     assert results["theorem1_min_phi_weight"] == "pass"
-    assert results["mixing_lemma_exhaustive"] == "pass"
-    assert results["degree_sum_k33"] == "pass"
+    assert results == {
+        "lemma_a1_eigenstructure": "pass",
+        "theorem1_min_phi_weight": "pass",
+        "mixing_lemma_exhaustive": "pass",
+        "degree_sum_exhaustive": "pass",
+    }
 
 
 def test_verify_bounds_omega_audit(small_instance, tmp_path):
@@ -686,7 +696,7 @@ def test_lt_load_checks_stored_gamma(lt_instance, tmp_path, key):
         (lambda obj: obj["design"].update(R=[1, 0]), "lt instance design: Fraction(1, 0)"),
         (
             lambda obj: obj["g1"].update(shifts=[[0, 1]]),
-            "lt instance g1: shifts must be ints, got [0, 1]",
+            "lt instance g1 shifts[0] must be int, got [0, 1]",
         ),
         (
             lambda obj: obj["design"].update(q=36),
@@ -782,7 +792,7 @@ _UNBUILDABLE_IDS = [
         (lambda obj: obj["field"].update(q="x"), "plain instance field q must be int, got 'x'"),
         (
             lambda obj: obj["graph"].update(shifts=[[0, 1]]),
-            "plain instance graph: shifts must be ints, got [0, 1]",
+            "plain instance graph shifts[0] must be int, got [0, 1]",
         ),
         *_UNBUILDABLE_PARTS,
     ],
@@ -807,9 +817,10 @@ def test_run_malformed_plain_instance_is_usage_error(
 @pytest.mark.parametrize("key", ["eval_points", "col_mults"])
 @pytest.mark.parametrize("value", [True, 1.0, "1"], ids=["bool", "float", "string"])
 def test_grs_entry_not_an_int_is_usage_error(small_instance, tmp_path, caplog, key, value):
-    # refused like a shift of the same type, although numpy would cast it
+    # refused by the table like a shift of the same type, although numpy
+    # would read [1.0, 2] as floats and [True, 2] as int64
     obj = read_json(small_instance)
-    obj["c_prime"][key][0] = value
+    obj["c_prime"][key][2] = value
     edited = tmp_path / "edited.json"
     write_json(str(edited), obj)
     rc = run_cli(
@@ -817,7 +828,7 @@ def test_grs_entry_not_an_int_is_usage_error(small_instance, tmp_path, caplog, k
         "--out", str(tmp_path / "rep"),
     )
     assert rc == EXIT_USAGE
-    assert f"plain instance c_prime: {key} must be ints, got {value!r}" in caplog.text
+    assert f"plain instance c_prime {key}[2] must be int, got {value!r}" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
 
 
@@ -862,9 +873,9 @@ def _set_shift(i, value):
 # edits of a graph part {"n", "shifts", "seed"} and the message each gets;
 # {n} stands for the stored n and {n1} for n + 1
 _MALFORMED_SHIFT_LISTS = [
-    (_set_shift(1, 1.0), ": shifts must be ints, got 1.0"),
-    (_set_shift(1, True), ": shifts must be ints, got True"),
-    (_set_shift(1, "1"), ": shifts must be ints, got '1'"),
+    (_set_shift(1, 1.0), " shifts[1] must be int, got 1.0"),
+    (_set_shift(1, True), " shifts[1] must be int, got True"),
+    (_set_shift(1, "1"), " shifts[1] must be int, got '1'"),
     (_set_shift(0, -1), ": shift -1 is outside [0, {n})"),
     (lambda g: g.update(shifts=[g["n"], *g["shifts"][1:]]), ": shift {n} is outside [0, {n})"),
     (lambda g: g.update(shifts=[]), ": need 1 <= delta <= n and n > 1, got delta=0"),

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from aramid.bigraph import BipartiteRegularGraph, circulant_bipartite, gamma
 from aramid.gf import MAX_MODULUS, PrimeField, is_prime
 from aramid.grs import GrsCode
+from aramid.iterdec import CosetSide, beta_bound, decode_params, decode_phi
+from aramid.tanner import PhiWord, TannerCode
 
 
 def test_primality_check():
@@ -89,3 +92,68 @@ def test_grs_entry_refuses_float_messages():
     # the entry's one check refuses the floats instead of encoding [1, 2]
     with pytest.raises(TypeError, match="float64"):
         GrsCode(PrimeField(7), 2, range(1, 7)).sys_encode([1.7, 2.2])
+
+
+F7 = PrimeField(7)
+K65 = circulant_bipartite(6, [0, 1, 2, 3, 4])  # n = 6, delta = 5
+RS52 = GrsCode(F7, 2, range(1, 6))  # [5, 2, 4]
+RS32 = GrsCode(F7, 2, [1, 2, 3])  # [3, 2, 2]
+
+
+def _decode_clean(c_prime, values):
+    """decode_phi on PhiWord.clean(values) over K65 with C'' = RS52; a
+    whole-space C' is decoded in the cosets of RS52, at syndromes 0."""
+    code = TannerCode(K65, c_prime, RS52)
+    g = gamma(K65).gamma
+    sigma = 0.9 * beta_bound(RS52.rel_dist, RS52.rel_dist, g)
+    params = decode_params(RS52.rel_dist, RS52.rel_dist, g, sigma, 6, 5)
+    cosets = None if c_prime else CosetSide(RS52, np.zeros((6, 3), dtype=np.int64))
+    return decode_phi(code, PhiWord.clean(values), params, cosets)
+
+
+@pytest.mark.parametrize(
+    "call, dtype",
+    [
+        (lambda: GrsCode(F7, 2, [1.5, 2.2, 3.9, 4, 5]), "float64"),
+        (lambda: GrsCode(F7, 1, np.array([True, False])), "bool"),
+        (lambda: GrsCode(F7, 2, [1, 2, 3], [1.0, 2.5, 3.0]), "float64"),
+        (lambda: GrsCode(F7, 2, [1, 2, 3], np.ones(3, dtype=bool)), "bool"),
+        (
+            lambda: TannerCode(circulant_bipartite(5, [0, 1, 2]), None, RS32).unfold(
+                [[1.5, 2.7, 3.2]] * 5
+            ),
+            "float64",
+        ),
+        (lambda: _decode_clean(RS52, np.full((6, 2), 1.5)), "float64"),
+        (lambda: _decode_clean(None, np.full((6, 5), 1.5)), "float64"),
+        (lambda: BipartiteRegularGraph(5, [False, True]), "bool"),
+        (lambda: circulant_bipartite(5, [0, 1.7]), "float64"),
+        (lambda: circulant_bipartite(5, [False, True]), "bool"),
+    ],
+    ids=[
+        "grs-float-points", "grs-bool-points", "grs-float-mults", "grs-bool-mults",
+        "whole-space-unfold", "decode-clean-grs", "decode-clean-whole-space",
+        "bool-shifts", "circulant-float-shift", "circulant-bool-shifts",
+    ],
+)
+def test_constructors_and_decoders_refuse_other_dtypes(call, dtype):
+    # each took its values through an int64 cast or an int(), which read
+    # 1.5 as 1 and True as 1, and built or decoded on the truncated values
+    with pytest.raises(TypeError, match=f"integer dtype, got {dtype}"):
+        call()
+
+
+def test_constructors_reduce_unsigned_values_and_keep_copies():
+    # 2**64 - 1 is 1 mod 7; an int64 cast wrapped it to -1, read as 6
+    big = np.array([2**64 - 1, 2, 3], dtype=np.uint64)
+    code = GrsCode(F7, 2, big, big)
+    assert code.eval_points.tolist() == [1, 2, 3] and code.col_mults.tolist() == [1, 2, 3]
+    assert code.eval_points.dtype == code.col_mults.dtype == np.int64
+    pts, mults, shifts = np.arange(1, 4), np.ones(3, dtype=np.int64), np.array([0, 1])
+    code = GrsCode(F7, 2, pts, mults)
+    graph = BipartiteRegularGraph(5, shifts)
+    assert not np.shares_memory(code.eval_points, pts)
+    assert not np.shares_memory(code.col_mults, mults)
+    assert not np.shares_memory(graph.shifts, shifts)
+    unsigned = BipartiteRegularGraph(5, shifts.astype(np.uint64)).shifts
+    assert unsigned.dtype == np.int64 and unsigned.tolist() == [0, 1]

@@ -531,7 +531,9 @@ def test_inverse_table(q):
 
 class _BareField:
     """Stands in for GF(2), which PrimeField does not admit; the table
-    construction reads only q."""
+    construction reads only q and the intake rule `elements`."""
+
+    elements = PrimeField.elements
 
     def __init__(self, q):
         self.q = q

@@ -6,6 +6,7 @@ from iterdec_reference import decode_all_vertices
 
 from aramid.bigraph import anneal_circulant_bipartite, circulant_bipartite, gamma
 from aramid.channel import corrupt_phi, trial_rng
+from aramid.cli import build_plain_instance, load_plain_instance
 from aramid.gf import PrimeField
 from aramid.grs import GrsCode
 from aramid.iterdec import CosetSide, beta_bound, decode_params, decode_phi
@@ -408,3 +409,42 @@ def test_failure_reported_not_silent(mid):
     rep = decode_phi(code, y, params)
     if rep.success:
         code.psi_inverse(rep.result.values)  # must be a codeword image
+
+
+# a plain instance where 2*sigma*n = 19.9 reaches d'' = 19, so that a right
+# block of round 2 can fail; it builds in about a second
+N140_CFG = {
+    "mode": "plain", "n": 140, "delta": 36, "q": 37, "k_prime": 18, "k_double": 18,
+    "seed": 11, "anneal_iters": 40000,
+}
+
+
+@pytest.fixture(scope="module")
+def n140():
+    code, params, derived = load_plain_instance(build_plain_instance(N140_CFG, allow_weak=False))
+    assert derived["gamma"] == pytest.approx(0.2007, abs=1e-4)
+    assert params.nu == 13 and math.floor(params.sigma * code.n) == 9
+    return code, params
+
+
+@pytest.mark.parametrize("placement", ["random", "one-right-vertex"])
+def test_n140_battery_at_the_radius(n140, placement):
+    """t = 9 errors and rho = 1 erasure (t + rho/2 <= sigma*n = 9.96), at
+    random positions or all among the 36 left neighbours of one right
+    vertex: exact decoding within nu rounds and omega*n calls, and the
+    dirty-vertex schedule agrees with the all-vertex oracle."""
+    code, params = n140
+    q, n, delta = code.field.q, code.n, code.graph.delta
+    rng = np.random.default_rng(140)
+    for trial in range(100):
+        x = code.psi(code.encode_generic(rng.integers(0, q, size=code.dim)))
+        support = None
+        if placement == "one-right-vertex":
+            left = code.graph.right_edges[trial % n] // delta
+            support = rng.choice(left, size=10, replace=False)
+        y = corrupt_phi(rng, x, 9, 1, q, support)
+        run = assert_matches_oracle(code, params, y)
+        assert run.result is not None, f"trial {trial}"
+        assert np.array_equal(run.result.values, x)
+        assert run.rounds_run <= params.nu
+        assert run.component_calls <= params.omega * n
