@@ -243,6 +243,19 @@ def test_build_unknown_key_is_usage_error(tmp_path, caplog, cfg, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("frac", [5, 1, 0, -0.5])
+def test_build_sigma_frac_outside_unit_interval_is_usage_error(tmp_path, caplog, frac):
+    # sigma is the constant SIGMA_FRAC * beta; a config that still sets the old
+    # knob, in range or not, is refused as an unknown key
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "inst.json"
+    write_json(str(cfg_path), dict(SMALL_CFG, sigma_frac=frac))
+    rc = run_cli("build", "--config", str(cfg_path), "--out", str(out))
+    assert rc == EXIT_USAGE
+    assert "build plain config has an unknown key 'sigma_frac'" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -302,9 +315,10 @@ def test_build_malformed_config_is_usage_error(tmp_path, caplog, cfg, message):
         (dict(SMALL_CFG, seed="x"), "build plain config seed must be int, got 'x'"),
         (dict(SMALL_CFG, k_prime="x"), "build plain config k_prime must be int, got 'x'"),
         (dict(SMALL_CFG, gamma_target="x"), "build plain config gamma_target must be int or float"),
+        (dict(SMALL_CFG, sigma_frac="x"), "build plain config has an unknown key 'sigma_frac'"),
         (dict(LT_CFG, eps="x"), "build lt config eps must be int or float, got 'x'"),
     ],
-    ids=["anneal-iters", "seed", "k-prime", "gamma-target", "lt-eps"],
+    ids=["anneal-iters", "seed", "k-prime", "gamma-target", "sigma-frac", "lt-eps"],
 )
 def test_build_wrong_type_is_usage_error(tmp_path, caplog, cfg, message):
     cfg_path = tmp_path / "cfg.json"
