@@ -7,7 +7,10 @@ inner-decoded codeword (failed rows are least reliable), then walks the
 classic erasure ladder 0, 2, 4, ... up to the inner minimum distance, running
 the iterative outer decoder each time. A candidate is accepted only when its
 re-encoding lands inside the guaranteed weighted radius, so a wrong answer is
-never accepted silently.
+never accepted silently. The accepted word is one that `decode_phi` certified
+as the fold of an outer codeword, so its message is read off it at the
+generator's pivots (`TannerCode._message`), with no unfold and no second
+membership test.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ConcatCode:
             raise ValueError(f"received must be ({self.n}, {self.inner.length})")
         # rejected rows come back as received and keep their raw symbols
         decoded, ok = self.inner.decode_ee(received)
-        symbols = self.inner.sys_project(decoded)
+        symbols = self.inner._sys_project(decoded)
         reliab = np.where(
             ok, np.count_nonzero(decoded != received, axis=1), _FAILED_ROW
         )
@@ -88,10 +91,9 @@ class ConcatCode:
             if not rep.success:
                 trace.attempts.append((b, "outer_failure"))
                 continue
-            reencoded = self.inner.sys_encode(rep.result.values)
+            reencoded = self.inner._sys_encode(rep.result.values)
             if self.weighted_distance(reencoded, received) < radius:
                 trace.attempts.append((b, "accepted"))
-                z = self.outer.psi_inverse(rep.result.values)
-                return self.outer.msg_from_codeword(z), trace
+                return self.outer._message(rep.result.values), trace
             trace.attempts.append((b, "rejected"))
         return None, trace

@@ -75,8 +75,11 @@ class GrsCode:
         self.field = field
         q = field.q
         pts = field.elements(eval_points).copy()
-        n = len(pts)
+        n = pts.size
         mults = np.ones(n, np.int64) if col_mults is None else field.elements(col_mults).copy()
+        for name, row in (("evaluation points", pts), ("column multipliers", mults)):
+            if row.ndim != 1:
+                raise ValueError(f"{name} must be one row, got shape {row.shape}")
         if n > q:
             raise ValueError(f"length {n} exceeds field size {q}")
         if not 0 < k <= n:

@@ -294,7 +294,7 @@ class InterleavedGrsMediator:
         out, ok = self.code.decode_ee(streams, erased)
         if not ok.all():
             return None
-        return self.code.sys_project(out).T.reshape(-1)
+        return self.code._sys_project(out).T.reshape(-1)
 
 
 # -- the assembled construction ----------------------------------------------------
@@ -408,7 +408,7 @@ class LtCode:
         # is erased when its left vertex e // d2 is
         gather = self.g2.right_edges
         out, ok = self.c2.decode_ee(z2[gather], erased2[gather // d2])
-        w_tilde = np.where(ok[:, None], self.c2.sys_project(out), 0)
+        w_tilde = np.where(ok[:, None], self.c2._sys_project(out), 0)
         w_er = ~ok
 
         # D3: mediator recovers the syndrome list
@@ -422,8 +422,7 @@ class LtCode:
         rep = decode_phi(self.t1, y1, self.params_d4, cosets=CosetSide(self.c0, s_mat))
         if not rep.success:
             return LtReport(None, "iterative", rep, w_tilde, w_er)
-        z1 = rep.result.values.reshape(-1)
-        eta = self.t1.right_messages(z1)
+        eta = self.c1._sys_project(self.t1.right_blocks(rep.result.values.reshape(-1)))
         return LtReport(eta, None, rep, w_tilde, w_er)
 
 

@@ -3,7 +3,9 @@
 Edge words are indexed by edge id e = u*delta + slot, so left sub-blocks are a
 contiguous reshape and right sub-blocks a precomputed gather. The folding map
 sends a codeword to the per-left-vertex message of the systematic C' encoder,
-so folding back is a coordinate projection.
+so folding back is a coordinate projection. Every pivot of the generator is
+a systematic position of C', so a codeword's message is its folded word read
+at the pivots (`message`), with no unfold.
 """
 
 from __future__ import annotations
@@ -111,14 +113,6 @@ class TannerCode:
 
     # -- folding ---------------------------------------------------------------
 
-    def fold(self, blocks) -> np.ndarray:
-        """Left blocks (rows, delta) to a new array of their Phi symbols."""
-        blocks = self.field.elements(blocks)
-        delta = self.graph.delta
-        if blocks.shape[-1:] != (delta,):
-            raise ValueError(f"blocks must have {delta} columns, got shape {blocks.shape}")
-        return self._fold(blocks)
-
     def _fold(self, blocks: np.ndarray) -> np.ndarray:
         if self.c_prime is None:
             return blocks.copy()
@@ -137,14 +131,22 @@ class TannerCode:
             raise ValueError("psi requires a codeword of C")
         return self._fold(self.left_blocks(values))
 
-    def psi_inverse(self, phi_values) -> np.ndarray:
-        """Unfold a Phi word; raises if the result is not in C. Its left
-        blocks are words of C' by construction, so only the right ones are
-        checked."""
-        values = self.unfold(phi_values).reshape(-1)
-        if np.any(self.c_double._syndromes(self.right_blocks(values))):
-            raise ValueError("phi word does not unfold to a codeword of C")
-        return values
+    def message(self, phi) -> np.ndarray:
+        """The message of the codeword whose folded word is phi (n, k'), or
+        of each in a stack of them; phi must be an image of `psi`."""
+        phi = self.field.elements(phi)
+        if phi.shape[-2:] != (self.n, self.phi_width):
+            raise ValueError(
+                f"phi word must have shape ({self.n}, {self.phi_width}), got {phi.shape}"
+            )
+        return self._message(phi)
+
+    def _message(self, phi: np.ndarray) -> np.ndarray:
+        # a generator row's first nonzero block is its message block times
+        # [I | P], so pivot p = u*delta + j has j < k' and is phi[u, j]
+        self.generator()
+        u, j = np.divmod(np.array(self._gen_pivots, dtype=np.intp), self.graph.delta)
+        return phi[..., u, j]
 
     # -- encoders ----------------------------------------------------------------
 
@@ -202,10 +204,6 @@ class TannerCode:
             raise ValueError(f"message length must be {gen.shape[0]}")
         return linalg._mul_mod(msg, self._gen_float, self.field.q)
 
-    def msg_from_codeword(self, values) -> np.ndarray:
-        self.generator()
-        return self.field.elements(values)[..., self._gen_pivots]
-
     def encode_rate1(self, eta) -> np.ndarray:
         """Per-right-vertex encoding, valid only when C' is the full space.
 
@@ -219,10 +217,6 @@ class TannerCode:
 
     def _encode_rate1(self, eta: np.ndarray) -> np.ndarray:
         return self.scatter_right(self.c_double._sys_encode(eta))
-
-    def right_messages(self, values) -> np.ndarray:
-        """Inverse of encode_rate1's per-vertex encoder (systematic projection)."""
-        return self.c_double.sys_project(self.right_blocks(values))
 
 
 # -- bounds and oracles -------------------------------------------------------

@@ -1,3 +1,6 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,25 @@ def test_constructors_and_decoders_refuse_other_dtypes(call, dtype):
     # 1.5 as 1 and True as 1, and built or decoded on the truncated values
     with pytest.raises(TypeError, match=f"integer dtype, got {dtype}"):
         call()
+
+
+@pytest.mark.parametrize(
+    "k, points, mults, name, shape",
+    [
+        (1, [[1, 2], [3, 4]], None, "evaluation points", (2, 2)),
+        (2, 5, None, "evaluation points", ()),
+        (2, [1, 2, 3], [[1], [2], [3]], "column multipliers", (3, 1)),
+        (2, [1, 2, 3], 5, "column multipliers", ()),
+    ],
+    ids=["2d-points", "0d-points", "2d-mults", "0d-mults"],
+)
+def test_grs_refuses_points_or_multipliers_that_are_not_one_row(k, points, mults, name, shape):
+    # refused by name before any table is built, where numpy would raise a
+    # broadcast error or a TypeError from len() of a 0-d array
+    want = re.escape(f"{name} must be one row, got shape {shape}")
+    with mock.patch("aramid.grs._prod_others", side_effect=AssertionError("table built")):
+        with pytest.raises(ValueError, match=want):
+            GrsCode(F7, k, points, mults)
 
 
 def test_constructors_reduce_unsigned_values_and_keep_copies():

@@ -51,8 +51,7 @@ def test_noiseless_matches_direct_outer(concat):
     phi = concat.outer.psi(concat.outer.encode_generic(msg))
     rep = decode_phi(concat.outer, PhiWord.clean(phi), concat.params)
     assert rep.success
-    z = concat.outer.psi_inverse(rep.result.values)
-    assert np.array_equal(concat.outer.msg_from_codeword(z), got)
+    assert np.array_equal(concat.outer.message(rep.result.values), got)
 
 
 def test_trials_within_product_radius(concat):
@@ -149,3 +148,17 @@ def test_encode_checks_the_message_and_psi_argument_once(concat):
     # inner encoder takes psi's output as it is
     msg = np.random.default_rng(73).integers(0, 29, size=concat.outer.dim)
     assert checks(concat.encode, msg) == 2
+
+
+def test_decode_checks_the_received_word_once(concat):
+    # 5 checks for a word accepted at ladder step 0: the received matrix, the
+    # traced inner decode_ee, decode_phi's unfold and its decode_ee in rounds
+    # 2 and 3. The inner projection, the re-encoding and the message read
+    # take the values their producers left in [0, q) unchecked
+    q = 29
+    msg = np.random.default_rng(77).integers(0, q, size=concat.outer.dim)
+    budget = int(np.ceil(concat.guaranteed_radius())) - 1
+    rec = corrupt_inner_rows(trial_rng(770, 0), concat.encode(msg), budget, concat.inner.dmin, q)
+    got, trace = concat.decode(rec)
+    assert np.array_equal(got, msg) and trace.attempts == [(0, "accepted")]
+    assert checks(concat.decode, rec) == 5

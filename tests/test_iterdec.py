@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from field_contract import checks
 from iterdec_reference import decode_all_vertices
 
 from aramid.bigraph import anneal_circulant_bipartite, circulant_bipartite, gamma
@@ -408,7 +409,20 @@ def test_failure_reported_not_silent(mid):
     y = corrupt_phi(rng, x, code.n // 2, 0, code.field.q)
     rep = decode_phi(code, y, params)
     if rep.success:
-        code.psi_inverse(rep.result.values)  # must be a codeword image
+        assert code.membership(code.unfold(rep.result.values).reshape(-1))
+
+
+def test_decode_checks_the_received_word_once(mid):
+    # errors only at t = floor(sigma*n), as in the plain-errors benchmark
+    # workload: unfold checks the word, and the traced decode_ee of rounds 2
+    # and 3 check their stacks
+    code, params = mid
+    rng = np.random.default_rng(39)
+    x = code.psi(random_codeword(code, rng))
+    y = corrupt_phi(rng, x, math.floor(params.sigma * code.n), 0, code.field.q)
+    rep = decode_phi(code, y, params)
+    assert rep.success and rep.rounds_run == 3
+    assert checks(decode_phi, code, y, params) == 3
 
 
 # a plain instance where 2*sigma*n = 19.9 reaches d'' = 19, so that a right

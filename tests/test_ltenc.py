@@ -430,3 +430,18 @@ def test_encoders_check_their_input_once(desk_lt):
     rng = np.random.default_rng(28)
     assert checks(code.encode_trace, rng.integers(0, d.q, size=(d.n, d.k1))) == 1
     assert checks(code.mediator.encode, rng.integers(0, d.q, size=d.km * d.k2)) == 1
+
+
+def test_decode_checks_each_input_once(desk_lt):
+    # 9 checks: the received pairs; the traced decode_ee of D2, of the
+    # mediator and of D4's rounds 2 and 3, plus round 3's coset target; the
+    # mediator's streams; decode_phi's coset syndromes and unfold. The D2
+    # and mediator projections and the read of eta take the values their
+    # producers left in [0, q) unchecked
+    code, d = desk_lt, desk_lt.design
+    rng = np.random.default_rng(30)
+    tr = code.encode_trace(rng.integers(0, d.q, size=(d.n, d.k1)))
+    received = corrupt_pairs(rng, tr.x, code.radius // 4, code.radius // 2, d.q)
+    rep = code.decode(*received)
+    assert rep.success and rep.d4.rounds_run == 3
+    assert checks(code.decode, *received) == 9

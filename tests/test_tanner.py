@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import grs_reference
 import linalg_reference as ref
@@ -69,7 +71,7 @@ def test_encode_membership_random(k33_code):
         msg = rng.integers(0, 7, size=k33_code.dim)
         z = k33_code.encode_generic(msg)
         assert k33_code.membership(z)
-        assert np.array_equal(k33_code.msg_from_codeword(z), msg % 7)
+        assert np.array_equal(k33_code.message(k33_code.psi(z)), msg % 7)
 
 
 def test_encode_injective_linear(k33_code):
@@ -97,8 +99,8 @@ def test_psi_round_trip(k33_code):
         z = k33_code.encode_generic(rng.integers(0, 7, size=k33_code.dim))
         x = k33_code.psi(z)
         assert x.shape == (3, 2)
-        z2 = k33_code.psi_inverse(x)
-        assert np.array_equal(z, z2)
+        assert np.array_equal(k33_code.unfold(x).reshape(-1), z)
+        assert np.array_equal(k33_code.encode_generic(k33_code.message(x)), z)
 
 
 def test_psi_zero(k33_code):
@@ -111,13 +113,6 @@ def test_psi_rejects_non_codeword(k33_code):
     if not k33_code.membership(z):
         with pytest.raises(ValueError):
             k33_code.psi(z)
-
-
-def test_psi_inverse_rejects_non_image(cycle8_code):
-    # [2,1,2] components: right blocks must be repetitions; (0,...,x!=y...)
-    phi = np.array([[0], [1], [0], [0]])
-    with pytest.raises(ValueError):
-        cycle8_code.psi_inverse(phi)
 
 
 def test_psi_identity_when_rate1():
@@ -144,12 +139,15 @@ def test_whole_space_left_side_matches_rate1_grs():
     assert np.array_equal(whole.generator(), full.generator())
     rng = np.random.default_rng(24)
     z = whole.encode_rate1(rng.integers(0, 7, size=(6, 2)))
-    assert np.array_equal(z, full.encode_rate1(whole.right_messages(z)))
+    eta = whole.c_double.sys_project(whole.right_blocks(z))
+    assert np.array_equal(z, full.encode_rate1(eta))
     assert whole.membership(z) and full.membership(z)
     x = whole.psi(z)
     assert np.array_equal(x, full.psi(z)) and np.array_equal(x, whole.left_blocks(z))
-    assert np.array_equal(whole.psi_inverse(x + 7), z)
-    assert not np.shares_memory(whole.psi_inverse(x), x)
+    assert np.array_equal(whole.unfold(x + 7).reshape(-1), z)
+    assert not np.shares_memory(whole.unfold(x), x)
+    assert np.array_equal(whole.message(x + 7), full.message(x))
+    assert np.array_equal(whole.encode_generic(whole.message(x)), z)
     bad = z.copy()
     bad[0] = (bad[0] + 1) % 7
     assert not whole.membership(bad)
@@ -170,7 +168,7 @@ def test_encode_rate1_repetition_cycle():
         blk = z[g.right_edges[v]]
         assert blk.tolist() == [eta[v, 0], eta[v, 0]]
     assert code.membership(z)
-    assert np.array_equal(code.right_messages(z), eta)
+    assert np.array_equal(code.c_double.sys_project(code.right_blocks(z)), eta)
 
 
 def test_encode_rate1_zero():
@@ -373,27 +371,29 @@ def test_desk_generator_holds_one_dense_copy(desk_code):
 
 def test_entry_points_act_on_residues(k33_code):
     # TannerCode's entry points act on the residues of their input mod q and
-    # never write into it, with C' a code and with C' the whole space; fold
-    # and unfold return new arrays
+    # never write into it, with C' a code and with C' the whole space;
+    # message and unfold return new arrays
     q = 7
     rng = np.random.default_rng(25)
     whole = TannerCode(k33_code.graph, None, k33_code.c_double)
     msgs = rng.integers(0, q, size=(4, k33_code.dim))
     z = assert_acts_on_residues(k33_code.encode_generic, (msgs,), q, rng)
-    assert_acts_on_residues(k33_code.msg_from_codeword, (z,), q, rng)
+    phis = np.stack([k33_code.psi(word) for word in z])
+    got = assert_acts_on_residues(k33_code.message, (phis,), q, rng, fresh=True)
+    assert np.array_equal(got, msgs)
     eta = rng.integers(0, q, size=(3, 2))
     z_whole = assert_acts_on_residues(whole.encode_rate1, (eta,), q, rng)
     for code, word in ((k33_code, z[1]), (whole, z_whole)):
         phi = assert_acts_on_residues(code.psi, (word,), q, rng)
-        blocks = code.left_blocks(word)
-        folded = assert_acts_on_residues(code.fold, (blocks,), q, rng, fresh=True)
-        assert np.array_equal(folded, phi)
+        assert np.array_equal(phi, code._fold(code.left_blocks(word)))
         assert_acts_on_residues(code.unfold, (phi,), q, rng, fresh=True)
+        assert_acts_on_residues(code.message, (phi,), q, rng, fresh=True)
 
 
 def test_encode_entries_check_their_input_once(k33_code):
     # psi and membership check the word once and run the component syndromes
-    # and the fold on it unchecked; psi still refuses a non-codeword
+    # and the fold on it unchecked; psi still refuses a non-codeword, and
+    # message checks its Phi word once and refuses one of another shape
     rng = np.random.default_rng(29)
     whole = TannerCode(k33_code.graph, None, k33_code.c_double)
     msg = rng.integers(0, 7, size=k33_code.dim)
@@ -407,8 +407,41 @@ def test_encode_entries_check_their_input_once(k33_code):
         with pytest.raises(ValueError, match="psi requires a codeword of C"):
             code.psi(bad)
         assert not code.membership(bad)
-        with pytest.raises(ValueError, match="blocks must have 3 columns"):
-            code.fold(np.zeros((3, 2), dtype=np.int64))
+        assert checks(code.message, code.psi(z)) == 1
+        with pytest.raises(ValueError, match=r"phi word must have shape \(3, \d\), got \(3, 4\)"):
+            code.message(np.zeros((3, 4), dtype=np.int64))
+
+
+@st.composite
+def plain_codes(draw):
+    """A small code with a GRS C': n <= 12, shifts with repeats (parallel
+    edges), points that may include 0, non-unit multipliers; and a message."""
+    q = draw(st.sampled_from([7, 11, 13]))
+    n = draw(st.integers(2, 12))
+    delta = draw(st.integers(2, min(n, 6)))
+    shifts = draw(st.lists(st.integers(0, n - 1), min_size=delta, max_size=delta))
+    assume(math.gcd(n, *(s - shifts[0] for s in shifts)) == 1)  # connected
+    f = PrimeField(q)
+
+    def comp():
+        points = draw(st.permutations(range(q)))[:delta]
+        mults = draw(st.lists(st.integers(1, q - 1), min_size=delta, max_size=delta))
+        return GrsCode(f, draw(st.integers(1, delta)), points, mults)
+
+    code = TannerCode(BipartiteRegularGraph(n, shifts), comp(), comp())
+    msg = draw(st.lists(st.integers(0, q - 1), min_size=code.dim, max_size=code.dim))
+    return code, np.array(msg, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_codes())
+def test_message_reads_the_folded_word_at_the_pivots(case):
+    # every pivot p = u*delta + j is a systematic position of C' (j < k'),
+    # so message reads the codeword's message off its Phi word
+    code, msg = case
+    code.generator()
+    assert all(p % code.graph.delta < code.phi_width for p in code._gen_pivots)
+    assert np.array_equal(code.message(code.psi(code.encode_generic(msg))), msg)
 
 
 def test_phi_word_helpers():
